@@ -18,14 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericalError
-from .proxy import (
-    MOMENTUM_SMOOTHNESS_WEIGHT,
-    SMOOTHNESS_WEIGHT,
-    BoundConstants,
-    Budget,
-    _require,
-)
+from .errors import DomainError, NumericalError, _require
+from .proxy import MOMENTUM_SMOOTHNESS_WEIGHT, SMOOTHNESS_WEIGHT, BoundConstants, Budget
 from .schedules import PowerLawSchedule
 
 __all__ = [

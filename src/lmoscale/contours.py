@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
-from .proxy import (
-    MOMENTUM_SMOOTHNESS_WEIGHT,
-    SMOOTHNESS_WEIGHT,
-    BoundConstants,
-    _require,
-)
+from .errors import InfeasibleError, _require
+from .proxy import MOMENTUM_SMOOTHNESS_WEIGHT, SMOOTHNESS_WEIGHT, BoundConstants
 
 __all__ = ["ContourConstants", "LevelPoint", "LevelSet", "tuned_bound", "level_set"]
 

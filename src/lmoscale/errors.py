@@ -5,6 +5,11 @@ class DomainError(ValueError):
     """An input violates a documented domain constraint."""
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise DomainError(message)
+
+
 class InfeasibleError(ValueError):
     """The request has no feasible solution (empty grid, unreachable level, ...)."""
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetTooSmallError, DomainError
+from .errors import BudgetTooSmallError, _require
 
 __all__ = [
     "SMOOTHNESS_WEIGHT",
@@ -39,11 +39,6 @@ __all__ = [
 # momentum-coupled one.  The compact proxy replaces both by c3 * (1 + 1/alpha).
 SMOOTHNESS_WEIGHT = 3.5
 MOMENTUM_SMOOTHNESS_WEIGHT = 2.0
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise DomainError(message)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .proxy import Budget, BudgetKind, _require
+from .errors import _require
+from .proxy import Budget, BudgetKind
 
 __all__ = ["SgdInputs", "SgdTunedResult", "sgd_risk", "sgd_tuned"]
 

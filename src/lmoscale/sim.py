@@ -20,8 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
-from .proxy import _require
+from .errors import DomainError, _require
 
 __all__ = [
     "NormKind",
@@ -56,68 +55,34 @@ def momentum_update(m: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * m + alpha * g
 
 
+def _var_ndim(v: np.ndarray, norm: NormKind) -> int:
+    """Number of trailing variable axes of v; the spectral norm needs a matrix."""
+    if norm is NormKind.SPECTRAL and v.ndim != 2:
+        raise DomainError(f"the spectral norm needs a matrix variable, got ndim={v.ndim}")
+    return v.ndim
+
+
 def dual_norm(v: np.ndarray, norm: NormKind) -> float:
     v = np.asarray(v, dtype=float)
-    if norm is NormKind.EUCLIDEAN:
-        return float(np.sqrt(np.sum(v * v)))
-    if norm is NormKind.MAX:
-        return float(np.sum(np.abs(v)))
-    if v.ndim != 2:
-        raise DomainError(f"spectral dual norm needs a matrix, got ndim={v.ndim}")
-    return float(np.linalg.svd(v, compute_uv=False).sum())
+    return float(_batched_dual_norms(v, norm, _var_ndim(v, norm)))
 
 
-def _spectral_norm_estimate(x: np.ndarray, iters: int = 24) -> float:
-    v = np.full(x.shape[1], 1.0 / math.sqrt(x.shape[1]))
-    for _ in range(iters):
-        w = x.T @ (x @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return float(np.linalg.norm(x))
-        v = w / nw
-    return float(np.linalg.norm(x @ v))
+def polar_factor(m: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor U V^T of a matrix, or of each matrix in a stack.
 
-
-def polar_factor(m: np.ndarray, iterations: int = 5, fallback_tol: float = 1e-4) -> np.ndarray:
-    """Orthogonal polar factor of a matrix.
-
-    Fifth-degree fixed-point iteration X (15 I - 10 G + 3 G^2) / 8 with
-    G = X^T X, after rescaling by a power-iteration estimate of the
-    spectral norm so all singular values start in (0, ~1].  The update
-    converges cubically once near the factor; iterates whose residual
-    ||G - I||_F still exceeds ``fallback_tol`` after the fixed iteration
-    count (ill-conditioned inputs) fall back to the exact decomposition.
-    Converged iterates are polished to a near-machine residual so the
-    result tracks the exact factor to much better than the fallback
-    threshold.  A zero matrix maps to the zero matrix.
+    Computed exactly from the thin SVD m = U S V^T over the last two axes,
+    so the result is an isometry (orthonormal columns for tall inputs,
+    orthonormal rows for wide ones), rank-deficient inputs included.  A
+    zero matrix maps to the zero matrix; a matrix with a non-finite entry
+    maps to NaN, as a diverged buffer does under the other norms.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise DomainError(f"polar factor needs a matrix, got ndim={m.ndim}")
-    if not np.any(m):
-        return np.zeros_like(m)
-    transposed = m.shape[0] < m.shape[1]
-    x = m.T if transposed else m
-    eye = np.eye(x.shape[1])
-
-    def step(y: np.ndarray) -> np.ndarray:
-        g = y.T @ y
-        return y @ (15.0 * eye - 10.0 * g + 3.0 * (g @ g)) / 8.0
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = x / (1.02 * _spectral_norm_estimate(x))
-        for _ in range(iterations):
-            x = step(x)
-        resid = float(np.linalg.norm(x.T @ x - eye))
-        if not math.isfinite(resid) or resid > fallback_tol:
-            u, _, vt = np.linalg.svd(m, full_matrices=False)
-            return u @ vt
-        polish = 0
-        while resid > 1e-11 and polish < 3:
-            x = step(x)
-            resid = float(np.linalg.norm(x.T @ x - eye))
-            polish += 1
-    return x.T if transposed else x
+    finite = np.isfinite(m).all(axis=(-2, -1), keepdims=True)
+    live = np.any(m, axis=(-2, -1), keepdims=True)
+    u, _, vt = np.linalg.svd(np.where(finite, m, 0.0), full_matrices=False)
+    return np.where(finite, np.where(live, u @ vt, 0.0), np.nan)
 
 
 def lmo_direction(m: np.ndarray, norm: NormKind) -> np.ndarray:
@@ -129,12 +94,7 @@ def lmo_direction(m: np.ndarray, norm: NormKind) -> np.ndarray:
     coordinate-wise for the max norm).
     """
     m = np.asarray(m, dtype=float)
-    if norm is NormKind.EUCLIDEAN:
-        scale = float(np.sqrt(np.sum(m * m)))
-        return -m / scale if scale > 0 else np.zeros_like(m)
-    if norm is NormKind.MAX:
-        return -np.sign(m)
-    return -polar_factor(m)
+    return _batched_directions(m, norm, _var_ndim(m, norm))
 
 
 @dataclass(frozen=True)
@@ -291,10 +251,7 @@ def _batched_directions(m: np.ndarray, norm: NormKind, var_ndim: int) -> np.ndar
         return np.where(scale > 0, -m / np.where(scale > 0, scale, 1.0), 0.0)
     if norm is NormKind.MAX:
         return -np.sign(m)
-    out = np.empty_like(m)
-    for idx in np.ndindex(m.shape[:2]):
-        out[idx] = lmo_direction(m[idx], NormKind.SPECTRAL)
-    return out
+    return -polar_factor(m)
 
 
 def _batched_dual_norms(g: np.ndarray, norm: NormKind, var_ndim: int) -> np.ndarray:
@@ -303,7 +260,10 @@ def _batched_dual_norms(g: np.ndarray, norm: NormKind, var_ndim: int) -> np.ndar
         return np.sqrt(np.sum(g * g, axis=axes))
     if norm is NormKind.MAX:
         return np.sum(np.abs(g), axis=axes)
-    return np.linalg.svd(g, compute_uv=False).sum(axis=-1)
+    # SVD fails on non-finite input; a diverged matrix gets an infinite norm
+    finite = np.isfinite(g).all(axis=axes)
+    svals = np.linalg.svd(np.where(finite[..., None, None], g, 0.0), compute_uv=False)
+    return np.where(finite, svals.sum(axis=-1), np.inf)
 
 
 def _run_batch(
@@ -327,7 +287,7 @@ def _run_batch(
     (H = R = 1).
     """
     var_shape = obj.x0.shape
-    var_ndim = obj.x0.ndim
+    var_ndim = _var_ndim(obj.x0, norm)
     h, r = len(etas), len(seed_seqs)
     gens = [np.random.default_rng(s) for s in seed_seqs]
     noise = _noise_factory(obj.spec, batch)

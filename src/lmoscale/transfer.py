@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
-from .proxy import _require
+from .errors import DomainError, _require
 
 __all__ = [
     "TransferRegime",

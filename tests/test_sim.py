@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmoscale import (
     DomainError,
@@ -16,6 +18,7 @@ from lmoscale import (
     run,
     sweep_sim,
 )
+from lmoscale.cli import main
 from lmoscale.sim import _noise_factory, _Objective
 
 QUAD = ObjectiveSpec(kind="noisy-quadratic", noise_sigma=1.0, spectrum=(0.1, 0.5, 1.0))
@@ -127,6 +130,49 @@ class TestPolarFactor:
     def test_vector_input_rejected(self):
         with pytest.raises(DomainError):
             polar_factor(np.ones(4))
+
+    def test_zero_and_non_finite_slices(self):
+        stack = np.stack([np.zeros((3, 2)), np.eye(3, 2), np.full((3, 2), np.inf)])
+        pf = polar_factor(stack)
+        assert not pf[0].any()
+        assert np.array_equal(pf[1], np.eye(3, 2))
+        assert np.isnan(pf[2]).all()
+
+
+@st.composite
+def matrix_stacks(draw):
+    """Stacks of wide, tall or square matrices, some rank-deficient or zero."""
+    count = draw(st.integers(1, 5))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.standard_normal((count, rows, cols))
+    for i in range(count):
+        kind = draw(st.sampled_from(("full", "low-rank", "zero")))
+        if kind == "low-rank":
+            rank = draw(st.integers(1, min(rows, cols)))
+            stack[i] = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        elif kind == "zero":
+            stack[i] = 0.0
+    return stack
+
+
+class TestBatchedOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_stacks())
+    def test_stack_matches_slices_and_lmo_identities(self, stack):
+        pf = polar_factor(stack)
+        rows, cols = stack.shape[1:]
+        eye = np.eye(min(rows, cols))
+        for m, d_stack in zip(stack, -pf):
+            assert np.allclose(d_stack, -polar_factor(m), rtol=0.0, atol=1e-12)
+            d = lmo_direction(m, NormKind.SPECTRAL)
+            ref = dual_norm(m, NormKind.SPECTRAL)
+            assert abs(np.vdot(m, d) + ref) <= 1e-10 * max(ref, 1.0)
+            if not m.any():
+                assert not d.any()
+                continue
+            gram = d.T @ d if rows >= cols else d @ d.T
+            assert np.allclose(gram, eye, rtol=0.0, atol=1e-10)
 
 
 class TestMomentum:
@@ -270,6 +316,31 @@ class TestRuns:
         r = run(spec, cfg)
         assert np.isfinite(r.grad_norms).all()
         assert r.min_grad_norm < r.grad_norms[0]
+
+    @pytest.mark.parametrize("update, eta", [("sgd", 1e6), ("lmo", 1e308)])
+    def test_diverged_spectral_run_is_aborted(self, update, eta):
+        spec = ObjectiveSpec(kind="matrix-least-squares", noise_sigma=1.0, dims=(8, 8))
+        cfg = LmoConfig(norm=NormKind.SPECTRAL, eta=eta, alpha=1.0, batch=8, steps=100,
+                        seed=0, update=update)
+        assert run(spec, cfg).aborted
+
+    def test_diverged_spectral_cli_run_exits_cleanly(self, capsys):
+        code = main(["simulate", "--kind", "matrix-least-squares", "--norm", "spectral",
+                     "--update", "sgd", "--eta", "1e6", "--alpha", "1", "--b", "8",
+                     "--t", "800", "--replicates", "1"])
+        assert code == 0 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("update", ["lmo", "sgd"])
+    def test_spectral_norm_needs_matrix_variable(self, update, capsys):
+        with pytest.raises(DomainError, match="matrix variable"):
+            sweep_sim(QUAD, NormKind.SPECTRAL, (0.01,), (1.0,), (8,), (800.0,),
+                      replicates=2, seed=0, update=update)
+        code = main(["simulate", "--norm", "spectral", "--update", update, "--dim", "5",
+                     "--eta", "0.01", "--alpha", "1", "--b", "8", "--t", "800",
+                     "--replicates", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert '"exit_code": 2' in captured.err
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
