@@ -3,21 +3,24 @@
 Subcommands: plan, verify, transfer, contour, analyze, simulate,
 compare-sgd.  Every command reads an optional declarative JSON config
 (``--config``) whose keys match the option names; explicitly passed flags
-win over the config, and unknown config keys are rejected.  Exit codes:
-0 ok, 2 invalid config, 3 infeasible request, 4 numerical failure.
+win over the config, unknown config keys are rejected, and a null value
+keeps the default.  Exit codes: 0 ok, 2 invalid input (argument errors
+included; non-finite numbers are rejected), 3 infeasible request,
+4 numerical failure.  Every failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_form, contours, grid, schedules, sgd, sim, transfer
-from .errors import DomainError, InfeasibleError, NumericalError
+from .errors import DomainError, InfeasibleError, NumericalError, _require
 from .proxy import BoundConstants, Budget
 from .serialize import dumps_json, read_csv, write_csv
 
@@ -157,8 +160,15 @@ _SPECS: dict[str, list[Opt]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a DomainError, so they leave as one JSON line."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmoscale",
         description="Scaling-law engine for norm-constrained optimizer hyperparameters.",
     )
@@ -171,15 +181,14 @@ def _build_parser() -> argparse.ArgumentParser:
             kwargs: dict = {"dest": opt.dest, "default": None, "help": opt.help}
             if opt.choices:
                 kwargs["choices"] = opt.choices
-            if opt.type is not None:
-                kwargs["type"] = opt.type
             sub.add_argument(f"--{opt.name}", **kwargs)
     return parser
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
+    """Options from the config, then the flags, each converted by its type."""
     spec = {opt.dest: opt for opt in _SPECS[command] + _COMMON}
-    values = {dest: opt.default for dest, opt in spec.items()}
+    given: dict = {}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -192,20 +201,26 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             dest = key.replace("-", "_")
             if dest not in spec:
                 raise DomainError(f"unknown config field {key!r} for command {command!r}")
-            opt = spec[dest]
-            values[dest] = opt.type(value) if opt.type is not None and value is not None else value
-    for dest in spec:
-        flag = getattr(args, dest)
-        if flag is not None:
-            values[dest] = flag
+            if value is not None:  # null leaves the option at its default
+                given[dest] = value
+    given.update((dest, getattr(args, dest)) for dest in spec if getattr(args, dest) is not None)
+    values = {dest: opt.default for dest, opt in spec.items()}
+    for dest, value in given.items():
+        try:
+            values[dest] = spec[dest].type(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise DomainError(f"option {spec[dest].name!r}: invalid value {value!r}") from exc
     missing = [dest for dest, opt in spec.items() if opt.required and values[dest] is None]
     if missing:
         raise DomainError(f"missing required options for {command!r}: {', '.join(missing)}")
     for dest, opt in spec.items():
-        if opt.choices and values[dest] is not None and values[dest] not in opt.choices:
-            raise DomainError(
-                f"{dest} must be one of {opt.choices}, got {values[dest]!r}"
-            )
+        value = values[dest]
+        if opt.choices and value is not None and value not in opt.choices:
+            raise DomainError(f"{dest} must be one of {opt.choices}, got {value!r}")
+        if opt.type is float and value is not None and not math.isfinite(value):
+            raise DomainError(f"option {opt.name!r} must be finite, got {value!r}")
+        if opt.type is _float_list and not (value and all(math.isfinite(x) for x in value)):
+            raise DomainError(f"option {opt.name!r} needs one or more finite numbers, got {value!r}")
     return values
 
 
@@ -425,6 +440,8 @@ def _cmd_transfer(v: dict) -> None:
 
 def _cmd_contour(v: dict) -> None:
     cc = contours.ContourConstants(_resolve_constants(v), v["alpha"])
+    _require(v["k_points"] >= 1, f"k-points must be >= 1, got {v['k_points']}")
+    _require(v["k_lo"] > 0 and v["k_hi"] > 0, "k-lo and k-hi must be > 0")
     k_grid = np.logspace(np.log10(v["k_lo"]), np.log10(v["k_hi"]), v["k_points"])
     ls = contours.level_set(cc, v["target"], k_grid, v["eta_floor"])
     meta = {
@@ -518,7 +535,10 @@ def _cmd_analyze(v: dict) -> None:
 
 
 def _cmd_simulate(v: dict) -> None:
+    _require(v["seed"] >= 0 and v["data_seed"] >= 0, "seed and data-seed must be >= 0")
     if v["kind"] == "noisy-quadratic":
+        _require(v["dim"] >= 1, f"dim must be >= 1, got {v['dim']}")
+        _require(v["spectrum_lo"] > 0 and v["spectrum_hi"] > 0, "spectrum bounds must be > 0")
         spectrum = tuple(np.geomspace(v["spectrum_lo"], v["spectrum_hi"], v["dim"]))
         spec = sim.ObjectiveSpec(
             kind="noisy-quadratic", noise_sigma=v["noise_sigma"], spectrum=spectrum,
@@ -619,10 +639,10 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # only --help exits here; bad arguments raise DomainError
+            return EXIT_OK
         values = _merge_config(args.command, args)
         _DISPATCH[args.command](values)
     except DomainError as exc:

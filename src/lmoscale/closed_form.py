@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError, _require
-from .proxy import MOMENTUM_SMOOTHNESS_WEIGHT, SMOOTHNESS_WEIGHT, BoundConstants, Budget
+from .proxy import (SMOOTHNESS_WEIGHT, BoundConstants, Budget, eta_coefficients,
+                    smoothness_weight, token_terms)
 from .schedules import PowerLawSchedule
 
 __all__ = [
@@ -50,7 +51,7 @@ __all__ = [
 def effective_constants(c: BoundConstants, alpha: float) -> tuple[float, float]:
     """(c2_eff, c3_eff) of the large-horizon proxy once momentum is fixed."""
     _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
-    return c.c2 * math.sqrt(alpha), c.c3 * (1.0 + 1.0 / alpha)
+    return c.c2 * math.sqrt(alpha), smoothness_weight(c, alpha, False)
 
 
 @dataclass(frozen=True)
@@ -154,16 +155,12 @@ def optimal_fixed_batch(
     exceeds it, including the noiseless c2 = 0 case.
     """
     _require(b >= 1, f"b must be >= 1, got {b}")
-    if coefficients == "folded":
-        s_weight = c.c3
-        dropped_smooth = c.c3  # the c3 * eta part of c3 * eta * (1 + 1/alpha)
-        objective = "folded-leading-proxy"
-    elif coefficients == "exact":
-        s_weight = MOMENTUM_SMOOTHNESS_WEIGHT * c.smoothness
-        dropped_smooth = SMOOTHNESS_WEIGHT * c.smoothness
-        objective = "exact-leading-proxy"
-    else:
+    if coefficients not in ("folded", "exact"):
         raise DomainError(f"coefficients must be 'folded' or 'exact', got {coefficients!r}")
+    scale, plain, momentum = eta_coefficients(c, coefficients == "exact")
+    s_weight = scale * momentum
+    dropped_smooth = scale * plain
+    objective = f"{coefficients}-leading-proxy"
     k = budget.steps_for(b)
 
     if c.c2 > 0:
@@ -275,23 +272,19 @@ def asymptotic_momentum(c: BoundConstants, t: float) -> float:
 def bound_eta_star(c: BoundConstants, alpha: float, b: float, t: float) -> float:
     """Step size minimizing the exact token bound at fixed (alpha, b)."""
     _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
-    weight = c.smoothness * (SMOOTHNESS_WEIGHT + MOMENTUM_SMOOTHNESS_WEIGHT / alpha)
+    weight = smoothness_weight(c, alpha, True)
     return math.sqrt(b * c.delta0 / (t * weight))
 
 
 def bound_eta_minimized(c: BoundConstants, alpha: float, b: float, t: float) -> float:
     """Exact token bound after the one-dimensional eta minimization.
 
-    The eta part is a / eta + w * eta whose minimum is 2 sqrt(a w); the
-    burn-in and noise-floor terms ride along unchanged.
+    The eta part is a / eta + w * eta whose minimum 2 sqrt(a w) sits at
+    ``bound_eta_star``; the burn-in and noise-floor terms ride along
+    unchanged.
     """
-    _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
-    weight = c.smoothness * (SMOOTHNESS_WEIGHT + MOMENTUM_SMOOTHNESS_WEIGHT / alpha)
-    return (
-        2.0 * math.sqrt(b * c.delta0 * weight / t)
-        + c.c2 * math.sqrt(b) / (alpha * t)
-        + c.c2 * math.sqrt(alpha / b)
-    )
+    descent, burn, floor, smooth = token_terms(c, bound_eta_star(c, alpha, b, t), alpha, b, True)
+    return (descent + burn) / t + floor + smooth
 
 
 def batch_star_given_momentum(c: BoundConstants, alpha: float, t: float) -> float:
@@ -301,7 +294,7 @@ def batch_star_given_momentum(c: BoundConstants, alpha: float, t: float) -> floa
     b = B / A; unclamped, so the result may fall below 1 at small budgets.
     """
     _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
-    weight = c.smoothness * (SMOOTHNESS_WEIGHT + MOMENTUM_SMOOTHNESS_WEIGHT / alpha)
+    weight = smoothness_weight(c, alpha, True)
     a_coeff = 2.0 * math.sqrt(c.delta0 * weight / t) + c.c2 / (alpha * t)
     b_coeff = c.c2 * math.sqrt(alpha)
     return b_coeff / a_coeff
@@ -390,9 +383,9 @@ def capped_batch_noise_floor(c: BoundConstants, alpha: float, b_max: float) -> f
     With momentum fixed and the batch capped, tuning eta alone cannot beat
     this level no matter the budget; letting alpha shrink with T removes it.
     """
-    _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
+    c2_eff, _ = effective_constants(c, alpha)
     _require(b_max >= 1, f"b_max must be >= 1, got {b_max}")
-    return c.c2 * math.sqrt(alpha) / math.sqrt(b_max)
+    return c2_eff / math.sqrt(b_max)
 
 
 @dataclass(frozen=True)

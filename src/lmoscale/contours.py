@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, _require
-from .proxy import MOMENTUM_SMOOTHNESS_WEIGHT, SMOOTHNESS_WEIGHT, BoundConstants
+from .proxy import BoundConstants, smoothness_weight
 
 __all__ = ["ContourConstants", "LevelPoint", "LevelSet", "tuned_bound", "level_set"]
 
@@ -39,8 +39,7 @@ class ContourConstants:
     @property
     def c_det(self) -> float:
         c = self.constants
-        weight = SMOOTHNESS_WEIGHT + MOMENTUM_SMOOTHNESS_WEIGHT / self.alpha
-        return 2.0 * math.sqrt(c.delta0 * c.smoothness * weight)
+        return 2.0 * math.sqrt(c.delta0 * smoothness_weight(c, self.alpha, True))
 
     @property
     def c_burn(self) -> float:
@@ -71,15 +70,19 @@ def tuned_bound(cc: ContourConstants, b: float, k: float, eta_floor: float | Non
     """
     _require(b >= 1, f"b must be >= 1, got {b}")
     _require(k >= 1, f"k must be >= 1, got {k}")
-    c = cc.constants
-    weight = c.smoothness * (SMOOTHNESS_WEIGHT + MOMENTUM_SMOOTHNESS_WEIGHT / cc.alpha)
     if eta_floor is None:
         det = cc.c_det / math.sqrt(k)
     else:
         _require(eta_floor > 0, f"eta_floor must be > 0, got {eta_floor}")
+        c = cc.constants
+        weight = smoothness_weight(c, cc.alpha, True)
         eta = max(math.sqrt(c.delta0 / (k * weight)), eta_floor)
         det = c.delta0 / (eta * k) + weight * eta
     return det + cc.c_burn / (k * math.sqrt(b)) + cc.c_floor / math.sqrt(b)
+
+
+# the term that dominates a contour point: descent, burn-in, noise floor
+REGIMES = ("iteration-limited", "intermediate", "batch-limited")
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class LevelPoint:
 
     k: float
     b: float
-    regime: str  # "iteration-limited" | "intermediate" | "batch-limited"
+    regime: str  # one of REGIMES
     det_fraction: float
     burn_fraction: float
     floor_fraction: float
@@ -157,26 +160,10 @@ def level_set(
             else:
                 lo_log = mid
         b = math.exp(0.5 * (lo_log + hi_log))
-        det = value(b, k) - cc.c_burn / (k * math.sqrt(b)) - cc.c_floor / math.sqrt(b)
-        burn = cc.c_burn / (k * math.sqrt(b))
-        floor = cc.c_floor / math.sqrt(b)
-        total = det + burn + floor
-        fractions = {
-            "iteration-limited": det / total,
-            "intermediate": burn / total,
-            "batch-limited": floor / total,
-        }
-        regime = max(fractions, key=lambda name: fractions[name])
-        points.append(
-            LevelPoint(
-                k=k,
-                b=b,
-                regime=regime,
-                det_fraction=det / total,
-                burn_fraction=burn / total,
-                floor_fraction=floor / total,
-            )
-        )
+        total = value(b, k)
+        burn, floor = cc.c_burn / (k * math.sqrt(b)), cc.c_floor / math.sqrt(b)
+        fractions = ((total - burn - floor) / total, burn / total, floor / total)
+        points.append(LevelPoint(k, b, REGIMES[fractions.index(max(fractions))], *fractions))
     if not points:
         raise InfeasibleError(
             f"target {target} is unreachable on the given step-count grid"

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, _require
-from .proxy import MOMENTUM_SMOOTHNESS_WEIGHT, SMOOTHNESS_WEIGHT, BoundConstants
+from .errors import DomainError, InfeasibleError, NumericalError, _require
+from .proxy import BoundConstants, token_terms
 
 __all__ = [
     "GridSpec",
@@ -183,33 +183,10 @@ class SweepResult:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def _objective_uv(
-    c: BoundConstants, objective: str, b: np.ndarray, eta: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the token-form objective as value(t) = u / t + v on the grid cube.
-
-    Both objectives decompose into a budget-divided part (descent plus
-    burn-in) and a budget-free part (noise floor plus smoothness), which
-    lets the per-budget loop reuse the two cubes.  Magnitudes at the wide
-    default grid corners stay around 1e30, far from float64 overflow.
-    """
-    bb = b[:, None, None]
-    ee = eta[None, :, None]
-    aa = alpha[None, None, :]
-    sqrt_b = np.sqrt(bb)
-    burn = c.c2 * sqrt_b / aa
-    floor = c.c2 * np.sqrt(aa) / sqrt_b
-    if objective == "risk_tokens":
-        u = c.c1 * bb / ee + burn
-        v = floor + c.c3 * ee * (1.0 + 1.0 / aa)
-    elif objective == "bound_tokens":
-        u = c.delta0 * bb / ee + burn
-        v = floor + c.smoothness * ee * (SMOOTHNESS_WEIGHT + MOMENTUM_SMOOTHNESS_WEIGHT / aa)
-    else:
-        raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    return u, v
-
-
+# value(t) = u / t + v on the (b, eta, alpha) cube, so the per-budget loop
+# reuses two cubes.  Cells that overflow are +inf and never win the argmin; a
+# NaN cell (0 * inf at the float limits) is reported by best_at.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def sweep(
     c: BoundConstants,
     spec: GridSpec = GridSpec(),
@@ -224,6 +201,8 @@ def sweep(
     The argmin index is taken in (b asc, eta asc, alpha desc) order, which
     realizes the documented tie-breaking.
     """
+    if objective not in OBJECTIVES:
+        raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     eta = np.array([constraint.fixed_eta]) if constraint.fixed_eta is not None else spec.eta_axis()
     alpha = (
         np.array([constraint.fixed_alpha])
@@ -237,7 +216,12 @@ def sweep(
             raise InfeasibleError(f"no grid batch size satisfies the cap {constraint.b_cap}")
     alpha_desc = alpha[::-1].copy()
 
-    u, v = _objective_uv(c, objective, b, eta, alpha_desc)
+    descent, burn, floor, smooth = token_terms(
+        c, eta[None, :, None], alpha_desc[None, None, :], b[:, None, None],
+        objective == "bound_tokens",
+    )
+    u = descent + burn
+    v = floor + smooth
     free_axes = (
         constraint.fixed_b is None,
         constraint.fixed_eta is None,
@@ -251,6 +235,9 @@ def sweep(
         values = u[:m] / t + v[:m]
         flat = int(np.argmin(values))
         i_b, i_e, i_a = np.unravel_index(flat, values.shape)
+        risk = float(values[i_b, i_e, i_a])
+        if math.isnan(risk):  # argmin stops at the first NaN
+            raise NumericalError(f"the objective is NaN on some grid cells at budget {t}")
         edges = []
         if free_axes[0]:
             if i_b == 0:
@@ -272,14 +259,15 @@ def sweep(
             eta=float(eta[i_e]),
             alpha=float(alpha_desc[i_a]),
             b=float(b[i_b]),
-            risk=float(values[i_b, i_e, i_a]),
+            risk=risk,
             at_edge=tuple(edges),
         )
 
     t_axis = spec.t_axis()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            maybe = list(pool.map(best_at, t_axis))
+            # worker threads do not inherit the error state of this call
+            maybe = list(pool.map(np.errstate(over="ignore")(best_at), t_axis))
     else:
         maybe = [best_at(t) for t in t_axis]
     records = tuple(r for r in maybe if r is not None)

@@ -1,10 +1,13 @@
 """Convergence-bound proxy for norm-constrained steepest-descent optimizers.
 
 The five-term bound controls the best expected dual gradient norm reached
-within a step budget K (or token budget T = b * K).  Two evaluator families
-are exposed: the exact bound with its separate 7/2 and 2 smoothness weights
+within a step budget K (or token budget T = b * K).  Two conventions are
+exposed: the exact bound with its separate 7/2 and 2 smoothness weights
 (``bound_steps``, ``bound_tokens``), and the compact proxy that folds them
 into c3 = 4L (``risk_steps``, ``risk_tokens``, ``risk_large_horizon``).
+Both share one evaluator, ``token_terms``, and differ only in the eta
+coefficient S(alpha): L (7/2 + 2/alpha) exact, c3 (1 + 1/alpha) folded.
+Every other module takes the bound's terms and S(alpha) from here.
 
 All evaluators are pure functions of their inputs and safe to call
 concurrently.  Batch size is treated as a continuous real >= 1 here;
@@ -13,7 +16,6 @@ integrality only matters at the simulator boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +28,9 @@ __all__ = [
     "HyperParams",
     "BudgetKind",
     "Budget",
+    "eta_coefficients",
+    "smoothness_weight",
+    "token_terms",
     "bound_steps",
     "bound_tokens",
     "risk_steps",
@@ -140,6 +145,47 @@ class Budget:
         return self.value / batch
 
 
+def eta_coefficients(c: BoundConstants, exact: bool) -> tuple[float, float, float]:
+    """(scale, plain, momentum) of the eta coefficient S(alpha) of a convention.
+
+    S(alpha) = scale * (plain + momentum / alpha): (L, 7/2, 2) for the exact
+    bound, (c3, 1, 1) for the folded proxy.
+    """
+    if exact:
+        return c.smoothness, SMOOTHNESS_WEIGHT, MOMENTUM_SMOOTHNESS_WEIGHT
+    return c.c3, 1.0, 1.0
+
+
+def smoothness_weight(c: BoundConstants, alpha: float, exact: bool) -> float:
+    """The eta coefficient S(alpha) of the bound (exact) or the folded proxy."""
+    scale, plain, momentum = eta_coefficients(c, exact)
+    return scale * (plain + momentum / alpha)
+
+
+def token_terms(c: BoundConstants, eta, alpha, b, exact: bool) -> tuple:
+    """(descent, burn_in, floor, smooth) of the bound in token form.
+
+    The value at token budget T is (descent + burn_in) / T + floor + smooth.
+    The two conventions share the descent (c1 = delta0), burn-in and
+    noise-floor terms and differ only in S(alpha) of the smoothness term.
+    Plain operators only, so eta, alpha and b may be floats or numpy
+    arrays that broadcast against each other.
+    """
+    # eta_coefficients inlined, so the scalar evaluators stay one call deep
+    if exact:
+        scale, plain, momentum = c.smoothness, SMOOTHNESS_WEIGHT, MOMENTUM_SMOOTHNESS_WEIGHT
+    else:
+        scale, plain, momentum = c.c3, 1.0, 1.0
+    c2 = c.c2
+    sqrt_b = b**0.5
+    return (
+        c.delta0 * b / eta,
+        c2 * sqrt_b / alpha,
+        c2 * alpha**0.5 / sqrt_b,
+        scale * eta * (plain + momentum / alpha),
+    )
+
+
 def bound_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     """Exact five-term bound at a step budget.
 
@@ -147,15 +193,8 @@ def bound_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     noise floor, and the two smoothness error terms.
     """
     _require(steps >= 1, f"steps must be >= 1, got {steps}")
-    burn = c.c2 / (h.alpha * math.sqrt(h.batch) * steps)
-    floor = c.c2 * math.sqrt(h.alpha / h.batch)
-    return (
-        c.delta0 / (h.eta * steps)
-        + burn
-        + floor
-        + SMOOTHNESS_WEIGHT * c.smoothness * h.eta
-        + MOMENTUM_SMOOTHNESS_WEIGHT * c.smoothness * h.eta / h.alpha
-    )
+    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, True)
+    return (descent + burn) / (h.batch * steps) + floor + smooth
 
 
 def bound_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
@@ -164,23 +203,15 @@ def bound_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
         raise BudgetTooSmallError(
             f"token budget {tokens} is below batch size {h.batch}"
         )
-    return (
-        h.batch * c.delta0 / (h.eta * tokens)
-        + c.c2 * math.sqrt(h.batch) / (h.alpha * tokens)
-        + c.c2 * math.sqrt(h.alpha / h.batch)
-        + SMOOTHNESS_WEIGHT * c.smoothness * h.eta
-        + MOMENTUM_SMOOTHNESS_WEIGHT * c.smoothness * h.eta / h.alpha
-    )
+    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, True)
+    return (descent + burn) / tokens + floor + smooth
 
 
 def risk_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     """Compact proxy at a step budget, written in (c1, c2, c3)."""
     _require(steps >= 1, f"steps must be >= 1, got {steps}")
-    return (
-        c.c1 / (h.eta * steps)
-        + (c.c2 / math.sqrt(h.batch)) * (1.0 + h.alpha**1.5 * steps) / (h.alpha * steps)
-        + c.c3 * h.eta * (1.0 + 1.0 / h.alpha)
-    )
+    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, False)
+    return (descent + burn) / (h.batch * steps) + floor + smooth
 
 
 def risk_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
@@ -189,11 +220,8 @@ def risk_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
         raise BudgetTooSmallError(
             f"token budget {tokens} is below batch size {h.batch}"
         )
-    return (
-        c.c1 * h.batch / (h.eta * tokens)
-        + (c.c2 / math.sqrt(h.batch)) * (h.batch + h.alpha**1.5 * tokens) / (h.alpha * tokens)
-        + c.c3 * h.eta * (1.0 + 1.0 / h.alpha)
-    )
+    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, False)
+    return (descent + burn) / tokens + floor + smooth
 
 
 def risk_large_horizon(
@@ -205,11 +233,10 @@ def risk_large_horizon(
     ``risk_steps`` is returned by ``large_horizon_gap``, so callers can
     judge the regime instead of relying on a hard cutoff.
     """
-    h = HyperParams(eta=eta, alpha=alpha, batch=batch)
+    HyperParams(eta=eta, alpha=alpha, batch=batch)  # validates the inputs
     steps = budget.steps_for(batch)
-    c2_eff = c.c2 * math.sqrt(alpha)
-    c3_eff = c.c3 * (1.0 + 1.0 / alpha)
-    return c.c1 / (h.eta * steps) + c2_eff / math.sqrt(batch) + c3_eff * eta
+    descent, _, floor, smooth = token_terms(c, eta, alpha, batch, False)
+    return descent / (batch * steps) + floor + smooth
 
 
 def large_horizon_gap(c: BoundConstants, h: HyperParams, steps: float) -> float:
@@ -218,4 +245,4 @@ def large_horizon_gap(c: BoundConstants, h: HyperParams, steps: float) -> float:
     risk_steps - risk_large_horizon == c2 / (alpha * sqrt(b) * K), always.
     """
     _require(steps >= 1, f"steps must be >= 1, got {steps}")
-    return c.c2 / (h.alpha * math.sqrt(h.batch) * steps)
+    return token_terms(c, h.eta, h.alpha, h.batch, False)[1] / (h.batch * steps)

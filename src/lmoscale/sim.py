@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, _require
+from .errors import BudgetTooSmallError, DomainError, _require
 
 __all__ = [
     "NormKind",
@@ -166,6 +166,7 @@ class _Objective:
             return self.lam * x
         return np.swapaxes(self.a, -1, -2) @ (self.a @ x - self.y)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def value(self, x: np.ndarray) -> float:
         if self.spec.kind == "noisy-quadratic":
             return float(0.5 * np.sum(self.lam * x * x, axis=self.var_axes))
@@ -266,6 +267,8 @@ def _batched_dual_norms(g: np.ndarray, norm: NormKind, var_ndim: int) -> np.ndar
     return np.where(finite, svals.sum(axis=-1), np.inf)
 
 
+# a diverged run overflows; it is caught by its non-finite dual norm below
+@np.errstate(over="ignore", invalid="ignore")
 def _run_batch(
     obj: _Objective,
     norm: NormKind,
@@ -311,31 +314,30 @@ def _run_batch(
     aborted = np.zeros((h, r), dtype=bool)
     trace = np.empty(steps) if record else None
     done = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_true = np.broadcast_to(obj.grad(obj.x0), (h, r) + var_shape)
-        while done < steps:
-            n = min(chunk, steps - done)
-            if noise is not None:
-                draws = np.stack([noise(gen, (n,) + var_shape) for gen in gens], axis=1)
+    g_true = np.broadcast_to(obj.grad(obj.x0), (h, r) + var_shape)
+    while done < steps:
+        n = min(chunk, steps - done)
+        if noise is not None:
+            draws = np.stack([noise(gen, (n,) + var_shape) for gen in gens], axis=1)
+        else:
+            draws = None
+        for i in range(n):
+            g = g_true if draws is None else g_true + draws[i]
+            m = momentum_update(m, g, alpha)
+            if update == "lmo":
+                x = x + eta_col * _batched_directions(m, norm, var_ndim)
             else:
-                draws = None
-            for i in range(n):
-                g = g_true if draws is None else g_true + draws[i]
-                m = momentum_update(m, g, alpha)
-                if update == "lmo":
-                    x = x + eta_col * _batched_directions(m, norm, var_ndim)
-                else:
-                    x = x - eta_col * m
-                g_true = obj.grad(x)
-                norms = _batched_dual_norms(g_true, norm, var_ndim)
-                bad = ~np.isfinite(norms)
-                if bad.any():
-                    aborted |= bad
-                    norms = np.where(bad, np.inf, norms)
-                np.minimum(best, norms, out=best)
-                if record:
-                    trace[done + i] = norms[0, 0]
-            done += n
+                x = x - eta_col * m
+            g_true = obj.grad(x)
+            norms = _batched_dual_norms(g_true, norm, var_ndim)
+            bad = ~np.isfinite(norms)
+            if bad.any():
+                aborted |= bad
+                norms = np.where(bad, np.inf, norms)
+            np.minimum(best, norms, out=best)
+            if record:
+                trace[done + i] = norms[0, 0]
+        done += n
     return best, aborted, trace, x
 
 
@@ -405,10 +407,13 @@ def sweep_sim(
 ) -> SimSweepResult:
     """Empirical sweep: argmin of the replicate-averaged metric per budget.
 
-    Step counts are round(t / b), at least 1.  Runs at one (budget, batch,
-    momentum) point share their noise streams across the step-size axis
-    (common random numbers), with replicate generators derived from
-    (seed, budget index, batch index, momentum index, replicate).
+    Step counts are round(t / b).  As in the grid oracle, a batch larger
+    than a budget is skipped at that budget (not even one step fits), and
+    a budget below every batch raises ``BudgetTooSmallError``.  Runs at one
+    (budget, batch, momentum) point share their noise streams across the
+    step-size axis (common random numbers), with replicate generators
+    derived from (seed, budget index, batch index, momentum index,
+    replicate).
     Ties break toward the smallest batch, then the smallest step size,
     then the largest momentum complement.
     """
@@ -417,10 +422,17 @@ def sweep_sim(
     etas = np.sort(np.asarray(eta_grid, dtype=float))
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     batches = sorted(integer_batch(b) for b in np.asarray(b_grid, dtype=float))
+    budgets = np.asarray(t_grid, dtype=float)
+    if budgets.min() < batches[0]:
+        raise BudgetTooSmallError(
+            f"token budget {budgets.min()} is below every batch size; not even one step fits"
+        )
     points: list[SimPoint] = []
-    for ti, t in enumerate(np.asarray(t_grid, dtype=float)):
+    for ti, t in enumerate(budgets):
         for bi, b in enumerate(batches):
-            steps = max(1, round(t / b))
+            if b > t:
+                continue
+            steps = round(t / b)
             for ai, alpha in enumerate(alphas):
                 seqs = np.random.SeedSequence([seed, ti, bi, ai]).spawn(replicates)
                 best, _, _, _ = _run_batch(
@@ -440,7 +452,7 @@ def sweep_sim(
                         )
                     )
     best_records = []
-    for t in np.asarray(t_grid, dtype=float):
+    for t in budgets:
         group = [p for p in points if p.t == float(t)]
         best_records.append(min(group, key=lambda p: (p.metric, p.b, p.eta, -p.alpha)))
     return SimSweepResult(points=tuple(points), best=tuple(best_records))

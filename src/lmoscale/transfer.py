@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, _require
+from .schedules import PowerLawSchedule
 
 __all__ = [
     "TransferRegime",
+    "REGIME_SCHEDULES",
     "BatchChangeSetting",
     "TunedConfig",
     "TransferResult",
@@ -34,6 +36,18 @@ class TransferRegime(Enum):
     TUNED_BATCH_FIXED_MOMENTUM = "C"
     JOINT = "D"
     SGD = "sgd"
+
+
+# Exponents (phi, gamma, delta) of b ~ T^phi, alpha ~ T^-gamma, eta ~ T^-delta
+# that each regime tunes along: A eta alone, B (alpha, eta) at fixed batch,
+# C (b, eta) at fixed momentum, D all three; SGD rescales eta like A.
+REGIME_SCHEDULES = {
+    TransferRegime.FIXED_BATCH_FIXED_MOMENTUM: PowerLawSchedule(0.0, 0.0, 0.5),
+    TransferRegime.FIXED_BATCH_TUNED_MOMENTUM: PowerLawSchedule(0.0, 0.5, 0.75),
+    TransferRegime.TUNED_BATCH_FIXED_MOMENTUM: PowerLawSchedule(0.5, 0.0, 0.25),
+    TransferRegime.JOINT: PowerLawSchedule(1.0 / 6.0, 1.0 / 3.0, 7.0 / 12.0),
+    TransferRegime.SGD: PowerLawSchedule(0.0, 0.0, 0.5),
+}
 
 
 class BatchChangeSetting(Enum):
@@ -89,39 +103,24 @@ def extrapolate(
     regime: TransferRegime,
     b_max: float | None = None,
 ) -> TransferResult:
-    """Rescale (eta, alpha, b) from t0 to t1 under the given regime.
+    """Rescale (eta, alpha, b) from t0 to t1 by the regime's power law.
 
-    Per regime, with r = t0 / t1:
-
-        A:   eta *= sqrt(r)                       (batch, momentum unchanged)
-        B:   alpha *= sqrt(r);  eta *= r^(3/4)    (batch unchanged)
-        C:   b /= sqrt(r);      eta *= r^(1/4)    (momentum unchanged)
-        D:   b *= r^(-1/6); alpha *= r^(1/3); eta *= r^(7/12)
-        SGD: eta *= sqrt(r)
-
-    Pure power laws, so transfers compose exactly: t0 -> t1 -> t2 equals
+    With the regime's schedule (phi, gamma, delta) from ``REGIME_SCHEDULES``:
+    b *= (t1/t0)^phi, alpha *= (t0/t1)^gamma, eta *= (t0/t1)^delta.  Pure
+    power laws, so transfers compose exactly: t0 -> t1 -> t2 equals
     t0 -> t2 for every regime.
     """
     _require(t1 >= cfg.t0, f"t1 must be >= t0, got t1={t1}, t0={cfg.t0}")
-    ratio = cfg.t0 / t1
-    eta1, alpha1, b1 = cfg.eta0, cfg.alpha0, cfg.b0
-    if regime is TransferRegime.FIXED_BATCH_FIXED_MOMENTUM:
-        eta1 = cfg.eta0 * math.sqrt(ratio)
-    elif regime is TransferRegime.FIXED_BATCH_TUNED_MOMENTUM:
-        alpha1 = cfg.alpha0 * math.sqrt(ratio)
-        eta1 = cfg.eta0 * ratio**0.75
-    elif regime is TransferRegime.TUNED_BATCH_FIXED_MOMENTUM:
-        b1 = cfg.b0 * math.sqrt(t1 / cfg.t0)
-        eta1 = cfg.eta0 * ratio**0.25
-    elif regime is TransferRegime.JOINT:
-        b1 = cfg.b0 * (t1 / cfg.t0) ** (1.0 / 6.0)
-        alpha1 = cfg.alpha0 * ratio ** (1.0 / 3.0)
-        eta1 = cfg.eta0 * ratio ** (7.0 / 12.0)
-    elif regime is TransferRegime.SGD:
-        eta1 = cfg.eta0 * math.sqrt(ratio)
-    else:
+    s = REGIME_SCHEDULES.get(regime)
+    if s is None:
         raise DomainError(f"unknown transfer regime {regime!r}")
-    eta1, alpha1, b1, flags = _clamp(eta1, alpha1, b1, b_max)
+    ratio = cfg.t0 / t1
+    eta1, alpha1, b1, flags = _clamp(
+        cfg.eta0 * ratio**s.eta_exp,
+        cfg.alpha0 * ratio**s.alpha_exp,
+        cfg.b0 * (t1 / cfg.t0) ** s.b_exp,
+        b_max,
+    )
     return TransferResult(eta1=eta1, alpha1=alpha1, b1=b1, regime=regime, flags=flags)
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, round trips, config handling, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -210,3 +211,46 @@ def test_json_floats_round_trip_exactly(capsys):
     assert parsed["x"] == value
     assert parsed["nested"][0] == value
     assert parsed["nested"][1:] == [3, True, None, "s"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["plan", "--regime", "joint", "--t", "inf"], None, "'t'"),
+        (["plan", "--regime", "fixed-momentum", "--t", "inf"], None, "'t'"),
+        (["simulate", "--eta", "0.01,nan"], None, "'eta'"),
+        (["plan", "--bogus", "1"], None, "--bogus"),
+        (["plan", "--regime", "nope", "--t", "1"], None, "--regime"),
+        (["plan", "--regime", "joint", "--t", "abc"], None, "'t'"),
+        (["verify"], {"points": "abc"}, "'points'"),
+        (["plan"], {"regime": "joint", "t": float("inf")}, "'t'"),
+        (["compare-sgd", "--t", "1e4"], {"b": []}, "'b'"),
+    ],
+)
+def test_bad_input_is_one_json_line_and_exit_2(capsys, tmp_path, argv, config, named):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["exit_code"] == 2 and named in doc["error"]
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run_cli(capsys, "plan", "--help")
+    assert code == 0 and out.startswith("usage:") and err == ""
+
+
+def test_grid_overflow_leaves_stderr_empty(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would print to stderr
+        code, out, err = run_cli(
+            capsys, "verify", "--eta-lo", "1e-300", "--points", "40", "--t-points", "12",
+            "--fit-decades", "20",
+        )
+    assert code == 0 and err == ""
+    assert json.loads(out)["records"]

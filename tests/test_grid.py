@@ -22,7 +22,7 @@ from lmoscale import (
     risk_tokens,
     sweep,
 )
-from lmoscale.grid import _objective_uv
+from lmoscale.proxy import token_terms
 from oracles import bisect_root
 
 UNIT = BoundConstants.from_proxy_constants()
@@ -45,8 +45,11 @@ def test_kernel_matches_scalar_evaluators():
     eta = 10.0 ** rng.uniform(-12, 2, 6)
     alpha = 10.0 ** rng.uniform(-8, 0, 5)
     c = BoundConstants(delta0=2.0, smoothness=0.5, noise_scale=1.5, norm_equiv=2.0)
-    for objective, scalar in (("risk_tokens", risk_tokens), ("bound_tokens", bound_tokens)):
-        u, v = _objective_uv(c, objective, b, eta, alpha)
+    for exact, scalar in ((False, risk_tokens), (True, bound_tokens)):
+        descent, burn, floor, smooth = token_terms(
+            c, eta[None, :, None], alpha[None, None, :], b[:, None, None], exact
+        )
+        u, v = descent + burn, floor + smooth
         for t in (1e13, 1e16):
             grid_vals = u / t + v
             for i in range(b.size):

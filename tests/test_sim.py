@@ -1,11 +1,14 @@
 """Optimizer laboratory: directions, polar factor, noise, runs, sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmoscale import (
+    BudgetTooSmallError,
     DomainError,
     LmoConfig,
     NormKind,
@@ -366,6 +369,20 @@ class TestSweep:
         assert len(a.points) == 3 * 2 * 2
         for p in a.points:
             assert p.steps == max(1, round(p.t / p.b))
+
+    def test_batches_above_the_budget_are_skipped(self, capsys):
+        res = sweep_sim(QUAD, NormKind.MAX, (0.01,), (1.0,), (8, 64), (40.0, 640.0),
+                        replicates=1, seed=0)
+        assert [(p.t, p.b, p.steps) for p in res.points] == [
+            (40.0, 8, 5), (640.0, 8, 80), (640.0, 64, 10)
+        ]
+        with pytest.raises(BudgetTooSmallError):
+            sweep_sim(QUAD, NormKind.MAX, (0.01,), (1.0,), (64,), (10.0, 640.0),
+                      replicates=1, seed=0)
+        code = main(["simulate", "--b", "64", "--t", "10"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert json.loads(captured.err)["exit_code"] == 3
 
     def test_best_has_lowest_metric_per_budget(self):
         res = sweep_sim(QUAD, NormKind.EUCLIDEAN, (0.01, 0.05), (1.0,), (1, 4),

@@ -17,7 +17,9 @@ from lmoscale import (
     optimal_fixed_batch,
     optimal_fixed_momentum_tokens,
     optimal_joint,
+    rate_exponents,
 )
+from lmoscale.transfer import REGIME_SCHEDULES
 
 UNIT = BoundConstants.from_proxy_constants()
 ONES = BoundConstants(1.0, 1.0, 1.0)
@@ -197,3 +199,12 @@ def test_momentum_clamp_flag_on_batch_change():
     )
     assert res.alpha1 == 1.0
     assert "alpha-clamped" in res.flags
+
+
+def test_regime_schedules_reach_the_quarter_rate_except_a():
+    overall = {r: rate_exponents(REGIME_SCHEDULES[r]).overall for r in TransferRegime}
+    assert overall[TransferRegime.FIXED_BATCH_TUNED_MOMENTUM] == 0.25
+    assert overall[TransferRegime.TUNED_BATCH_FIXED_MOMENTUM] == 0.25
+    assert overall[TransferRegime.JOINT] == 0.25
+    # with batch and momentum fixed the noise floor c2 sqrt(alpha / b) never decays
+    assert overall[TransferRegime.FIXED_BATCH_FIXED_MOMENTUM] == 0.0
