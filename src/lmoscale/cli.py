@@ -1,12 +1,21 @@
 """Command-line surface.
 
 Subcommands: plan, verify, transfer, contour, analyze, simulate,
-compare-sgd.  Every command reads an optional declarative JSON config
+compare-sgd.  ``_SPECS`` is the one table of options: ``main`` builds the
+parser from it and merges an optional declarative JSON config
 (``--config``) whose keys match the option names; explicitly passed flags
 win over the config, unknown config keys are rejected, and a null value
-keeps the default.  Exit codes: 0 ok, 2 invalid input (argument errors
-included; non-finite numbers are rejected), 3 infeasible request,
-4 numerical failure.  Every failure writes one JSON line to stderr.
+keeps the default.  Every command takes ``--out``; ``--format``
+belongs to the commands with a table (verify, contour, simulate),
+``--seed`` to simulate and ``--threads`` to verify.
+
+A table document is (schema, meta, rows of a record dataclass), written as
+JSON or as a versioned CSV; ``records_from_csv`` reads any such CSV back
+into its records through ``_TABLES``, the table the writer uses.  The
+other documents are JSON built from the fields of the result dataclasses.
+Exit codes: 0 ok, 2 invalid input (argument errors included; non-finite
+numbers are rejected), 3 infeasible request, 4 numerical failure.  Every
+failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +32,9 @@ import numpy as np
 from . import closed_form, contours, grid, schedules, sgd, sim, transfer
 from .errors import DomainError, InfeasibleError, NumericalError, _require
 from .proxy import BoundConstants, Budget
-from .serialize import dumps_json, read_csv, write_csv
+from .serialize import SCHEMA_PREFIX, _field_names, _fields, dumps_json, read_csv, write_csv
 
-__all__ = [
-    "main",
-    "sweep_records_from_csv",
-    "contour_points_from_csv",
-    "sim_points_from_csv",
-]
+__all__ = ["main", "records_from_csv"]
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -57,12 +62,7 @@ class Opt:
         return self.name.replace("-", "_")
 
 
-_COMMON = [
-    Opt("out", str, None, help="output path (default: stdout)"),
-    Opt("format", str, "json", choices=("csv", "json"), help="output format"),
-    Opt("seed", int, 0, help="master seed for seeded commands"),
-    Opt("threads", int, 1, help="worker threads for grid sweeps"),
-]
+_FORMAT = Opt("format", str, "json", choices=("csv", "json"), help="output format")
 
 _CONSTANTS = [
     Opt("c1", float, 1.0, help="proxy constant c1 (initial suboptimality)"),
@@ -74,7 +74,7 @@ _CONSTANTS = [
     Opt("norm-equiv", float, 1.0, help="dual-norm equivalence constant rho"),
 ]
 
-_SPECS: dict[str, list[Opt]] = {
+_SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended below)
     "plan": _CONSTANTS + [
         Opt("regime", str, None, required=True,
             choices=("fixed-momentum", "fixed-batch", "joint")),
@@ -94,6 +94,8 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("points", int, 100, help="grid points per axis"),
         Opt("t-points", int, None, help="budget-axis point count override"),
         Opt("fit-decades", float, 2.0, help="top decades of budget kept for the fits"),
+        _FORMAT,
+        Opt("threads", int, 1, help="worker threads for the grid sweep"),
     ],
     "transfer": [
         Opt("t0", float, None, required=True), Opt("b0", float, 1.0),
@@ -113,6 +115,7 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("k-lo", float, 1.0), Opt("k-hi", float, 1e9),
         Opt("k-points", int, 50),
         Opt("eta-floor", float, None, help="lower bound of the step-size search"),
+        _FORMAT,
     ],
     "analyze": [
         Opt("mode", str, None, required=True, choices=("rate", "ceiling", "noise", "path")),
@@ -147,6 +150,8 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("b", _float_list, (32.0,), help="comma-separated batch sizes"),
         Opt("t", _float_list, (65536.0,), help="comma-separated token budgets"),
         Opt("replicates", int, 8),
+        _FORMAT,
+        Opt("seed", int, 0, help="master seed of the replicate noise streams"),
     ],
     "compare-sgd": [
         Opt("delta0", float, 1.0), Opt("smoothness", float, 1.0),
@@ -158,6 +163,20 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("enforce-cap", int, 0, help="1 to apply the eta <= 1/L stability cap"),
     ],
 }
+for _opts in _SPECS.values():
+    _opts.append(Opt("out", str, None, help="output path (default: stdout)"))
+
+# CSV schema -> record class; one column per field, in field order
+_TABLES = {
+    "sweep/v1": grid.SweepRecord,
+    "contour/v1": contours.LevelPoint,
+    "sim-summary/v1": sim.SimPoint,
+    "sim-points/v1": sim.SimPoint,
+}
+_COLUMN = {"at_edge": "clamped"}  # fields whose CSV column is named otherwise
+# column text -> field value, by the field's type
+_CELL = {float: float, int: int, str: str,
+         tuple[str, ...]: lambda text: tuple(part for part in text.split("|") if part)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,21 +192,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scaling-law engine for norm-constrained optimizer hyperparameters.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _SPECS.items():
-        sub = subs.add_parser(command)
-        sub.add_argument("--config", type=str, default=None,
-                         help="JSON config file; explicit flags win")
-        for opt in opts + _COMMON:
-            kwargs: dict = {"dest": opt.dest, "default": None, "help": opt.help}
-            if opt.choices:
-                kwargs["choices"] = opt.choices
-            sub.add_argument(f"--{opt.name}", **kwargs)
+    for name, opts in _SPECS.items():
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", help="JSON config file; explicit flags win")
+        for opt in opts:
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            sub.add_argument(f"--{opt.name}", dest=opt.dest, metavar=metavar, help=opt.help)
     return parser
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
     """Options from the config, then the flags, each converted by its type."""
-    spec = {opt.dest: opt for opt in _SPECS[command] + _COMMON}
+    spec = {opt.dest: opt for opt in _SPECS[command]}
     given: dict = {}
     if args.config is not None:
         try:
@@ -210,17 +226,17 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             values[dest] = spec[dest].type(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise DomainError(f"option {spec[dest].name!r}: invalid value {value!r}") from exc
-    missing = [dest for dest, opt in spec.items() if opt.required and values[dest] is None]
-    if missing:
-        raise DomainError(f"missing required options for {command!r}: {', '.join(missing)}")
     for dest, opt in spec.items():
         value = values[dest]
         if opt.choices and value is not None and value not in opt.choices:
-            raise DomainError(f"{dest} must be one of {opt.choices}, got {value!r}")
+            raise DomainError(f"--{opt.name} must be one of {opt.choices}, got {value!r}")
         if opt.type is float and value is not None and not math.isfinite(value):
             raise DomainError(f"option {opt.name!r} must be finite, got {value!r}")
         if opt.type is _float_list and not (value and all(math.isfinite(x) for x in value)):
             raise DomainError(f"option {opt.name!r} needs one or more finite numbers, got {value!r}")
+    missing = [dest for dest, opt in spec.items() if opt.required and values[dest] is None]
+    if missing:
+        raise DomainError(f"missing required options for {command!r}: {', '.join(missing)}")
     return values
 
 
@@ -241,56 +257,74 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _json(schema: str, doc: dict) -> str:
+    return dumps_json({"schema": f"{SCHEMA_PREFIX}/{schema}", **doc})
+
+
+def _csv(schema: str, meta: dict, rows) -> str:
+    """Rows of the schema's record class as CSV; null meta values are left out."""
+    names = _field_names(_TABLES[schema])
+    return write_csv(schema, [_COLUMN.get(name, name) for name in names],
+                     ([getattr(row, name) for name in names] for row in rows),
+                     {key: value for key, value in meta.items() if value is not None})
+
+
+def _emit_table(v: dict, schema: str, meta: dict, rows_key: str, rows,
+                csv_meta: dict | None = None, json_tail: dict | None = None) -> None:
+    """JSON {"schema", **meta, rows_key: rows, **json_tail}, or CSV with meta + csv_meta."""
+    if v["format"] == "csv":
+        text = _csv(schema, {**meta, **(csv_meta or {})}, rows)
+    else:
+        text = _json(schema, {**meta, rows_key: rows, **(json_tail or {})})
+    _emit(text, v["out"])
+
+
+def records_from_csv(text: str) -> list:
+    """Read a table document written with ``--format csv`` back into its records.
+
+    The ``# schema=`` line picks the record class from ``_TABLES`` and each
+    column converts by its field's type; a document of another schema, or
+    whose columns do not match the class, raises ``DomainError``.
+    """
+    schema, _, header, rows = read_csv(text)
+    cls = _TABLES.get(schema.removeprefix(f"{SCHEMA_PREFIX}/"))
+    if cls is None:
+        raise DomainError(f"not a table document: {schema}")
+    names = _field_names(cls)
+    columns = [_COLUMN.get(name, name) for name in names]
+    if header != columns:
+        raise DomainError(f"{schema} needs the columns {columns}, got {header}")
+    hints = typing.get_type_hints(cls)
+    cells = [_CELL[hints[name]] for name in names]
+    try:
+        return [cls(**{name: cell(raw) for name, cell, raw in zip(names, cells, row, strict=True)})
+                for row in rows]
+    except ValueError as exc:
+        raise DomainError(f"{schema}: bad row: {exc}") from exc
+
+
 def _cmd_plan(v: dict) -> None:
     c = _resolve_constants(v)
     regime, t = v["regime"], v["t"]
-    doc: dict = {"schema": "lmoscale/plan/v1", "regime": regime, "t": t}
     if regime == "fixed-momentum":
         alpha = v["alpha"]
         opt = closed_form.optimal_fixed_momentum_tokens(c, alpha, t, v["b"])
         c2e, c3e = closed_form.effective_constants(c, alpha)
         crossing = (2.0 * (c.c1 * c3e) ** 0.5 / c2e) ** 2 if c2e > 0 else None
-        doc.update(
-            alpha=alpha,
-            eta_star=opt.eta_star,
-            b_star=opt.b_star,
-            risk_star=opt.risk_star,
-            clamped=opt.clamped,
-            tuning=opt.regime,
-            objective=opt.objective,
-            b_crossing_tokens=crossing,
-        )
+        body = {"alpha": alpha, "eta_star": opt.eta_star, "b_star": opt.b_star,
+                "risk_star": opt.risk_star, "clamped": opt.clamped, "tuning": opt.regime,
+                "objective": opt.objective, "b_crossing_tokens": crossing}
     elif regime == "fixed-batch":
         if v["b"] is None:
             raise DomainError("fixed-batch planning needs --b")
         opt = closed_form.optimal_fixed_batch(c, v["b"], Budget.tokens(t))
-        doc.update(
-            b=v["b"],
-            alpha_star=opt.alpha_star,
-            eta_star=opt.eta_star,
-            risk_star=opt.risk_star,
-            clamped=opt.clamped,
-            burn_in_ratio=opt.burn_in_ratio,
-            smoothness_ratio=opt.smoothness_ratio,
-            objective=opt.objective,
-        )
+        body = {"b": v["b"], **_fields(opt)}
     else:
         opt = closed_form.optimal_joint(c, t)
-        doc.update(
-            alpha_star=opt.alpha_star,
-            b_star=opt.b_star,
-            eta_star=opt.eta_star,
-            k_star=opt.k_star,
-            risk_star=opt.risk_star,
-            alpha_root=opt.alpha_root,
-            cubic={"a3": opt.cubic.a3, "a1": opt.cubic.a1, "a0": opt.cubic.a0},
-            cubic_residual=opt.cubic_residual,
-            asymptotic_alpha=opt.asymptotic_alpha,
-            alpha_clamped=opt.alpha_clamped,
-            b_clamped=opt.b_clamped,
-            objective=opt.objective,
-        )
-    _emit(dumps_json(doc), v["out"])
+        body = {name: getattr(opt, name) for name in (
+            "alpha_star", "b_star", "eta_star", "k_star", "risk_star", "alpha_root", "cubic",
+            "cubic_residual", "asymptotic_alpha", "alpha_clamped", "b_clamped", "objective")}
+    _emit(_json("plan/v1", {"regime": regime, "t": t, **body}), v["out"])
 
 
 def _verify_constraint(v: dict) -> grid.Constraint:
@@ -321,87 +355,10 @@ def _cmd_verify(v: dict) -> None:
     result = grid.sweep(c, spec, constraint, v["objective"], threads=v["threads"])
     fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
     burn_in = grid.detect_burn_in(result) if constraint.fixed_alpha is not None else None
-    fit_doc = {
-        name: {
-            "exponent": f.exponent,
-            "coefficient": f.coefficient,
-            "r_squared": f.r_squared,
-            "window": list(f.window),
-            "n_points": f.n_points,
-        }
-        for name, f in fits.items()
-    }
-    rows = [
-        (r.t, r.eta, r.alpha, r.b, r.risk, "|".join(r.at_edge)) for r in result.records
-    ]
-    if v["format"] == "csv":
-        meta: dict = {"constraint": constraint.tag, "objective": v["objective"]}
-        if burn_in is not None:
-            meta["burn_in_t"] = burn_in
-        for name, f in fits.items():
-            meta[f"fit_{name}_exponent"] = f.exponent
-        text = write_csv("sweep/v1", ["t", "eta", "alpha", "b", "risk", "clamped"], rows, meta)
-    else:
-        text = dumps_json(
-            {
-                "schema": "lmoscale/sweep/v1",
-                "constraint": constraint.tag,
-                "objective": v["objective"],
-                "burn_in_t": burn_in,
-                "records": [
-                    {"t": r.t, "eta": r.eta, "alpha": r.alpha, "b": r.b,
-                     "risk": r.risk, "at_edge": list(r.at_edge)}
-                    for r in result.records
-                ],
-                "fits": fit_doc,
-            }
-        )
-    _emit(text, v["out"])
-
-
-def sweep_records_from_csv(text: str) -> list[grid.SweepRecord]:
-    """Re-parse a verify CSV into sweep records (lossless round trip)."""
-    schema, _, header, rows = read_csv(text)
-    if schema != "lmoscale/sweep/v1":
-        raise DomainError(f"not a sweep document: {schema}")
-    assert header == ["t", "eta", "alpha", "b", "risk", "clamped"]
-    return [
-        grid.SweepRecord(
-            t=float(r[0]), eta=float(r[1]), alpha=float(r[2]), b=float(r[3]),
-            risk=float(r[4]), at_edge=tuple(part for part in r[5].split("|") if part),
-        )
-        for r in rows
-    ]
-
-
-def contour_points_from_csv(text: str) -> list[contours.LevelPoint]:
-    """Re-parse a contour CSV into level-set points (lossless round trip)."""
-    schema, _, header, rows = read_csv(text)
-    if schema != "lmoscale/contour/v1":
-        raise DomainError(f"not a contour document: {schema}")
-    assert header == ["k", "b", "regime", "det_fraction", "burn_fraction", "floor_fraction"]
-    return [
-        contours.LevelPoint(
-            k=float(r[0]), b=float(r[1]), regime=r[2], det_fraction=float(r[3]),
-            burn_fraction=float(r[4]), floor_fraction=float(r[5]),
-        )
-        for r in rows
-    ]
-
-
-def sim_points_from_csv(text: str) -> list[sim.SimPoint]:
-    """Re-parse a simulate CSV (summary or points file) into sim points."""
-    schema, _, header, rows = read_csv(text)
-    if schema not in ("lmoscale/sim-summary/v1", "lmoscale/sim-points/v1"):
-        raise DomainError(f"not a simulation document: {schema}")
-    assert header == ["t", "eta", "alpha", "b", "steps", "metric", "replicates"]
-    return [
-        sim.SimPoint(
-            t=float(r[0]), eta=float(r[1]), alpha=float(r[2]), b=int(r[3]),
-            steps=int(r[4]), metric=float(r[5]), replicates=int(r[6]),
-        )
-        for r in rows
-    ]
+    meta = {"constraint": constraint.tag, "objective": v["objective"], "burn_in_t": burn_in}
+    _emit_table(v, "sweep/v1", meta, "records", result.records,
+                csv_meta={f"fit_{name}_exponent": f.exponent for name, f in fits.items()},
+                json_tail={"fits": fits})
 
 
 def _cmd_transfer(v: dict) -> None:
@@ -412,30 +369,16 @@ def _cmd_transfer(v: dict) -> None:
         res = transfer.extrapolate_with_batch_change(
             cfg, v["t1"], v["b1"], transfer.BatchChangeSetting(v["setting"]), v["b_max"]
         )
-        doc = {
-            "schema": "lmoscale/transfer/v1",
-            "mode": "batch-change",
-            "setting": res.setting.value,
-            "eta1": res.eta1,
-            "alpha1": res.alpha1,
-            "b1": res.b1,
-            "flags": list(res.flags),
-            "calibrated_invariants": {"c_eta": res.c_eta, "c_alpha": res.c_alpha},
-        }
+        doc = {"mode": "batch-change", "setting": res.setting, "eta1": res.eta1,
+               "alpha1": res.alpha1, "b1": res.b1, "flags": res.flags,
+               "calibrated_invariants": {"c_eta": res.c_eta, "c_alpha": res.c_alpha}}
     else:
         if v["regime"] is None:
             raise DomainError("transfer needs --regime (or --b1 with --setting)")
         res = transfer.extrapolate(cfg, v["t1"], transfer.TransferRegime(v["regime"]), v["b_max"])
-        doc = {
-            "schema": "lmoscale/transfer/v1",
-            "mode": "same-batch",
-            "regime": res.regime.value,
-            "eta1": res.eta1,
-            "alpha1": res.alpha1,
-            "b1": res.b1,
-            "flags": list(res.flags),
-        }
-    _emit(dumps_json(doc), v["out"])
+        # regime leads: the fields overwrite its value but keep its place
+        doc = {"mode": "same-batch", "regime": res.regime, **_fields(res)}
+    _emit(_json("transfer/v1", doc), v["out"])
 
 
 def _cmd_contour(v: dict) -> None:
@@ -443,64 +386,22 @@ def _cmd_contour(v: dict) -> None:
     _require(v["k_points"] >= 1, f"k-points must be >= 1, got {v['k_points']}")
     _require(v["k_lo"] > 0 and v["k_hi"] > 0, "k-lo and k-hi must be > 0")
     k_grid = np.logspace(np.log10(v["k_lo"]), np.log10(v["k_hi"]), v["k_points"])
-    ls = contours.level_set(cc, v["target"], k_grid, v["eta_floor"])
-    meta = {
-        "target": ls.target,
-        "k_min": ls.k_min,
-        "b_min": ls.b_min,
-        "k0": ls.k0,
-        "hyperbola_residual": ls.hyperbola_residual,
-    }
-    if v["format"] == "csv":
-        rows = [
-            (p.k, p.b, p.regime, p.det_fraction, p.burn_fraction, p.floor_fraction)
-            for p in ls.points
-        ]
-        text = write_csv(
-            "contour/v1",
-            ["k", "b", "regime", "det_fraction", "burn_fraction", "floor_fraction"],
-            rows,
-            meta,
-        )
-    else:
-        text = dumps_json(
-            {
-                "schema": "lmoscale/contour/v1",
-                **meta,
-                "points": [
-                    {"k": p.k, "b": p.b, "regime": p.regime,
-                     "det_fraction": p.det_fraction, "burn_fraction": p.burn_fraction,
-                     "floor_fraction": p.floor_fraction}
-                    for p in ls.points
-                ],
-            }
-        )
-    _emit(text, v["out"])
+    meta = _fields(contours.level_set(cc, v["target"], k_grid, v["eta_floor"]))
+    _emit_table(v, "contour/v1", meta, "points", meta.pop("points"))
 
 
 def _cmd_analyze(v: dict) -> None:
     mode = v["mode"]
-    doc: dict = {"schema": "lmoscale/analyze/v1", "mode": mode}
     if mode == "rate":
         r = schedules.rate_exponents(
             schedules.PowerLawSchedule(v["b_exp"], v["alpha_exp"], v["eta_exp"])
         )
-        doc.update(
-            exponents=dict(zip(schedules.TERM_NAMES, r.as_tuple())),
-            overall=r.overall,
-            diverging=list(r.diverging),
-        )
+        body = {"exponents": dict(zip(schedules.TERM_NAMES, r.as_tuple())),
+                "overall": r.overall, "diverging": r.diverging}
     elif mode == "ceiling":
         if v["phi"] is None:
             raise DomainError("ceiling mode needs --phi")
-        ceil = schedules.aggressive_ceiling(v["phi"])
-        doc.update(
-            phi=ceil.phi,
-            delta_star=ceil.delta_star,
-            rate_exponent=ceil.rate_exponent,
-            k_exponent=ceil.k_exponent,
-            rate_exponent_in_k=ceil.rate_exponent_in_k,
-        )
+        body = _fields(schedules.aggressive_ceiling(v["phi"]))
     elif mode == "noise":
         if v["tail_p"] is not None:
             model = schedules.NoiseModel.heavy_tailed(v["tail_p"], v["sigma_q"])
@@ -508,30 +409,14 @@ def _cmd_analyze(v: dict) -> None:
             model = schedules.NoiseModel(v["q"], v["sigma_q"], init_error=v["init_error"])
         else:
             raise DomainError("noise mode needs --q or --tail-p")
-        sens = schedules.noise_exponent_sensitivity(model, v["b"], v["t"])
-        doc.update(
-            q=sens.q,
-            alpha_b_exp=sens.alpha_b_exp,
-            alpha_k_exp=sens.alpha_k_exp,
-            eta_b_exp=sens.eta_b_exp,
-            eta_k_exp=sens.eta_k_exp,
-            perf_b_exponent=sens.perf_b_exponent,
-            interpretation=sens.interpretation,
-            perf_scale=sens.perf_scale,
-            init_error=sens.init_error,
-        )
+        body = _fields(schedules.noise_exponent_sensitivity(model, v["b"], v["t"]))
     else:
         if v["kappa"] is None or v["lam"] is None or v["p"] is None:
             raise DomainError("path mode needs --kappa, --lam and --p")
-        analysis = schedules.effective_eta_exponent(
+        body = _fields(schedules.effective_eta_exponent(
             schedules.PathExponents(v["kappa"], v["lam"], v["p"])
-        )
-        doc.update(
-            q_eff=analysis.q_eff,
-            threshold_p=analysis.threshold_p,
-            alpha_saturates=analysis.alpha_saturates,
-        )
-    _emit(dumps_json(doc), v["out"])
+        ))
+    _emit(_json("analyze/v1", {"mode": mode, **body}), v["out"])
 
 
 def _cmd_simulate(v: dict) -> None:
@@ -561,37 +446,14 @@ def _cmd_simulate(v: dict) -> None:
         update=v["update"],
         init=v["init"],
     )
-    header = ["t", "eta", "alpha", "b", "steps", "metric", "replicates"]
-
-    def row(p: sim.SimPoint):
-        return (p.t, p.eta, p.alpha, p.b, p.steps, p.metric, p.replicates)
-
-    if v["format"] == "csv":
-        text = write_csv("sim-summary/v1", header, [row(p) for p in result.best],
-                         {"norm": v["norm"], "update": v["update"], "seed": v["seed"]})
-        _emit(text, v["out"])
-        if v["out"] is not None:
-            points_path = v["out"] + ".points.csv"
-            _emit(write_csv("sim-points/v1", header, [row(p) for p in result.points],
-                            {"norm": v["norm"], "update": v["update"], "seed": v["seed"]}),
-                  points_path)
-    else:
-        def doc(p: sim.SimPoint):
-            return dict(zip(header, row(p)))
-
-        _emit(
-            dumps_json(
-                {
-                    "schema": "lmoscale/sim-sweep/v1",
-                    "norm": v["norm"],
-                    "update": v["update"],
-                    "seed": v["seed"],
-                    "best": [doc(p) for p in result.best],
-                    "points": [doc(p) for p in result.points],
-                }
-            ),
-            v["out"],
-        )
+    meta = {"norm": v["norm"], "update": v["update"], "seed": v["seed"]}
+    if v["format"] == "json":
+        _emit(_json("sim-sweep/v1", {**meta, "best": result.best, "points": result.points}),
+              v["out"])
+        return
+    _emit(_csv("sim-summary/v1", meta, result.best), v["out"])
+    if v["out"] is not None:  # the evaluated points go to a second file
+        _emit(_csv("sim-points/v1", meta, result.points), v["out"] + ".points.csv")
 
 
 def _cmd_compare_sgd(v: dict) -> None:
@@ -610,19 +472,14 @@ def _cmd_compare_sgd(v: dict) -> None:
     c = BoundConstants(v["delta0"], v["smoothness"], v["noise_scale"])
     lmo = closed_form.optimal_fixed_momentum_tokens(c, v["alpha"], v["t"])
     doc = {
-        "schema": "lmoscale/compare-sgd/v1",
         "t": v["t"],
         "sgd": per_b,
         "sgd_value_relative_spread": spread,
-        "lmo_fixed_momentum": {
-            "alpha": v["alpha"],
-            "b_star": lmo.b_star,
-            "eta_star": lmo.eta_star,
-            "risk_star": lmo.risk_star,
-            "clamped": lmo.clamped,
-        },
+        "lmo_fixed_momentum": {"alpha": v["alpha"], "b_star": lmo.b_star,
+                               "eta_star": lmo.eta_star, "risk_star": lmo.risk_star,
+                               "clamped": lmo.clamped},
     }
-    _emit(dumps_json(doc), v["out"])
+    _emit(_json("compare-sgd/v1", doc), v["out"])
 
 
 _DISPATCH = {
@@ -636,24 +493,31 @@ _DISPATCH = {
 }
 
 
+_ARITHMETIC = {OverflowError: "overflow", ZeroDivisionError: "division by zero"}
+
+
+def _fail(code: int, message: str) -> int:
+    sys.stderr.write(dumps_json({"error": message, "exit_code": code}))
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit:  # only --help exits here; bad arguments raise DomainError
             return EXIT_OK
-        values = _merge_config(args.command, args)
-        _DISPATCH[args.command](values)
+        _DISPATCH[args.command](_merge_config(args.command, args))
     except DomainError as exc:
-        sys.stderr.write(dumps_json({"error": str(exc), "exit_code": EXIT_INVALID}))
-        return EXIT_INVALID
+        return _fail(EXIT_INVALID, str(exc))
     except InfeasibleError as exc:
-        sys.stderr.write(dumps_json({"error": str(exc), "exit_code": EXIT_INFEASIBLE}))
-        return EXIT_INFEASIBLE
-    except (NumericalError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
-        sys.stderr.write(dumps_json({"error": str(exc), "exit_code": EXIT_NUMERICAL}))
-        return EXIT_NUMERICAL
+        return _fail(EXIT_INFEASIBLE, str(exc))
+    except NumericalError as exc:
+        return _fail(EXIT_NUMERICAL, str(exc))
+    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+        kind = _ARITHMETIC.get(type(exc), "error")
+        return _fail(EXIT_NUMERICAL, f"{args.command}: arithmetic {kind}; an input is too large "
+                                     "or too small for 64-bit floats")
     return EXIT_OK
 
 

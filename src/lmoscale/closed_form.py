@@ -212,11 +212,14 @@ def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
     _require(t >= 1, f"t must be >= 1, got {t}")
     _require(c.rho_sigma > 0, "joint tuning needs a positive noise scale")
     rs2 = c.rho_sigma**2
-    return CubicCoefficients(
-        a3=SMOOTHNESS_WEIGHT**2 * c.delta0 * c.smoothness * t,
-        a1=SMOOTHNESS_WEIGHT * rs2,
-        a0=2.0 * rs2,
-    )
+    coefficients = {"a3": SMOOTHNESS_WEIGHT**2 * c.delta0 * c.smoothness * t,
+                    "a1": SMOOTHNESS_WEIGHT * rs2, "a0": 2.0 * rs2}
+    for name, value in coefficients.items():
+        if not 0.0 < value < math.inf:
+            raise NumericalError(f"momentum cubic coefficient {name} = {value} leaves the float "
+                                 f"range at t={t} (delta0={c.delta0}, L={c.smoothness}, "
+                                 f"rho*sigma={c.rho_sigma})")
+    return CubicCoefficients(**coefficients)
 
 
 def solve_momentum_cubic(cubic: CubicCoefficients) -> tuple[float, float]:

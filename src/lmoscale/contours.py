@@ -105,8 +105,8 @@ class LevelSet:
     k_min: float
     b_min: float
     k0: float
-    points: tuple[LevelPoint, ...]
     hyperbola_residual: float
+    points: tuple[LevelPoint, ...]
 
 
 def level_set(
@@ -181,6 +181,6 @@ def level_set(
         k_min=cc.k_min(target),
         b_min=cc.b_min(target),
         k0=k0,
-        points=tuple(points),
         hyperbola_residual=residual,
+        points=tuple(points),
     )

@@ -203,6 +203,7 @@ def sweep(
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    _require(threads >= 1, f"threads must be >= 1, got {threads}")
     eta = np.array([constraint.fixed_eta]) if constraint.fixed_eta is not None else spec.eta_axis()
     alpha = (
         np.array([constraint.fixed_alpha])

@@ -4,13 +4,17 @@ Floats are serialized in scientific notation with 17 significant digits,
 which round-trips 64-bit values exactly; identical inputs therefore
 produce byte-identical files.  Every file carries a schema version string
 in its header (a ``# schema=...`` comment line for CSV, a ``"schema"``
-field for JSON).
+field for JSON).  JSON renders a dataclass as an object of its fields in
+order and an enum as its value; CSV writes a tuple cell ``|``-joined.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+from enum import Enum
 
 from .errors import DomainError
 
@@ -23,6 +27,16 @@ def fmt_float(x: float) -> str:
     if isinstance(x, float) and not math.isfinite(x):
         return repr(x)  # inf / -inf / nan; json cannot carry these anyway
     return f"{x:.16e}"
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _fields(record) -> dict:
+    """A dataclass instance's fields in order, one level deep."""
+    return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
 def _json_fragments(obj, out: list[str]) -> None:
@@ -54,6 +68,10 @@ def _json_fragments(obj, out: list[str]) -> None:
                 out.append(", ")
             _json_fragments(item, out)
         out.append("]")
+    elif isinstance(obj, Enum):
+        _json_fragments(obj.value, out)
+    elif dataclasses.is_dataclass(obj):
+        _json_fragments(_fields(obj), out)
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -70,14 +88,15 @@ def write_csv(schema: str, header: list[str], rows, meta: dict | None = None) ->
     """Render a versioned CSV document as a string.
 
     The first line is ``# schema=... [key=value ...]``; floats are written
-    at full precision, other cells via str().
+    at full precision, tuples ``|``-joined, other cells via str().
     """
     parts = [f"# schema={SCHEMA_PREFIX}/{schema}"]
     for key, value in (meta or {}).items():
         parts.append(f"{key}={fmt_float(value) if isinstance(value, float) else value}")
     lines = [" ".join(parts), ",".join(header)]
     for row in rows:
-        cells = [fmt_float(c) if isinstance(c, float) else str(c) for c in row]
+        cells = [fmt_float(c) if isinstance(c, float) else "|".join(c) if isinstance(c, tuple)
+                 else str(c) for c in row]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -89,8 +108,8 @@ def read_csv(text: str) -> tuple[str, dict, list[str], list[list[str]]]:
     the caller's job since the schema fixes the column types.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("# schema="):
-        raise DomainError("missing schema header line")
+    if len(lines) < 2 or not lines[0].startswith("# schema="):
+        raise DomainError("missing schema line or column header")
     head = lines[0][2:].split()
     schema = head[0].split("=", 1)[1]
     meta = dict(part.split("=", 1) for part in head[1:])

@@ -36,7 +36,10 @@ __all__ = [
     "integer_batch",
     "run",
     "sweep_sim",
+    "MAX_STEPS",
 ]
+
+MAX_STEPS = 10**7  # steps per run that sweep_sim accepts
 
 
 class NormKind(Enum):
@@ -407,7 +410,8 @@ def sweep_sim(
 ) -> SimSweepResult:
     """Empirical sweep: argmin of the replicate-averaged metric per budget.
 
-    Step counts are round(t / b).  As in the grid oracle, a batch larger
+    Step counts are round(t / b), at most ``MAX_STEPS``; a longer run is
+    rejected before any step.  As in the grid oracle, a batch larger
     than a budget is skipped at that budget (not even one step fits), and
     a budget below every batch raises ``BudgetTooSmallError``.  Runs at one
     (budget, batch, momentum) point share their noise streams across the
@@ -427,6 +431,10 @@ def sweep_sim(
         raise BudgetTooSmallError(
             f"token budget {budgets.min()} is below every batch size; not even one step fits"
         )
+    t_max, b_min = float(budgets.max()), batches[0]
+    _require(round(t_max / b_min) <= MAX_STEPS,
+             f"t={t_max} at b={b_min} means {t_max / b_min:.12g} steps per run, "
+             f"above the limit of {MAX_STEPS}")
     points: list[SimPoint] = []
     for ti, t in enumerate(budgets):
         for bi, b in enumerate(batches):

@@ -5,12 +5,8 @@ import warnings
 
 import pytest
 
-from lmoscale.cli import (
-    contour_points_from_csv,
-    main,
-    sim_points_from_csv,
-    sweep_records_from_csv,
-)
+from lmoscale.cli import main, records_from_csv
+from lmoscale.errors import DomainError
 from lmoscale.serialize import dumps_json, read_csv
 
 
@@ -91,7 +87,7 @@ def test_contour_header_reports_minima(capsys, tmp_path):
     assert float(meta["b_min"]) == pytest.approx(16.0, rel=1e-12)
     assert header[:3] == ["k", "b", "regime"]
     assert len(rows) == 9
-    points = contour_points_from_csv(path.read_text())
+    points = records_from_csv(path.read_text())
     assert len(points) == 9
     assert points[0].det_fraction + points[0].burn_fraction + points[0].floor_fraction == pytest.approx(1.0, rel=1e-12)
 
@@ -105,7 +101,7 @@ def test_verify_csv_round_trip(capsys, tmp_path):
     )
     assert code == 0
     text = path.read_text()
-    records = sweep_records_from_csv(text)
+    records = records_from_csv(text)
     assert len(records) == 7
     # byte-identical rerun
     path2 = tmp_path / "sweep2.csv"
@@ -153,8 +149,8 @@ def test_simulate_summary(capsys, tmp_path):
     assert schema == "lmoscale/sim-summary/v1"
     assert meta["seed"] == "7"
     assert len(rows) == 1
-    summary = sim_points_from_csv(out_path.read_text())
-    points = sim_points_from_csv((tmp_path / "sim.csv.points.csv").read_text())
+    summary = records_from_csv(out_path.read_text())
+    points = records_from_csv((tmp_path / "sim.csv.points.csv").read_text())
     assert len(points) == 2
     assert summary[0] in points  # the argmin row is one of the evaluated points
 
@@ -254,3 +250,88 @@ def test_grid_overflow_leaves_stderr_empty(capsys):
         )
     assert code == 0 and err == ""
     assert json.loads(out)["records"]
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("# schema=lmoscale/plan/v1\nt,eta\n", "not a table document"),
+        ("# schema=lmoscale/contour/v1\nk,b\n1,2\n", "columns"),
+        ("# schema=lmoscale/sim-points/v1\nt,eta,alpha,b,steps,metric,replicates\n"
+         "1,2,3,4.5,5,6,7\n", "bad row"),
+        ("# schema=lmoscale/sim-points/v1\nt,eta,alpha,b,steps,metric,replicates\n1,2\n",
+         "bad row"),
+        ("t,eta\n", "schema"),
+        ("# schema=lmoscale/sweep/v1\n", "column header"),
+    ],
+)
+def test_records_from_csv_rejects_other_documents(text, named):
+    with pytest.raises(DomainError, match=named):
+        records_from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["plan", "--regime", "joint", "--t", "1e6", "--format", "csv"], "--format"),
+        (["transfer", "--t0", "1", "--eta0", "1", "--t1", "10", "--regime", "A",
+          "--format", "json"], "--format"),
+        (["analyze", "--mode", "ceiling", "--phi", "0.75", "--format", "csv"], "--format"),
+        (["compare-sgd", "--t", "1e4", "--format", "csv"], "--format"),
+        (["contour", "--alpha", "1", "--target", "0.5", "--seed", "1"], "--seed"),
+        (["plan", "--regime", "joint", "--t", "1e6", "--seed", "5"], "--seed"),
+        (["simulate", "--threads", "2"], "--threads"),
+        (["verify", "--threads", "0"], "threads"),
+        (["verify", "--threads", "-1"], "threads"),
+    ],
+)
+def test_options_a_command_does_not_take_are_rejected(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["exit_code"] == 2 and option in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "command", ["plan", "verify", "transfer", "contour", "analyze", "simulate", "compare-sgd"]
+)
+def test_every_command_prints_help(capsys, command):
+    code, out, err = run_cli(capsys, command, "--help")
+    assert code == 0 and out.startswith(f"usage: lmoscale {command}") and err == ""
+
+
+def test_top_level_help_and_command_errors(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0 and err == ""
+    assert "{plan,verify,transfer,contour,analyze,simulate,compare-sgd}" in out
+    for argv, named in (([], "required: command"), (["bogus"], "invalid choice: 'bogus'")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert named in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["plan", "--regime", "joint", "--t", "1e308", "--c1", "1e300"], "coefficient a3 = inf"),
+        (["plan", "--regime", "joint", "--t", "1e300", "--c2", "1e-200"], "coefficient a1 = 0.0"),
+        (["compare-sgd", "--t", "1e308", "--b", "1e300", "--noise-scale", "1e300"],
+         "compare-sgd: arithmetic overflow"),
+    ],
+)
+def test_float_limit_failures_name_their_cause(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["exit_code"] == 4 and named in doc["error"]
+
+
+def test_simulate_rejects_a_budget_beyond_the_step_limit(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--t", "1e300", "--b", "1", "--dim", "1",
+                           "--replicates", "1", "--eta", "0.1", "--alpha", "1")
+    assert code == 2
+    assert "steps per run" in json.loads(err)["error"]

@@ -28,7 +28,10 @@ INT_EDGE = ("0", "-1", "x", "1.5", "nan", "")
 POS = ("1", "0.5", "2", "7")
 ALPHA = ("1", "0.5", "0.01")
 CONSTANTS = {name: POS for name in ("c1", "c2", "c3", "norm-equiv")}
-COMMON = {"format": ("json", "csv"), "seed": ("0", "7"), "threads": ("1", "2")}
+FORMAT = {"format": ("json", "csv")}
+# the output, seed and thread options each command takes besides --out
+COMMON = {"verify": {**FORMAT, "threads": ("1", "2")}, "contour": FORMAT,
+          "simulate": {**FORMAT, "seed": ("0", "7")}}
 
 # command -> (options always passed, options that may be passed); each maps
 # an option to its valid values.  The ones always passed bound the cost.
@@ -90,8 +93,6 @@ CONFIG_ODDITIES = st.one_of(
 
 
 def _edge_values(command, name):
-    if (command, name) == ("simulate", "t"):
-        return LIST_EDGE  # a huge budget is valid but means as many steps
     if (command, name) in LIST_OPTIONS:
         return LIST_EDGE + ("1e300",)
     if name in INT_OPTIONS:
@@ -103,7 +104,7 @@ def _edge_values(command, name):
 def invocations(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     always, optional = COMMANDS[command]
-    optional = {**optional, **COMMON}
+    optional = {**optional, **COMMON.get(command, {})}
     names = list(always) + draw(
         st.lists(st.sampled_from(sorted(optional)), max_size=4, unique=True)
     )

@@ -21,8 +21,9 @@ from lmoscale import (
     run,
     sweep_sim,
 )
+from lmoscale import sim
 from lmoscale.cli import main
-from lmoscale.sim import _noise_factory, _Objective
+from lmoscale.sim import MAX_STEPS, _noise_factory, _Objective
 
 QUAD = ObjectiveSpec(kind="noisy-quadratic", noise_sigma=1.0, spectrum=(0.1, 0.5, 1.0))
 
@@ -383,6 +384,17 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert json.loads(captured.err)["exit_code"] == 3
+
+    def test_runs_beyond_the_step_limit_are_rejected_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(sim, "_run_batch", no_step)
+        t = float((MAX_STEPS + 1) * 4)
+        with pytest.raises(DomainError, match=rf"t={t} at b=4 means 10000001 steps") as info:
+            sweep_sim(QUAD, NormKind.MAX, (0.01,), (1.0,), (4, 8), (40.0, t),
+                      replicates=1, seed=0)
+        assert str(MAX_STEPS) in str(info.value)
 
     def test_best_has_lowest_metric_per_budget(self):
         res = sweep_sim(QUAD, NormKind.EUCLIDEAN, (0.01, 0.05), (1.0,), (1, 4),
