@@ -214,11 +214,16 @@ def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
     rs2 = c.rho_sigma**2
     coefficients = {"a3": SMOOTHNESS_WEIGHT**2 * c.delta0 * c.smoothness * t,
                     "a1": SMOOTHNESS_WEIGHT * rs2, "a0": 2.0 * rs2}
+    constants = f"at t={t} (delta0={c.delta0}, L={c.smoothness}, rho*sigma={c.rho_sigma})"
     for name, value in coefficients.items():
         if not 0.0 < value < math.inf:
             raise NumericalError(f"momentum cubic coefficient {name} = {value} leaves the float "
-                                 f"range at t={t} (delta0={c.delta0}, L={c.smoothness}, "
-                                 f"rho*sigma={c.rho_sigma})")
+                                 f"range {constants}")
+    # the root bracket scales with a0 / a3 and a1 / a3, which overflow for a subnormal a3
+    for name in ("a0", "a1"):
+        ratio = coefficients[name] / coefficients["a3"]
+        if ratio == math.inf:
+            raise NumericalError(f"momentum cubic ratio {name}/a3 = {ratio} overflows {constants}")
     return CubicCoefficients(**coefficients)
 
 

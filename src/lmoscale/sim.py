@@ -8,8 +8,12 @@ A plain gradient-step mode (``update="sgd"``) serves as the baseline.
 
 Everything is deterministic given the seed: replicate streams derive from
 (master seed, grid-point index, replicate index), and assembly never
-depends on execution order.  Batch sizes are integers here, unlike in the
-proxy; ``integer_batch`` rounds proxy-derived values at this boundary.
+depends on execution order.  A sweep runs all of its (budget, batch,
+momentum) groups in one lockstep step loop over preallocated buffers; each
+replicate generator keeps its own stream and draw order, so the outputs do
+not depend on which groups run together.  Batch sizes are integers here,
+unlike in the proxy; ``integer_batch`` rounds proxy-derived values at this
+boundary.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ def lmo_direction(m: np.ndarray, norm: NormKind) -> np.ndarray:
     coordinate-wise for the max norm).
     """
     m = np.asarray(m, dtype=float)
-    return _batched_directions(m, norm, _var_ndim(m, norm))
+    return -_ascent(m, norm, _var_ndim(m, norm))
 
 
 @dataclass(frozen=True)
@@ -164,10 +168,10 @@ class _Objective:
     def var_axes(self) -> tuple[int, ...]:
         return tuple(range(-self.x0.ndim, 0))
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
+    def grad(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.spec.kind == "noisy-quadratic":
-            return self.lam * x
-        return np.swapaxes(self.a, -1, -2) @ (self.a @ x - self.y)
+            return np.multiply(self.lam, x, out=out)
+        return np.matmul(np.swapaxes(self.a, -1, -2), self.a @ x - self.y, out=out)
 
     @np.errstate(over="ignore", invalid="ignore")
     def value(self, x: np.ndarray) -> float:
@@ -178,21 +182,38 @@ class _Objective:
 
 
 def _noise_factory(spec: ObjectiveSpec, batch: int):
+    """Mini-batch noise sampler ``draw(gen, shape, out=None)``, or None without noise.
+
+    Gaussian draws are written straight into ``out`` and are split-invariant
+    (two draws of n and m values equal one of n + m); a stable draw takes a
+    uniform then an exponential block, so its values depend on the block
+    length.
+    """
     if spec.noise_sigma == 0.0:
         return None
     if spec.noise_kind == "gaussian":
         scale = spec.noise_sigma / math.sqrt(batch)
-        return lambda gen, shape: scale * gen.standard_normal(shape)
+
+        def gaussian(gen, shape, out=None):
+            z = gen.standard_normal(shape, out=out)
+            z *= scale
+            return z
+
+        return gaussian
     a = spec.stable_alpha
     scale = spec.noise_sigma / batch ** (1.0 - 1.0 / a)
 
-    def draw(gen, shape):
+    def stable(gen, shape, out=None):
         v = gen.uniform(-np.pi / 2, np.pi / 2, shape)
         w = gen.exponential(1.0, shape)
-        return scale * (np.sin(a * v) / np.cos(v) ** (1.0 / a)
-                        * (np.cos((1.0 - a) * v) / w) ** ((1.0 - a) / a))
+        z = scale * (np.sin(a * v) / np.cos(v) ** (1.0 / a)
+                     * (np.cos((1.0 - a) * v) / w) ** ((1.0 - a) / a))
+        if out is None:
+            return z
+        out[...] = z
+        return out
 
-    return draw
+    return stable
 
 
 @dataclass(frozen=True)
@@ -248,26 +269,40 @@ class SimRun:
     config: LmoConfig
 
 
-def _batched_directions(m: np.ndarray, norm: NormKind, var_ndim: int) -> np.ndarray:
-    if norm is NormKind.EUCLIDEAN:
-        axes = tuple(range(-var_ndim, 0))
-        scale = np.sqrt(np.sum(m * m, axis=axes, keepdims=True))
-        return np.where(scale > 0, -m / np.where(scale > 0, scale, 1.0), 0.0)
+def _ascent(m: np.ndarray, norm: NormKind, var_ndim: int, out=None) -> np.ndarray:
+    """Negated LMO direction u (the step is -u) of each variable slice of m.
+
+    Written into ``out`` for the diagonal norms; a zero slice gives u = -0.0
+    under the euclidean norm, so x - eta * u is x + 0.0 as with d = 0.
+    """
     if norm is NormKind.MAX:
-        return -np.sign(m)
-    return -polar_factor(m)
-
-
-def _batched_dual_norms(g: np.ndarray, norm: NormKind, var_ndim: int) -> np.ndarray:
+        return np.sign(m, out=out)
+    if norm is NormKind.SPECTRAL:
+        return polar_factor(m)
     axes = tuple(range(-var_ndim, 0))
-    if norm is NormKind.EUCLIDEAN:
-        return np.sqrt(np.sum(g * g, axis=axes))
+    out = np.multiply(m, m, out=out)
+    scale = np.sqrt(np.add.reduce(out, axis=axes, keepdims=True))
+    live = scale > 0
+    np.divide(m, np.where(live, scale, 1.0), out=out)
+    np.copyto(out, -0.0, where=~live)
+    return out
+
+
+def _batched_dual_norms(g: np.ndarray, norm: NormKind, var_ndim: int, work=None,
+                        out=None) -> np.ndarray:
+    """Dual norm of each variable slice of g; diagonal norms use the given buffers."""
+    axes = tuple(range(-var_ndim, 0))
+    if norm is NormKind.SPECTRAL:
+        # SVD fails on non-finite input; a diverged matrix gets an infinite norm
+        finite = np.isfinite(g).all(axis=axes)
+        svals = np.linalg.svd(np.where(finite[..., None, None], g, 0.0), compute_uv=False)
+        return np.where(finite, svals.sum(axis=-1), np.inf)
     if norm is NormKind.MAX:
-        return np.sum(np.abs(g), axis=axes)
-    # SVD fails on non-finite input; a diverged matrix gets an infinite norm
-    finite = np.isfinite(g).all(axis=axes)
-    svals = np.linalg.svd(np.where(finite[..., None, None], g, 0.0), compute_uv=False)
-    return np.where(finite, svals.sum(axis=-1), np.inf)
+        return np.add.reduce(np.abs(g, out=work), axis=axes, out=out)
+    return np.sqrt(np.add.reduce(np.multiply(g, g, out=work), axis=axes, out=out), out=out)
+
+
+_NOISE_VALUES = 2**19  # Gaussian noise values one _run_batch call buffers (4 MiB)
 
 
 # a diverged run overflows; it is caught by its non-finite dual norm below
@@ -276,72 +311,106 @@ def _run_batch(
     obj: _Objective,
     norm: NormKind,
     update: str,
-    etas: np.ndarray,
-    alpha: float,
-    batch: int,
-    steps: int,
+    etas,
+    alphas,
+    batches,
+    steps,
     seed_seqs,
     init: str,
     init_value=None,
     record: bool = False,
-    chunk: int = 512,
 ):
-    """Simulate a group of runs sharing noise across the step-size axis.
+    """Simulate groups of runs in lockstep, sharing noise across the step-size axis.
 
-    Returns (best (H, R), aborted (H, R), trace (steps,) or None, final
-    iterates (H, R, *var)); the trace is recorded only for a single run
-    (H = R = 1).
+    Group j takes steps[j] steps at momentum alphas[j] and batch batches[j],
+    with one replicate generator per entry of seed_seqs[j].  The state is
+    (G, H, R, *var): groups x step sizes x replicates.  Groups run longest
+    first, so the ones still running are a prefix and the loop takes
+    max(steps) iterations; every step updates momentum, iterate, gradient
+    and dual norm in place.  Each generator draws its matched-init noise,
+    then its steps in order, so a group's floats do not depend on the
+    groups it runs with.
+
+    Returns (best (G, H, R), aborted (G, H, R), trace (steps,) or None,
+    final iterates (G, H, R, *var)) in the given group order; the trace is
+    recorded only for a single run (G = H = R = 1).
     """
     var_shape = obj.x0.shape
     var_ndim = _var_ndim(obj.x0, norm)
-    h, r = len(etas), len(seed_seqs)
-    gens = [np.random.default_rng(s) for s in seed_seqs]
-    noise = _noise_factory(obj.spec, batch)
+    order = np.argsort(-np.asarray(steps), kind="stable")
+    steps = [int(steps[j]) for j in order]
+    gens = [[np.random.default_rng(s) for s in seed_seqs[j]] for j in order]
+    noises = [_noise_factory(obj.spec, batches[j]) for j in order]
+    noisy = noises[0] is not None
+    n_groups, h, r = len(order), len(etas), len(gens[0])
+    shape = (n_groups, h, r) + var_shape
+    alpha = np.asarray(alphas, dtype=float)[order].reshape((n_groups,) + (1,) * (2 + var_ndim))
+    keep = 1.0 - alpha
+    eta = np.asarray(etas, dtype=float).reshape((1, h, 1) + (1,) * var_ndim)
 
-    x = np.broadcast_to(obj.x0, (h, r) + var_shape).copy()
-    eta_col = np.asarray(etas, dtype=float).reshape((h, 1) + (1,) * var_ndim)
+    x = np.broadcast_to(obj.x0, shape).copy()
+    g_true = np.broadcast_to(obj.grad(obj.x0), shape).copy()
     if init == "matched":
-        g0 = obj.grad(obj.x0)
-        if noise is not None:
-            n0 = np.stack([noise(gen, var_shape) for gen in gens])
-        else:
-            n0 = np.zeros((r,) + var_shape)
-        m = np.broadcast_to(g0 + n0, (h, r) + var_shape).copy()
+        m = g_true.copy()
+        if noisy:
+            for j, noise in enumerate(noises):
+                for i, gen in enumerate(gens[j]):
+                    m[j, :, i] += noise(gen, var_shape)
     elif init == "zero":
-        m = np.zeros((h, r) + var_shape)
+        m = np.zeros(shape)
     else:
-        m0 = np.asarray(init_value, dtype=float).reshape(var_shape)
-        m = np.broadcast_to(m0, (h, r) + var_shape).copy()
+        m = np.broadcast_to(np.asarray(init_value, dtype=float).reshape(var_shape), shape).copy()
 
-    best = np.full((h, r), np.inf)
-    aborted = np.zeros((h, r), dtype=bool)
-    trace = np.empty(steps) if record else None
-    done = 0
-    g_true = np.broadcast_to(obj.grad(obj.x0), (h, r) + var_shape)
-    while done < steps:
-        n = min(chunk, steps - done)
-        if noise is not None:
-            draws = np.stack([noise(gen, (n,) + var_shape) for gen in gens], axis=1)
-        else:
-            draws = None
+    # Gaussian draws are split-invariant, so their chunk shrinks to bound the
+    # buffer; a stable draw's values depend on its length, which stays 512
+    chunk = 512
+    if noisy and obj.spec.noise_kind == "gaussian":
+        chunk = max(1, min(chunk, _NOISE_VALUES // (n_groups * r * obj.x0.size)))
+    draws = np.empty((n_groups, r, min(chunk, steps[0])) + var_shape) if noisy else None
+
+    work = np.empty(shape)
+    norms = np.empty((n_groups, h, r))
+    best = np.full((n_groups, h, r), np.inf)
+    worst = np.zeros((n_groups, h, r))  # running max: a NaN or inf norm sticks, marking an abort
+    trace = np.empty(steps[0]) if record else None
+    k, viewed = n_groups, 0
+    for done in range(0, steps[0], chunk):
+        n = min(chunk, steps[0] - done)
+        while steps[k - 1] <= done:
+            k -= 1
+        if noisy:
+            for j in range(k):
+                span = min(n, steps[j] - done)
+                for i, gen in enumerate(gens[j]):
+                    noises[j](gen, (span,) + var_shape, out=draws[j, i, :span])
         for i in range(n):
-            g = g_true if draws is None else g_true + draws[i]
-            m = momentum_update(m, g, alpha)
-            if update == "lmo":
-                x = x + eta_col * _batched_directions(m, norm, var_ndim)
+            while steps[k - 1] <= done + i:
+                k -= 1
+            if k != viewed:
+                viewed = k
+                xk, mk, gk, wk = x[:k], m[:k], g_true[:k], work[:k]
+                nk, bk, wrk = norms[:k], best[:k], worst[:k]
+                alpha_k, keep_k = alpha[:k], keep[:k]
+            if noisy:
+                np.add(gk, draws[:k, None, :, i], out=wk)
+                np.multiply(wk, alpha_k, out=wk)
             else:
-                x = x - eta_col * m
-            g_true = obj.grad(x)
-            norms = _batched_dual_norms(g_true, norm, var_ndim)
-            bad = ~np.isfinite(norms)
-            if bad.any():
-                aborted |= bad
-                norms = np.where(bad, np.inf, norms)
-            np.minimum(best, norms, out=best)
+                np.multiply(gk, alpha_k, out=wk)
+            np.multiply(mk, keep_k, out=mk)
+            np.add(mk, wk, out=mk)
+            u = _ascent(mk, norm, var_ndim, wk) if update == "lmo" else mk
+            np.multiply(u, eta, out=wk)
+            np.subtract(xk, wk, out=xk)
+            obj.grad(xk, out=gk)
+            dual = _batched_dual_norms(gk, norm, var_ndim, wk, nk)
+            np.fmin(bk, dual, out=bk)  # a NaN norm counts as inf
+            np.maximum(wrk, dual, out=wrk)
             if record:
-                trace[done + i] = norms[0, 0]
-        done += n
-    return best, aborted, trace, x
+                trace[done + i] = dual[0, 0, 0]
+    if record:
+        trace[np.isnan(trace)] = np.inf
+    back = np.argsort(order)
+    return best[back], ~np.isfinite(worst[back]), trace, x[back]
 
 
 def run(spec: ObjectiveSpec, cfg: LmoConfig) -> SimRun:
@@ -351,11 +420,11 @@ def run(spec: ObjectiveSpec, cfg: LmoConfig) -> SimRun:
         obj,
         cfg.norm,
         cfg.update,
-        np.array([cfg.eta]),
-        cfg.alpha,
-        cfg.batch,
-        cfg.steps,
-        [np.random.SeedSequence(cfg.seed)],
+        [cfg.eta],
+        [cfg.alpha],
+        [cfg.batch],
+        [cfg.steps],
+        [[np.random.SeedSequence(cfg.seed)]],
         cfg.init,
         cfg.init_value,
         record=True,
@@ -363,10 +432,10 @@ def run(spec: ObjectiveSpec, cfg: LmoConfig) -> SimRun:
     return SimRun(
         grad_norms=trace,
         running_min=np.minimum.accumulate(trace),
-        min_grad_norm=float(best[0, 0]),
-        final_value=obj.value(x[0, 0]),
+        min_grad_norm=float(best[0, 0, 0]),
+        final_value=obj.value(x[0, 0, 0]),
         final_grad_norm=float(trace[-1]),
-        aborted=bool(aborted[0, 0]),
+        aborted=bool(aborted[0, 0, 0]),
         config=cfg,
     )
 
@@ -417,8 +486,12 @@ def sweep_sim(
     (budget, batch, momentum) point share their noise streams across the
     step-size axis (common random numbers), with replicate generators
     derived from (seed, budget index, batch index, momentum index,
-    replicate).
-    Ties break toward the smallest batch, then the smallest step size,
+    replicate).  All groups advance together in one lockstep step loop
+    (see ``_run_batch``); each generator keeps its own stream, so every
+    metric equals that of the group run on its own.
+    Points are ordered by (budget, batch, momentum, step size).  The best
+    record of a budget is the argmin over the points at that budget value;
+    ties break toward the smallest batch, then the smallest step size,
     then the largest momentum complement.
     """
     _require(replicates >= 1, f"replicates must be >= 1, got {replicates}")
@@ -435,32 +508,23 @@ def sweep_sim(
     _require(round(t_max / b_min) <= MAX_STEPS,
              f"t={t_max} at b={b_min} means {t_max / b_min:.12g} steps per run, "
              f"above the limit of {MAX_STEPS}")
+    groups = [(ti, bi, ai) for ti, t in enumerate(budgets) for bi, b in enumerate(batches)
+              if b <= t for ai in range(len(alphas))]
+    steps = [round(budgets[ti] / batches[bi]) for ti, bi, _ in groups]
+    best, _, _, _ = _run_batch(
+        obj, norm, update, etas, alphas[[ai for _, _, ai in groups]],
+        [batches[bi] for _, bi, _ in groups], steps,
+        [np.random.SeedSequence([seed, *group]).spawn(replicates) for group in groups], init,
+    )
     points: list[SimPoint] = []
-    for ti, t in enumerate(budgets):
-        for bi, b in enumerate(batches):
-            if b > t:
-                continue
-            steps = round(t / b)
-            for ai, alpha in enumerate(alphas):
-                seqs = np.random.SeedSequence([seed, ti, bi, ai]).spawn(replicates)
-                best, _, _, _ = _run_batch(
-                    obj, norm, update, etas, float(alpha), b, steps, seqs, init
-                )
-                metrics = best.mean(axis=1)
-                for ei, eta in enumerate(etas):
-                    points.append(
-                        SimPoint(
-                            t=float(t),
-                            eta=float(eta),
-                            alpha=float(alpha),
-                            b=b,
-                            steps=steps,
-                            metric=float(metrics[ei]),
-                            replicates=replicates,
-                        )
-                    )
-    best_records = []
-    for t in budgets:
-        group = [p for p in points if p.t == float(t)]
-        best_records.append(min(group, key=lambda p: (p.metric, p.b, p.eta, -p.alpha)))
+    by_budget: dict[float, list[SimPoint]] = {}
+    for (ti, bi, ai), n, metrics in zip(groups, steps, best.mean(axis=2)):
+        t = float(budgets[ti])
+        for eta, metric in zip(etas, metrics):
+            point = SimPoint(t=t, eta=float(eta), alpha=float(alphas[ai]), b=batches[bi],
+                             steps=n, metric=float(metric), replicates=replicates)
+            points.append(point)
+            by_budget.setdefault(t, []).append(point)
+    best_records = [min(by_budget[float(t)], key=lambda p: (p.metric, p.b, p.eta, -p.alpha))
+                    for t in budgets]
     return SimSweepResult(points=tuple(points), best=tuple(best_records))

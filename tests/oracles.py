@@ -1,11 +1,24 @@
-"""Independent numerical oracles used to cross-check closed forms.
+"""Independent numerical oracles used to cross-check closed forms and the simulator.
 
 These stay deliberately dumb: golden-section line search, plain bisection,
-and iterative local grid refinement.  None of them share code with the
-package's own solvers.
+iterative local grid refinement, and a simulator step loop that runs one
+(budget, batch, momentum) group at a time.  None of them share code with
+the package's own solvers; the simulator reference takes only the
+objective, the noise sampler and the polar factor from the package.
 """
 
 import math
+
+import numpy as np
+
+from lmoscale.sim import (
+    NormKind,
+    _noise_factory,
+    _Objective,
+    integer_batch,
+    momentum_update,
+    polar_factor,
+)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -66,3 +79,116 @@ def refine_min(f, start, rounds=70, span=4.0, n=9):
             x[key] = candidates[min(range(n), key=values.__getitem__)]
         half *= 0.7
     return x, f(x)
+
+
+# --------------------------------------------------------------------------
+# Simulator reference: one group at a time, a fresh array per operation.
+
+
+def _reference_directions(m, norm, var_ndim):
+    if norm is NormKind.EUCLIDEAN:
+        axes = tuple(range(-var_ndim, 0))
+        scale = np.sqrt(np.sum(m * m, axis=axes, keepdims=True))
+        return np.where(scale > 0, -m / np.where(scale > 0, scale, 1.0), 0.0)
+    if norm is NormKind.MAX:
+        return -np.sign(m)
+    return -polar_factor(m)
+
+
+def _reference_dual_norms(g, norm, var_ndim):
+    axes = tuple(range(-var_ndim, 0))
+    if norm is NormKind.EUCLIDEAN:
+        return np.sqrt(np.sum(g * g, axis=axes))
+    if norm is NormKind.MAX:
+        return np.sum(np.abs(g), axis=axes)
+    finite = np.isfinite(g).all(axis=axes)
+    svals = np.linalg.svd(np.where(finite[..., None, None], g, 0.0), compute_uv=False)
+    return np.where(finite, svals.sum(axis=-1), np.inf)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_group(obj, norm, update, etas, alpha, batch, steps, seed_seqs, init,
+                    init_value=None, record=False, chunk=512):
+    """One (budget, batch, momentum) group, run on its own with its own step loop.
+
+    The noise of each generator is drawn in 512-step chunks and stacked, as
+    the simulator did before its groups ran in lockstep.  Returns (best
+    (H, R), aborted (H, R), trace (steps,) or None, final iterates (H, R,
+    *var)).
+    """
+    var_shape = obj.x0.shape
+    var_ndim = obj.x0.ndim
+    h, r = len(etas), len(seed_seqs)
+    gens = [np.random.default_rng(s) for s in seed_seqs]
+    noise = _noise_factory(obj.spec, batch)
+
+    x = np.broadcast_to(obj.x0, (h, r) + var_shape).copy()
+    eta_col = np.asarray(etas, dtype=float).reshape((h, 1) + (1,) * var_ndim)
+    if init == "matched":
+        g0 = obj.grad(obj.x0)
+        if noise is not None:
+            n0 = np.stack([noise(gen, var_shape) for gen in gens])
+        else:
+            n0 = np.zeros((r,) + var_shape)
+        m = np.broadcast_to(g0 + n0, (h, r) + var_shape).copy()
+    elif init == "zero":
+        m = np.zeros((h, r) + var_shape)
+    else:
+        m0 = np.asarray(init_value, dtype=float).reshape(var_shape)
+        m = np.broadcast_to(m0, (h, r) + var_shape).copy()
+
+    best = np.full((h, r), np.inf)
+    aborted = np.zeros((h, r), dtype=bool)
+    trace = np.empty(steps) if record else None
+    done = 0
+    g_true = np.broadcast_to(obj.grad(obj.x0), (h, r) + var_shape)
+    while done < steps:
+        n = min(chunk, steps - done)
+        if noise is not None:
+            draws = np.stack([noise(gen, (n,) + var_shape) for gen in gens], axis=1)
+        else:
+            draws = None
+        for i in range(n):
+            g = g_true if draws is None else g_true + draws[i]
+            m = momentum_update(m, g, alpha)
+            if update == "lmo":
+                x = x + eta_col * _reference_directions(m, norm, var_ndim)
+            else:
+                x = x - eta_col * m
+            g_true = obj.grad(x)
+            norms = _reference_dual_norms(g_true, norm, var_ndim)
+            bad = ~np.isfinite(norms)
+            if bad.any():
+                aborted |= bad
+                norms = np.where(bad, np.inf, norms)
+            np.minimum(best, norms, out=best)
+            if record:
+                trace[done + i] = norms[0, 0]
+        done += n
+    return best, aborted, trace, x
+
+
+def reference_sweep(spec, norm, eta_grid, alpha_grid, b_grid, t_grid, replicates, seed,
+                    update="lmo", init="matched"):
+    """The sweep as one reference_group call per (budget, batch, momentum) group.
+
+    Returns a list of (t, b, alpha, steps, best, aborted, final iterates)
+    in the sweep's point order.
+    """
+    obj = _Objective(spec)
+    etas = np.sort(np.asarray(eta_grid, dtype=float))
+    alphas = np.sort(np.asarray(alpha_grid, dtype=float))
+    batches = sorted(integer_batch(b) for b in np.asarray(b_grid, dtype=float))
+    groups = []
+    for ti, t in enumerate(np.asarray(t_grid, dtype=float)):
+        for bi, b in enumerate(batches):
+            if b > t:
+                continue
+            steps = round(t / b)
+            for ai, alpha in enumerate(alphas):
+                seqs = np.random.SeedSequence([seed, ti, bi, ai]).spawn(replicates)
+                best, aborted, _, x = reference_group(
+                    obj, norm, update, etas, float(alpha), b, steps, seqs, init
+                )
+                groups.append((float(t), b, float(alpha), steps, best, aborted, x))
+    return groups

@@ -319,6 +319,7 @@ def test_top_level_help_and_command_errors(capsys):
         (["plan", "--regime", "joint", "--t", "1e300", "--c2", "1e-200"], "coefficient a1 = 0.0"),
         (["compare-sgd", "--t", "1e308", "--b", "1e300", "--noise-scale", "1e300"],
          "compare-sgd: arithmetic overflow"),
+        (["plan", "--regime", "joint", "--t", "1", "--c1", "1e-320"], "ratio a0/a3 = inf"),
     ],
 )
 def test_float_limit_failures_name_their_cause(capsys, argv, named):

@@ -1,6 +1,7 @@
 """Optimizer laboratory: directions, polar factor, noise, runs, sweeps."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from lmoscale import (
 from lmoscale import sim
 from lmoscale.cli import main
 from lmoscale.sim import MAX_STEPS, _noise_factory, _Objective
+from oracles import reference_group, reference_sweep
 
 QUAD = ObjectiveSpec(kind="noisy-quadratic", noise_sigma=1.0, spectrum=(0.1, 0.5, 1.0))
 
@@ -401,3 +403,110 @@ class TestSweep:
                         (1000.0,), replicates=2, seed=1)
         best = res.best[0]
         assert best.metric == min(p.metric for p in res.points)
+
+
+QUAD5 = dict(kind="noisy-quadratic", spectrum=(0.1, 0.3, 0.5, 0.8, 1.0))
+LOCKSTEP_SPECS = {
+    "gaussian": ObjectiveSpec(noise_sigma=1.0, **QUAD5),
+    "zero-noise": ObjectiveSpec(noise_sigma=0.0, **QUAD5),
+    "stable": ObjectiveSpec(noise_sigma=1.0, noise_kind="stable", stable_alpha=1.5, **QUAD5),
+    "matrix": ObjectiveSpec(kind="matrix-least-squares", noise_sigma=0.5, dims=(4, 3)),
+}
+
+
+class TestLockstep:
+    """The lockstep sweep against the per-group reference loop in tests/oracles.py."""
+
+    @pytest.mark.parametrize("init", ["matched", "zero"])
+    @pytest.mark.parametrize("update", ["lmo", "sgd"])
+    @pytest.mark.parametrize("norm, noise", [
+        (NormKind.MAX, "gaussian"), (NormKind.MAX, "zero-noise"), (NormKind.MAX, "stable"),
+        (NormKind.EUCLIDEAN, "gaussian"), (NormKind.EUCLIDEAN, "zero-noise"),
+        (NormKind.EUCLIDEAN, "stable"), (NormKind.SPECTRAL, "matrix"),
+    ])
+    def test_sweep_equals_per_group_reference(self, monkeypatch, norm, noise, update, init):
+        spec = LOCKSTEP_SPECS[noise]
+        # the largest step size diverges: a normalized step only at the float limit
+        wild = 1e6 if update == "sgd" else 1e308
+        # ragged steps: 2-3 batches x 2 budgets x 2-3 momenta, a batch above a budget
+        if norm is NormKind.SPECTRAL:
+            grids = ((0.01, 0.05, wild), (0.3, 1.0), (4, 16), (64.0, 320.0))
+        else:
+            grids = ((0.003, 0.03, wild), (0.1, 0.5, 1.0), (2, 8, 80), (60.0, 600.0))
+        calls, inner = [], sim._run_batch
+        monkeypatch.setattr(sim, "_run_batch",
+                            lambda *args, **kw: calls.append(inner(*args, **kw)) or calls[-1])
+        res = sweep_sim(spec, norm, *grids, replicates=2, seed=3, update=update, init=init)
+        ref = reference_sweep(spec, norm, *grids, replicates=2, seed=3, update=update,
+                              init=init)
+        assert len(calls) == 1
+        best, aborted, _, x = calls[0]
+        assert len(best) == len(ref)
+        assert [(p.t, p.b, p.alpha, p.steps) for p in res.points] == [
+            (t, b, alpha, steps) for t, b, alpha, steps, *_ in ref for _ in grids[0]
+        ]
+        metrics = np.array([p.metric for p in res.points])
+        assert np.array_equal(metrics, np.concatenate([g[4].mean(axis=1) for g in ref]))
+        for j, (*_, ref_best, ref_aborted, ref_x) in enumerate(ref):
+            assert np.array_equal(best[j], ref_best)
+            assert np.array_equal(aborted[j], ref_aborted)
+            assert np.array_equal(x[j], ref_x, equal_nan=True)
+        # aborted runs sit next to healthy ones
+        assert aborted[:, -1].any() and not aborted[:, 0].any()
+
+    @pytest.mark.parametrize("norm", [NormKind.MAX, NormKind.EUCLIDEAN])
+    def test_short_gaussian_chunks_keep_every_stream(self, monkeypatch, norm):
+        # 12 groups x 2 replicates x 5 coordinates: chunks of 5 steps, so each
+        # generator's draws split at other points than in the reference
+        monkeypatch.setattr(sim, "_NOISE_VALUES", 600)
+        spec = LOCKSTEP_SPECS["gaussian"]
+        grids = ((0.01, 0.1), (0.2, 1.0), (2, 8, 32), (64.0, 416.0))
+        res = sweep_sim(spec, norm, *grids, replicates=2, seed=8)
+        ref = reference_sweep(spec, norm, *grids, replicates=2, seed=8)
+        metrics = np.array([p.metric for p in res.points])
+        assert np.array_equal(metrics, np.concatenate([g[4].mean(axis=1) for g in ref]))
+
+    @pytest.mark.parametrize("noise", ["gaussian", "stable"])
+    @pytest.mark.parametrize("update", ["lmo", "sgd"])
+    def test_run_trace_and_final_value_match_reference(self, noise, update):
+        spec = LOCKSTEP_SPECS[noise]
+        cfg = LmoConfig(norm=NormKind.EUCLIDEAN, eta=0.02, alpha=0.3, batch=4, steps=700,
+                        seed=12, update=update)
+        r = run(spec, cfg)
+        obj = _Objective(spec)
+        best, aborted, trace, x = reference_group(
+            obj, cfg.norm, update, [cfg.eta], cfg.alpha, cfg.batch, cfg.steps,
+            [np.random.SeedSequence(cfg.seed)], cfg.init, record=True)
+        assert np.array_equal(r.grad_norms, trace)
+        assert r.final_value == obj.value(x[0, 0])
+        assert r.min_grad_norm == best[0, 0] and r.aborted == aborted[0, 0]
+
+    def test_best_breaks_ties_across_batches_and_momenta(self):
+        # noiseless sign descent with eta 1.5 on 0.5 x^2 from x = 1 walks the
+        # lattice 1 - 1.5 k, so every run's minimum gradient is exactly 0.5
+        spec = ObjectiveSpec(kind="noisy-quadratic", noise_sigma=0.0, spectrum=(1.0,))
+        res = sweep_sim(spec, NormKind.MAX, (1.5,), (0.1, 0.5, 1.0), (2, 4, 8), (16.0, 64.0),
+                        replicates=2, seed=0)
+        assert {p.metric for p in res.points} == {0.5}
+        assert [(p.t, p.b, p.alpha) for p in res.best] == [(16.0, 2, 1.0), (64.0, 2, 1.0)]
+        for t, best in zip((16.0, 64.0), res.best):
+            at_t = [p for p in res.points if p.t == t]
+            assert best == min(at_t, key=lambda p: (p.metric, p.b, p.eta, -p.alpha))
+
+    def test_lockstep_peak_memory_stays_under_one_reference_group(self):
+        spec = ObjectiveSpec(kind="noisy-quadratic", noise_sigma=1.0,
+                             spectrum=tuple(np.geomspace(0.05, 1.0, 80)))
+        etas, seqs = (0.001, 0.01), np.random.SeedSequence(0).spawn(32)
+        tracemalloc.start()
+        try:
+            reference_group(_Objective(spec), NormKind.MAX, "lmo", etas, 0.1, 8, 512, seqs,
+                            "matched")
+            _, group_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            res = sweep_sim(spec, NormKind.MAX, etas, (0.03, 0.1, 1.0), (8, 16, 32),
+                            (2048.0, 4096.0), replicates=32, seed=0)
+            _, sweep_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len({(p.t, p.b, p.alpha) for p in res.points}) == 18
+        assert sweep_peak <= group_peak
