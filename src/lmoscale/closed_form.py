@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NumericalError, _require
 from .proxy import (SMOOTHNESS_WEIGHT, BoundConstants, Budget, eta_coefficients,
                     smoothness_weight, token_terms)
-from .schedules import PowerLawSchedule
+from .schedules import PowerLawSchedule, aggressive_ceiling
 
 __all__ = [
     "FixedMomentumOptimum",
@@ -203,9 +203,6 @@ class CubicCoefficients:
     def evaluate(self, x: float) -> float:
         return (self.a3 * x * x - self.a1) * x - self.a0
 
-    def derivative(self, x: float) -> float:
-        return 3.0 * self.a3 * x * x - self.a1
-
 
 def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
     """Cubic whose positive root is the jointly optimal momentum complement."""
@@ -219,45 +216,43 @@ def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
         if not 0.0 < value < math.inf:
             raise NumericalError(f"momentum cubic coefficient {name} = {value} leaves the float "
                                  f"range {constants}")
-    # the root bracket scales with a0 / a3 and a1 / a3, which overflow for a subnormal a3
+    # the solver works in p = a1 / a3 and q = a0 / a3, which overflow or underflow
+    # when a3 is far smaller or larger than a1 and a0
     for name in ("a0", "a1"):
         ratio = coefficients[name] / coefficients["a3"]
-        if ratio == math.inf:
-            raise NumericalError(f"momentum cubic ratio {name}/a3 = {ratio} overflows {constants}")
+        if not 0.0 < ratio < math.inf:
+            raise NumericalError(f"momentum cubic ratio {name}/a3 = {ratio} leaves the float "
+                                 f"range {constants}")
     return CubicCoefficients(**coefficients)
 
 
 def solve_momentum_cubic(cubic: CubicCoefficients) -> tuple[float, float]:
-    """Unique positive root of the cubic and its a3-normalized residual.
+    """Unique positive root x of the cubic and its relative residual.
 
-    Bisection on a bracket that provably straddles the root (the polynomial
-    is negative at half the cube-root lower bound and positive at twice the
-    larger of the two single-term roots), then a few Newton polish steps.
+    The root of x^3 - p x - q with p = a1 / a3 and q = a0 / a3 in closed form
+    (Kahan, "To Solve a Real Cubic Equation", 1986), then two Newton steps.
+    It is solved as y^3 - P y - Q in y = x / s, with s the power of two just
+    above max(q^(1/3), p^(1/2)): the scaling is exact, and P = p / s^2 and
+    Q = q / s^3 are at most 1, so Q^2 and P^3 cannot overflow.  With
+    Q^2 / 4 >= P^3 / 27 the root is Cardano's w + P / (3 w), written without
+    cancellation; otherwise it is the largest of three real roots, in
+    trigonometric form.  The residual is |f(x)| / (a3 x^3 + a1 x + a0), a
+    scale-free measure that stays finite at the float limits.
     """
-    a3, a1, a0 = cubic.a3, cubic.a1, cubic.a0
-    lo = (a0 / a3) ** (1.0 / 3.0) / 2.0
-    hi = 2.0 * max((a0 / a3) ** (1.0 / 3.0), math.sqrt(a1 / a3))
-    if not (cubic.evaluate(lo) < 0 and cubic.evaluate(hi) > 0):
-        raise NumericalError(
-            f"cubic bracket [{lo}, {hi}] does not straddle the root"
-        )
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if cubic.evaluate(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        slope = cubic.derivative(x)
-        if slope <= 0:
-            break
-        step = cubic.evaluate(x) / slope
-        candidate = x - step
-        if not lo <= candidate <= hi:
-            break
-        x = candidate
-    return x, abs(cubic.evaluate(x)) / a3
+    p, q = cubic.a1 / cubic.a3, cubic.a0 / cubic.a3
+    s = math.ldexp(1.0, math.frexp(max(q ** (1.0 / 3.0), math.sqrt(p)))[1])
+    big_p, big_q = p / s / s, q / s / s / s
+    disc = big_q * big_q / 4.0 - big_p**3 / 27.0
+    if disc >= 0.0:
+        w = (big_q / 2.0 + math.sqrt(disc)) ** (1.0 / 3.0)
+        y = w + big_p / (3.0 * w)
+    else:
+        # min() keeps a rounded argument inside acos's domain
+        cos3 = min(1.0, big_q / 2.0 * (3.0 / big_p) ** 1.5)
+        y = 2.0 * math.sqrt(big_p / 3.0) * math.cos(math.acos(cos3) / 3.0)
+    for _ in range(2):
+        y -= ((y * y - big_p) * y - big_q) / (3.0 * y * y - big_p)
+    return s * y, abs((y * y - big_p) * y - big_q) / ((y * y + big_p) * y + big_q)
 
 
 def asymptotic_momentum_terms(c: BoundConstants) -> tuple[float, float]:
@@ -313,9 +308,11 @@ class JointOptimum:
     """Jointly tuned (eta, alpha, b) at a token budget on the exact bound.
 
     ``alpha_root`` is the raw cubic root; ``alpha_star`` is the value after
-    clamping into (0, 1].  ``asymptotic_alpha`` is the two-term expansion,
-    reported alongside the exact back-substituted optimum because the
-    landscape in b is flat enough that hidden constants matter.
+    clamping into (0, 1].  ``cubic_residual`` is the root's relative residual
+    |f(x)| / (a3 x^3 + a1 x + a0), a few 1e-16 at most.  ``asymptotic_alpha``
+    is the two-term expansion, reported alongside the exact back-substituted
+    optimum because the landscape in b is flat enough that hidden constants
+    matter.
     """
 
     alpha_star: float
@@ -420,8 +417,7 @@ def batch_growth_plan(phi: float) -> BatchPathPlan:
         return BatchPathPlan(
             phi=phi, schedule=schedule, rate_exponent=0.25, regime="near-optimal"
         )
-    ceiling = (1.0 - phi) / 2.0
-    schedule = PowerLawSchedule(b_exp=phi, alpha_exp=0.0, eta_exp=ceiling)
-    return BatchPathPlan(
-        phi=phi, schedule=schedule, rate_exponent=ceiling, regime="iteration-limited"
-    )
+    ceiling = aggressive_ceiling(phi)
+    schedule = PowerLawSchedule(b_exp=phi, alpha_exp=0.0, eta_exp=ceiling.delta_star)
+    return BatchPathPlan(phi=phi, schedule=schedule, rate_exponent=ceiling.rate_exponent,
+                         regime="iteration-limited")

@@ -60,6 +60,17 @@ class ContourConstants:
         return (self.c_floor / target) ** 2
 
 
+def _det_part(cc: ContourConstants, k: float, eta_floor: float | None) -> float:
+    """b-free step-size part D(k) of the tuned bound D(k) + (c_burn / k + c_floor) / sqrt(b)."""
+    if eta_floor is None:
+        return cc.c_det / math.sqrt(k)
+    _require(eta_floor > 0, f"eta_floor must be > 0, got {eta_floor}")
+    c = cc.constants
+    weight = smoothness_weight(c, cc.alpha, True)
+    eta = max(math.sqrt(c.delta0 / (k * weight)), eta_floor)
+    return c.delta0 / (eta * k) + weight * eta
+
+
 def tuned_bound(cc: ContourConstants, b: float, k: float, eta_floor: float | None = None) -> float:
     """Step-size-tuned bound value at (batch, steps).
 
@@ -70,15 +81,7 @@ def tuned_bound(cc: ContourConstants, b: float, k: float, eta_floor: float | Non
     """
     _require(b >= 1, f"b must be >= 1, got {b}")
     _require(k >= 1, f"k must be >= 1, got {k}")
-    if eta_floor is None:
-        det = cc.c_det / math.sqrt(k)
-    else:
-        _require(eta_floor > 0, f"eta_floor must be > 0, got {eta_floor}")
-        c = cc.constants
-        weight = smoothness_weight(c, cc.alpha, True)
-        eta = max(math.sqrt(c.delta0 / (k * weight)), eta_floor)
-        det = c.delta0 / (eta * k) + weight * eta
-    return det + cc.c_burn / (k * math.sqrt(b)) + cc.c_floor / math.sqrt(b)
+    return _det_part(cc, k, eta_floor) + cc.c_burn / (k * math.sqrt(b)) + cc.c_floor / math.sqrt(b)
 
 
 # the term that dominates a contour point: descent, burn-in, noise floor
@@ -117,11 +120,12 @@ def level_set(
 ) -> LevelSet:
     """Solve tuned_bound(b, k) = target for b at each step count.
 
-    The tuned bound is strictly decreasing in b, so bisection in log b is
-    exact; 80 halvings pin the batch to machine precision.  Step counts at
-    which the contour is unreachable (k below the iteration minimum, or the
-    whole b >= 1 range already below the target) are skipped; an entirely
-    empty contour raises.
+    At fixed k the tuned bound is D(k) + E(k) / sqrt(b) with
+    E = c_burn / k + c_floor, so the batch on the level is
+    b = (E / (target - D))^2 in closed form.  Step counts at which the
+    contour is unreachable (the whole b >= 1 range already below the target,
+    k at or below the iteration minimum where target <= D, or a batch past
+    the float range) are skipped; an entirely empty contour raises.
 
     ``k0`` is the geometric mean of the solved step counts, the
     representative scale of the shifted-hyperbola approximation
@@ -131,38 +135,22 @@ def level_set(
     """
     _require(target > 0, f"target must be > 0, got {target}")
     points: list[LevelPoint] = []
-
-    def value(b: float, k: float) -> float:
-        return tuned_bound(cc, b, k, eta_floor)
-
     for k in np.asarray(k_grid, dtype=float):
         k = float(k)
         if k < 1:
             continue
-        if value(1.0, k) < target:
+        if tuned_bound(cc, 1.0, k, eta_floor) < target:
             continue  # contour sits below the b >= 1 boundary at this k
-        lo_log, hi_log = 0.0, math.log(4.0)
-        # expand until the bound drops below the target; fails when even
-        # huge batches cannot reach it (k at or below the iteration minimum)
-        feasible = False
-        while hi_log <= 700.0:
-            if value(math.exp(hi_log), k) < target:
-                feasible = True
-                break
-            lo_log = hi_log
-            hi_log *= 2.0
-        if not feasible:
+        det = _det_part(cc, k, eta_floor)
+        if target <= det:
+            continue  # not even an unbounded batch reaches the target
+        root_b = (cc.c_burn / k + cc.c_floor) / (target - det)
+        b = root_b * root_b  # float ** raises OverflowError where * gives inf
+        if not math.isfinite(b):
             continue
-        for _ in range(80):
-            mid = 0.5 * (lo_log + hi_log)
-            if value(math.exp(mid), k) < target:
-                hi_log = mid
-            else:
-                lo_log = mid
-        b = math.exp(0.5 * (lo_log + hi_log))
-        total = value(b, k)
-        burn, floor = cc.c_burn / (k * math.sqrt(b)), cc.c_floor / math.sqrt(b)
-        fractions = ((total - burn - floor) / total, burn / total, floor / total)
+        burn, floor = cc.c_burn / (k * root_b), cc.c_floor / root_b
+        total = det + burn + floor
+        fractions = (det / total, burn / total, floor / total)
         points.append(LevelPoint(k, b, REGIMES[fractions.index(max(fractions))], *fractions))
     if not points:
         raise InfeasibleError(

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, round trips, config handling, exit codes."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -320,6 +321,7 @@ def test_top_level_help_and_command_errors(capsys):
         (["compare-sgd", "--t", "1e308", "--b", "1e300", "--noise-scale", "1e300"],
          "compare-sgd: arithmetic overflow"),
         (["plan", "--regime", "joint", "--t", "1", "--c1", "1e-320"], "ratio a0/a3 = inf"),
+        (["plan", "--regime", "joint", "--t", "1e30", "--c2", "1e-150"], "ratio a0/a3 = 0.0"),
     ],
 )
 def test_float_limit_failures_name_their_cause(capsys, argv, named):
@@ -329,6 +331,14 @@ def test_float_limit_failures_name_their_cause(capsys, argv, named):
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["exit_code"] == 4 and named in doc["error"]
+
+
+@pytest.mark.parametrize("c1", ["2e-309", "1e-300"])
+def test_joint_plan_at_a_tiny_a3_reports_a_finite_residual(capsys, c1):
+    code, out, err = run_cli(capsys, "plan", "--regime", "joint", "--t", "1", "--c1", c1)
+    assert code == 0 and err == ""
+    residual = json.loads(out)["cubic_residual"]
+    assert math.isfinite(residual) and 0.0 <= residual <= 1e-15
 
 
 def test_simulate_rejects_a_budget_beyond_the_step_limit(capsys):

@@ -25,6 +25,7 @@ from lmoscale import (
     optimal_fixed_momentum_steps,
     optimal_fixed_momentum_tokens,
     optimal_joint,
+    rate_exponents,
     risk_large_horizon,
     solve_momentum_cubic,
     tuned_risk_prefactor,
@@ -305,6 +306,12 @@ class TestCorollaries:
         assert fast.regime == "iteration-limited"
         with pytest.raises(DomainError):
             batch_growth_plan(1.0)
+
+    def test_batch_growth_plan_rate_is_its_schedules_rate(self):
+        for phi in [*np.linspace(0.0, 0.999, 334), 0.05, 0.35, 0.5, np.nextafter(1.0, 0.0)]:
+            plan = batch_growth_plan(float(phi))
+            overall = rate_exponents(plan.schedule).overall
+            assert overall == pytest.approx(plan.rate_exponent, rel=0, abs=1e-15), phi
 
 
 class TestCubicSolverEdgeCases:
