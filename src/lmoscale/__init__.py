@@ -64,6 +64,7 @@ from .schedules import (
     PathExponents,
     PowerLawSchedule,
     RateExponents,
+    TunedLaw,
     aggressive_ceiling,
     effective_eta_exponent,
     noise_exponent_sensitivity,

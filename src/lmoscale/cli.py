@@ -14,8 +14,8 @@ JSON or as a versioned CSV; ``records_from_csv`` reads any such CSV back
 into its records through ``_TABLES``, the table the writer uses.  The
 other documents are JSON built from the fields of the result dataclasses.
 Exit codes: 0 ok, 2 invalid input (argument errors included; non-finite
-numbers are rejected), 3 infeasible request, 4 numerical failure.  Every
-failure writes one JSON line to stderr.
+numbers are rejected), 3 infeasible request, 4 numerical failure or memory
+exhaustion.  Every failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
         Opt("phi", float, None, help="batch-growth exponent (ceiling mode)"),
         Opt("q", float, None, help="mini-batch noise exponent (noise mode)"),
         Opt("tail-p", float, None, help="heavy-tail moment index, sets q = 1 - 1/p"),
-        Opt("sigma-q", float, 1.0),
         Opt("init-error", float, None, help="momentum start error for non-matched starts"),
         Opt("b", float, 1.0, help="batch size for the noise-mode point evaluation"),
         Opt("t", float, 1e12, help="token budget for the noise-mode point evaluation"),
@@ -404,9 +403,9 @@ def _cmd_analyze(v: dict) -> None:
         body = _fields(schedules.aggressive_ceiling(v["phi"]))
     elif mode == "noise":
         if v["tail_p"] is not None:
-            model = schedules.NoiseModel.heavy_tailed(v["tail_p"], v["sigma_q"])
+            model = schedules.NoiseModel.heavy_tailed(v["tail_p"])
         elif v["q"] is not None:
-            model = schedules.NoiseModel(v["q"], v["sigma_q"], init_error=v["init_error"])
+            model = schedules.NoiseModel(v["q"], init_error=v["init_error"])
         else:
             raise DomainError("noise mode needs --q or --tail-p")
         body = _fields(schedules.noise_exponent_sensitivity(model, v["b"], v["t"]))
@@ -518,6 +517,9 @@ def main(argv: list[str] | None = None) -> int:
         kind = _ARITHMETIC.get(type(exc), "error")
         return _fail(EXIT_NUMERICAL, f"{args.command}: arithmetic {kind}; an input is too large "
                                      "or too small for 64-bit floats")
+    except MemoryError:
+        return _fail(EXIT_NUMERICAL, f"{args.command}: out of memory; ask for fewer grid points, "
+                                     "step counts or replicates")
     return EXIT_OK
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericalError, _require
+from .errors import BudgetTooSmallError, DomainError, NumericalError, _require
 from .proxy import (SMOOTHNESS_WEIGHT, BoundConstants, Budget, eta_coefficients,
                     smoothness_weight, token_terms)
-from .schedules import PowerLawSchedule, aggressive_ceiling
+from .schedules import PowerLawSchedule, TunedLaw, aggressive_ceiling
 
 __all__ = [
     "FixedMomentumOptimum",
@@ -66,6 +66,11 @@ class FixedMomentumOptimum:
     objective: str = "risk_large_horizon"
 
 
+def _at_steps(c: BoundConstants, c2e: float, c3e: float, b: float, k: float) -> tuple:
+    """(eta*, risk*) at fixed momentum, batch and step count K."""
+    return math.sqrt(c.c1 / (c3e * k)), 2.0 * math.sqrt(c.c1 * c3e / k) + c2e / math.sqrt(b)
+
+
 def optimal_fixed_momentum_steps(
     c: BoundConstants, alpha: float, b: float, k: float
 ) -> FixedMomentumOptimum:
@@ -76,9 +81,7 @@ def optimal_fixed_momentum_steps(
     """
     _require(k >= 1, f"k must be >= 1, got {k}")
     _require(b >= 1, f"b must be >= 1, got {b}")
-    c2e, c3e = effective_constants(c, alpha)
-    eta = math.sqrt(c.c1 / (c3e * k))
-    risk = 2.0 * math.sqrt(c.c1 * c3e / k) + c2e / math.sqrt(b)
+    eta, risk = _at_steps(c, *effective_constants(c, alpha), b, k)
     return FixedMomentumOptimum(eta_star=eta, risk_star=risk, regime="steps")
 
 
@@ -87,8 +90,8 @@ def optimal_fixed_momentum_tokens(
 ) -> FixedMomentumOptimum:
     """Token-budget optimum at fixed momentum.
 
-    With ``b`` given, tunes eta alone: eta* = sqrt(c1 b / (c3_eff T)).
-    Otherwise tunes (eta, b) jointly:
+    With ``b`` given, tunes eta alone, as the step optimum at K = T / b >= 1
+    (else ``BudgetTooSmallError``).  Otherwise tunes (eta, b) jointly:
 
         b*    = c2_eff / (2 sqrt(c1 c3_eff)) * sqrt(T)
         eta*  = c1^(1/4) c2_eff^(1/2) / (sqrt(2) c3_eff^(3/4)) * T^(-1/4)
@@ -99,26 +102,25 @@ def optimal_fixed_momentum_tokens(
     """
     _require(t >= 1, f"t must be >= 1, got {t}")
     c2e, c3e = effective_constants(c, alpha)
-
-    def fixed_b(batch: float, clamped: bool, regime: str) -> FixedMomentumOptimum:
-        eta = math.sqrt(c.c1 * batch / (c3e * t))
-        risk = 2.0 * math.sqrt(c.c1 * c3e * batch / t) + c2e / math.sqrt(batch)
-        return FixedMomentumOptimum(
-            eta_star=eta, risk_star=risk, regime=regime, b_star=batch, clamped=clamped
-        )
-
-    if b is not None:
+    regime, clamped = "tokens-fixed-batch", False
+    if b is None:
+        b_star = c2e / (2.0 * math.sqrt(c.c1 * c3e)) * math.sqrt(t)
+        if b_star < 1.0:
+            b, regime, clamped = 1.0, "tokens-joint-batch", True
+        else:
+            eta = c.c1**0.25 * math.sqrt(c2e) / (math.sqrt(2.0) * c3e**0.75) * t**-0.25
+            risk = 2.0 * math.sqrt(2.0) * (c.c1 * c3e) ** 0.25 * math.sqrt(c2e) * t**-0.25
+            return FixedMomentumOptimum(
+                eta_star=eta, risk_star=risk, regime="tokens-joint-batch", b_star=b_star
+            )
+    else:
         _require(b >= 1, f"b must be >= 1, got {b}")
-        return fixed_b(b, clamped=False, regime="tokens-fixed-batch")
-
-    b_star = c2e / (2.0 * math.sqrt(c.c1 * c3e)) * math.sqrt(t)
-    if b_star < 1.0:
-        return fixed_b(1.0, clamped=True, regime="tokens-joint-batch")
-    eta = c.c1**0.25 * math.sqrt(c2e) / (math.sqrt(2.0) * c3e**0.75) * t**-0.25
-    risk = 2.0 * math.sqrt(2.0) * (c.c1 * c3e) ** 0.25 * math.sqrt(c2e) * t**-0.25
-    return FixedMomentumOptimum(
-        eta_star=eta, risk_star=risk, regime="tokens-joint-batch", b_star=b_star
-    )
+        if t < b:
+            raise BudgetTooSmallError(f"token budget {t} is below batch size {b}; "
+                                      "not even one step fits")
+    eta, risk = _at_steps(c, c2e, c3e, b, t / b)
+    return FixedMomentumOptimum(eta_star=eta, risk_star=risk, regime=regime, b_star=b,
+                                clamped=clamped)
 
 
 @dataclass(frozen=True)
@@ -406,18 +408,15 @@ class BatchPathPlan:
 def batch_growth_plan(phi: float) -> BatchPathPlan:
     """Best (gamma, delta) schedule for batch growth b ~ T^phi, phi in [0, 1).
 
-    Up to phi = 1/2 the momentum-matched schedule alpha ~ b(T)/sqrt(T),
-    eta ~ b(T)/T^(3/4) keeps the full T^(-1/4) rate.  Faster batch growth
-    caps the rate at T^(-(1-phi)/2) with constant momentum.
+    Up to phi = 1/2 the ``TunedLaw.TUNED_MOMENTUM`` schedule keeps the full
+    T^(-1/4) rate.  Faster batch growth follows ``TunedLaw.FIXED_MOMENTUM``
+    and caps the rate at T^(-(1-phi)/2) (``aggressive_ceiling``).
     """
     if not 0.0 <= phi < 1.0:
         raise DomainError(f"phi must be in [0, 1), got {phi}")
     if phi <= 0.5:
-        schedule = PowerLawSchedule(b_exp=phi, alpha_exp=0.5 - phi, eta_exp=0.75 - phi)
-        return BatchPathPlan(
-            phi=phi, schedule=schedule, rate_exponent=0.25, regime="near-optimal"
-        )
-    ceiling = aggressive_ceiling(phi)
-    schedule = PowerLawSchedule(b_exp=phi, alpha_exp=0.0, eta_exp=ceiling.delta_star)
-    return BatchPathPlan(phi=phi, schedule=schedule, rate_exponent=ceiling.rate_exponent,
+        return BatchPathPlan(phi=phi, schedule=TunedLaw.TUNED_MOMENTUM.schedule(phi),
+                             rate_exponent=0.25, regime="near-optimal")
+    return BatchPathPlan(phi=phi, schedule=TunedLaw.FIXED_MOMENTUM.schedule(phi),
+                         rate_exponent=aggressive_ceiling(phi).rate_exponent,
                          regime="iteration-limited")

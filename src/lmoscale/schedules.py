@@ -1,10 +1,10 @@
 """Power-law rate calculus for hyperparameter schedules.
 
+Every schedule and transfer rule takes its exponents from ``TunedLaw``.
 Given schedules b ~ T^phi, alpha ~ T^-gamma, eta ~ T^-delta, each of the
-five bound terms decays (or grows) with its own token exponent.  This module
-computes those exponents, the ceiling under aggressive batch growth, the
-sensitivity of the tuning rules to the mini-batch noise exponent, and the
-effective step-size exponent measured along a batch-growth path.
+five bound terms decays with its own token exponent; this module computes
+those, the ceiling under aggressive batch growth, the noise-exponent
+sensitivity of the tuning rules, and the step-size exponent along a path.
 
 Pure calculators only: nothing here fits exponents from data.
 """
@@ -12,11 +12,13 @@ Pure calculators only: nothing here fits exponents from data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import DomainError
 
 __all__ = [
     "PowerLawSchedule",
+    "TunedLaw",
     "RateExponents",
     "AggressiveCeiling",
     "NoiseModel",
@@ -47,6 +49,29 @@ class PowerLawSchedule:
     def __post_init__(self) -> None:
         if not 0.0 <= self.b_exp <= 1.0:
             raise DomainError(f"b_exp must be in [0, 1], got {self.b_exp}")
+
+
+class TunedLaw(Enum):
+    """The tuned laws eta* ~ b^eta_b / T^eta_t and alpha* ~ b^alpha_b / T^alpha_t.
+
+    The bound yields three.  Fixed momentum is the square-root rule (Malladi
+    et al., 2022) and SGD the linear rule (Goyal et al., 2017); momentum
+    tuned at a fixed batch is the only law with alpha_b, alpha_t != 0.
+    """
+
+    #               eta_b, eta_t, alpha_b, alpha_t
+    FIXED_MOMENTUM = (0.5, 0.5, 0.0, 0.0)
+    TUNED_MOMENTUM = (1.0, 0.75, 1.0, 0.5)
+    SGD = (1.0, 0.5, 0.0, 0.0)
+
+    def __init__(self, eta_b: float, eta_t: float, alpha_b: float, alpha_t: float) -> None:
+        self.eta_b, self.eta_t, self.alpha_b, self.alpha_t = eta_b, eta_t, alpha_b, alpha_t
+        self.tunes_momentum = alpha_b != 0.0 or alpha_t != 0.0
+
+    def schedule(self, phi: float) -> PowerLawSchedule:
+        """The law along the batch path b ~ T^phi: b^x / T^y decays as T^-(y - x phi)."""
+        return PowerLawSchedule(phi, self.alpha_t - self.alpha_b * phi,
+                                self.eta_t - self.eta_b * phi)
 
 
 @dataclass(frozen=True)
@@ -104,7 +129,7 @@ def aggressive_ceiling(phi: float) -> AggressiveCeiling:
     """Balancing step-size exponent and rate ceiling for phi in (1/2, 1)."""
     if not 0.5 < phi < 1.0:
         raise DomainError(f"phi must be in (1/2, 1), got {phi}")
-    delta_star = (1.0 - phi) / 2.0
+    delta_star = TunedLaw.FIXED_MOMENTUM.schedule(phi).eta_exp
     return AggressiveCeiling(
         phi=phi, delta_star=delta_star, rate_exponent=delta_star, k_exponent=1.0 - phi
     )
@@ -112,7 +137,7 @@ def aggressive_ceiling(phi: float) -> AggressiveCeiling:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Mini-batch noise magnitude ~ sigma_q / b^q.
+    """Mini-batch noise magnitude ~ b^-q.
 
     q = 1/2 is the independent bounded-variance case.  A heavy-tail moment
     index p in (1, 2] induces q = 1 - 1/p.  ``init_error`` is an optional
@@ -122,15 +147,12 @@ class NoiseModel:
     """
 
     q: float
-    sigma_q: float = 1.0
     heavy_tail_p: float | None = None
     init_error: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q <= 1.0:
             raise DomainError(f"q must be in (0, 1], got {self.q}")
-        if self.sigma_q <= 0:
-            raise DomainError(f"sigma_q must be > 0, got {self.sigma_q}")
         if self.heavy_tail_p is not None:
             p = self.heavy_tail_p
             if not 1.0 < p <= 2.0:
@@ -141,8 +163,8 @@ class NoiseModel:
                 )
 
     @classmethod
-    def heavy_tailed(cls, p: float, sigma_q: float = 1.0) -> "NoiseModel":
-        return cls(q=1.0 - 1.0 / p, sigma_q=sigma_q, heavy_tail_p=p)
+    def heavy_tailed(cls, p: float) -> "NoiseModel":
+        return cls(q=1.0 - 1.0 / p, heavy_tail_p=p)
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,16 @@ def _noise_factory(spec: ObjectiveSpec, batch: int):
     return stable
 
 
+def _check_settings(etas, alphas, update: str, init: str, inits: tuple[str, ...]) -> None:
+    """Reject step sizes, momenta, updates and inits that a run cannot take."""
+    for eta in etas:
+        _require(math.isfinite(eta) and eta > 0, f"eta must be finite and > 0, got {eta}")
+    for alpha in alphas:
+        _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
+    _require(update in ("lmo", "sgd"), f"update must be one of ('lmo', 'sgd'), got {update!r}")
+    _require(init in inits, f"init must be one of {inits}, got {init!r}")
+
+
 @dataclass(frozen=True)
 class LmoConfig:
     """One simulator run: geometry, hyperparameters, horizon, seeding.
@@ -238,15 +248,13 @@ class LmoConfig:
     update: str = "lmo"
 
     def __post_init__(self) -> None:
-        _require(self.eta > 0, f"eta must be > 0, got {self.eta}")
-        _require(0 < self.alpha <= 1, f"alpha must be in (0, 1], got {self.alpha}")
+        _check_settings((self.eta,), (self.alpha,), self.update, self.init,
+                        ("matched", "zero", "custom"))
         _require(isinstance(self.batch, int) and self.batch >= 1,
                  f"batch must be an integer >= 1, got {self.batch!r}")
         _require(self.steps >= 1, f"steps must be >= 1, got {self.steps}")
-        _require(self.init in ("matched", "zero", "custom"), f"unknown init {self.init!r}")
         if self.init == "custom":
             _require(self.init_value is not None, "custom init needs init_value")
-        _require(self.update in ("lmo", "sgd"), f"unknown update {self.update!r}")
 
 
 @dataclass(eq=False)
@@ -479,25 +487,27 @@ def sweep_sim(
 ) -> SimSweepResult:
     """Empirical sweep: argmin of the replicate-averaged metric per budget.
 
-    Step counts are round(t / b), at most ``MAX_STEPS``; a longer run is
-    rejected before any step.  As in the grid oracle, a batch larger
-    than a budget is skipped at that budget (not even one step fits), and
-    a budget below every batch raises ``BudgetTooSmallError``.  Runs at one
-    (budget, batch, momentum) point share their noise streams across the
-    step-size axis (common random numbers), with replicate generators
-    derived from (seed, budget index, batch index, momentum index,
-    replicate).  All groups advance together in one lockstep step loop
-    (see ``_run_batch``); each generator keeps its own stream, so every
-    metric equals that of the group run on its own.
+    Step sizes must be finite and > 0, momenta in (0, 1] and ``init``
+    "matched" or "zero".  Step counts are round(t / b), at most
+    ``MAX_STEPS``; a longer run is rejected before any step.  As in the grid
+    oracle, a batch larger than a budget is skipped at that budget (not even
+    one step fits), and a budget below every batch raises
+    ``BudgetTooSmallError``.  Runs at one (budget, batch, momentum) point
+    share their noise streams across the step-size axis (common random
+    numbers), with replicate generators derived from (seed, budget index,
+    batch index, momentum index, replicate).  All groups advance together in
+    one lockstep step loop (see ``_run_batch``); each generator keeps its
+    own stream, so every metric equals that of the group run on its own.
     Points are ordered by (budget, batch, momentum, step size).  The best
     record of a budget is the argmin over the points at that budget value;
     ties break toward the smallest batch, then the smallest step size,
     then the largest momentum complement.
     """
     _require(replicates >= 1, f"replicates must be >= 1, got {replicates}")
-    obj = _Objective(spec)
     etas = np.sort(np.asarray(eta_grid, dtype=float))
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
+    _check_settings(etas, alphas, update, init, ("matched", "zero"))
+    obj = _Objective(spec)
     batches = sorted(integer_batch(b) for b in np.asarray(b_grid, dtype=float))
     budgets = np.asarray(t_grid, dtype=float)
     if budgets.min() < batches[0]:

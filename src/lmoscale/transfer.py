@@ -1,20 +1,19 @@
 """Budget-transfer rules: extrapolate a tuned configuration to a longer run.
 
-A configuration tuned at token budget T0 is rescaled to T1 >= T0 by the
-power laws of the regime it was tuned in.  Infeasible extrapolations are
-clamped and flagged rather than rejected, so callers choose the policy.
-Batch sizes stay real-valued here; rounding to integers belongs at the
-simulator boundary.
+A configuration tuned at token budget T0 is rescaled to T1 >= T0 by a
+tuned law of ``schedules.TunedLaw``, x1 = x0 (b1/b0)^x (t0/t1)^y, at the
+regime's or the caller's b1.  Infeasible extrapolations are clamped and
+flagged rather than rejected, so callers choose the policy.  Batch sizes
+stay real-valued here; rounding belongs at the simulator boundary.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, _require
-from .schedules import PowerLawSchedule
+from .schedules import TunedLaw
 
 __all__ = [
     "TransferRegime",
@@ -38,16 +37,20 @@ class TransferRegime(Enum):
     SGD = "sgd"
 
 
-# Exponents (phi, gamma, delta) of b ~ T^phi, alpha ~ T^-gamma, eta ~ T^-delta
-# that each regime tunes along: A eta alone, B (alpha, eta) at fixed batch,
-# C (b, eta) at fixed momentum, D all three; SGD rescales eta like A.
-REGIME_SCHEDULES = {
-    TransferRegime.FIXED_BATCH_FIXED_MOMENTUM: PowerLawSchedule(0.0, 0.0, 0.5),
-    TransferRegime.FIXED_BATCH_TUNED_MOMENTUM: PowerLawSchedule(0.0, 0.5, 0.75),
-    TransferRegime.TUNED_BATCH_FIXED_MOMENTUM: PowerLawSchedule(0.5, 0.0, 0.25),
-    TransferRegime.JOINT: PowerLawSchedule(1.0 / 6.0, 1.0 / 3.0, 7.0 / 12.0),
-    TransferRegime.SGD: PowerLawSchedule(0.0, 0.0, 0.5),
+# (tuned law, batch exponent phi of b ~ T^phi) of each regime: A tunes eta
+# alone, B (alpha, eta) at fixed batch, C (b, eta) at fixed momentum, D all
+# three; SGD tunes eta like A under the SGD law.
+_REGIME_LAWS = {
+    TransferRegime.FIXED_BATCH_FIXED_MOMENTUM: (TunedLaw.FIXED_MOMENTUM, 0.0),
+    TransferRegime.FIXED_BATCH_TUNED_MOMENTUM: (TunedLaw.TUNED_MOMENTUM, 0.0),
+    TransferRegime.TUNED_BATCH_FIXED_MOMENTUM: (TunedLaw.FIXED_MOMENTUM, 0.5),
+    TransferRegime.JOINT: (TunedLaw.TUNED_MOMENTUM, 1.0 / 6.0),
+    TransferRegime.SGD: (TunedLaw.SGD, 0.0),
 }
+
+# Exponents (phi, gamma, delta) of b ~ T^phi, alpha ~ T^-gamma, eta ~ T^-delta
+# that each regime's law follows along its batch path.
+REGIME_SCHEDULES = {regime: law.schedule(phi) for regime, (law, phi) in _REGIME_LAWS.items()}
 
 
 class BatchChangeSetting(Enum):
@@ -56,6 +59,13 @@ class BatchChangeSetting(Enum):
     LMO_FIXED_MOMENTUM = "lmo-fixed-momentum"
     LMO_TUNED_MOMENTUM = "lmo-tuned-momentum"
     SGD = "sgd"
+
+
+_SETTING_LAWS = {
+    BatchChangeSetting.LMO_FIXED_MOMENTUM: TunedLaw.FIXED_MOMENTUM,
+    BatchChangeSetting.LMO_TUNED_MOMENTUM: TunedLaw.TUNED_MOMENTUM,
+    BatchChangeSetting.SGD: TunedLaw.SGD,
+}
 
 
 @dataclass(frozen=True)
@@ -74,14 +84,18 @@ class TunedConfig:
         _require(0 < self.alpha0 <= 1, f"alpha0 must be in (0, 1], got {self.alpha0}")
 
 
-def _clamp(eta1: float, alpha1: float, b1: float, b_max: float | None) -> tuple:
+def _rescale(cfg: TunedConfig, t1: float, b1: float, law: TunedLaw,
+             b_max: float | None) -> tuple:
+    """(eta1, alpha1, b1, flags) by the law, with alpha clamped to 1 and b1 to b_max."""
+    b_ratio, ratio = b1 / cfg.b0, cfg.t0 / t1
+    eta1 = cfg.eta0 * b_ratio**law.eta_b * ratio**law.eta_t
+    alpha1 = cfg.alpha0
+    if law.tunes_momentum:
+        alpha1 = alpha1 * b_ratio**law.alpha_b * ratio**law.alpha_t
     flags = []
     if alpha1 > 1.0:
         alpha1 = 1.0
         flags.append("alpha-clamped")
-    if b1 < 1.0:
-        b1 = 1.0
-        flags.append("b-clamped")
     if b_max is not None and b1 > b_max:
         b1 = b_max
         flags.append("b-capped")
@@ -97,30 +111,19 @@ class TransferResult:
     flags: tuple[str, ...]
 
 
-def extrapolate(
-    cfg: TunedConfig,
-    t1: float,
-    regime: TransferRegime,
-    b_max: float | None = None,
-) -> TransferResult:
-    """Rescale (eta, alpha, b) from t0 to t1 by the regime's power law.
+def extrapolate(cfg: TunedConfig, t1: float, regime: TransferRegime,
+                b_max: float | None = None) -> TransferResult:
+    """Rescale (eta, alpha, b) from t0 to t1 by the regime's tuned law.
 
-    With the regime's schedule (phi, gamma, delta) from ``REGIME_SCHEDULES``:
-    b *= (t1/t0)^phi, alpha *= (t0/t1)^gamma, eta *= (t0/t1)^delta.  Pure
-    power laws, so transfers compose exactly: t0 -> t1 -> t2 equals
-    t0 -> t2 for every regime.
+    b1 = b0 (t1/t0)^phi with the regime's phi, and eta, alpha follow its law
+    at (t1, b1): its schedule in ``REGIME_SCHEDULES``.  Pure power laws, so
+    transfers compose: t0 -> t1 -> t2 equals t0 -> t2 for every regime.
     """
     _require(t1 >= cfg.t0, f"t1 must be >= t0, got t1={t1}, t0={cfg.t0}")
-    s = REGIME_SCHEDULES.get(regime)
-    if s is None:
+    law, phi = _REGIME_LAWS.get(regime, (None, None))
+    if law is None:
         raise DomainError(f"unknown transfer regime {regime!r}")
-    ratio = cfg.t0 / t1
-    eta1, alpha1, b1, flags = _clamp(
-        cfg.eta0 * ratio**s.eta_exp,
-        cfg.alpha0 * ratio**s.alpha_exp,
-        cfg.b0 * (t1 / cfg.t0) ** s.b_exp,
-        b_max,
-    )
+    eta1, alpha1, b1, flags = _rescale(cfg, t1, cfg.b0 * (t1 / cfg.t0) ** phi, law, b_max)
     return TransferResult(eta1=eta1, alpha1=alpha1, b1=b1, regime=regime, flags=flags)
 
 
@@ -128,9 +131,9 @@ def extrapolate(
 class BatchChangeResult:
     """Extrapolated configuration plus the calibrated path invariants.
 
-    ``c_eta`` (and ``c_alpha`` where momentum is tuned) are the constants of
-    the schedule family fitted at (t0, b0); re-evaluating them at (t1, b1)
-    reproduces eta1/alpha1 exactly.
+    ``c_eta`` (and ``c_alpha`` where the law tunes momentum) are the
+    constants x0 t0^y / b0^x of the tuned law fitted at (t0, b0);
+    re-evaluating c b1^x / t1^y at (t1, b1) reproduces eta1/alpha1.
     """
 
     eta1: float
@@ -142,14 +145,12 @@ class BatchChangeResult:
     c_alpha: float | None = None
 
 
-def extrapolate_with_batch_change(
-    cfg: TunedConfig,
-    t1: float,
-    b1: float,
-    setting: BatchChangeSetting,
-    b_max: float | None = None,
-) -> BatchChangeResult:
+def extrapolate_with_batch_change(cfg: TunedConfig, t1: float, b1: float,
+                                  setting: BatchChangeSetting,
+                                  b_max: float | None = None) -> BatchChangeResult:
     """Transfer to (t1, b1) when the long run uses a different batch size.
+
+    Each setting follows its row of ``schedules.TunedLaw``:
 
         LMO fixed momentum:  eta1 = eta0 * sqrt(b1/b0) * sqrt(t0/t1)
         LMO tuned momentum:  alpha1 = alpha0 * (b1/b0) * sqrt(t0/t1)
@@ -158,30 +159,13 @@ def extrapolate_with_batch_change(
     """
     _require(t1 >= cfg.t0, f"t1 must be >= t0, got t1={t1}, t0={cfg.t0}")
     _require(b1 >= 1, f"b1 must be >= 1, got {b1}")
-    ratio = cfg.t0 / t1
-    b_ratio = b1 / cfg.b0
-    alpha1 = cfg.alpha0
-    c_alpha = None
-    if setting is BatchChangeSetting.LMO_FIXED_MOMENTUM:
-        eta1 = cfg.eta0 * math.sqrt(b_ratio) * math.sqrt(ratio)
-        c_eta = cfg.eta0 * math.sqrt(cfg.t0 / cfg.b0)
-    elif setting is BatchChangeSetting.LMO_TUNED_MOMENTUM:
-        alpha1 = cfg.alpha0 * b_ratio * math.sqrt(ratio)
-        eta1 = cfg.eta0 * b_ratio * ratio**0.75
-        c_alpha = cfg.alpha0 * math.sqrt(cfg.t0) / cfg.b0
-        c_eta = cfg.eta0 * cfg.t0**0.75 / cfg.b0
-    elif setting is BatchChangeSetting.SGD:
-        eta1 = cfg.eta0 * b_ratio * math.sqrt(ratio)
-        c_eta = cfg.eta0 * math.sqrt(cfg.t0) / cfg.b0
-    else:
+    law = _SETTING_LAWS.get(setting)
+    if law is None:
         raise DomainError(f"unknown batch-change setting {setting!r}")
-    eta1, alpha1, b1, flags = _clamp(eta1, alpha1, b1, b_max)
-    return BatchChangeResult(
-        eta1=eta1,
-        alpha1=alpha1,
-        b1=b1,
-        setting=setting,
-        flags=flags,
-        c_eta=c_eta,
-        c_alpha=c_alpha,
-    )
+    c_eta = cfg.eta0 * cfg.t0**law.eta_t / cfg.b0**law.eta_b
+    c_alpha = None
+    if law.tunes_momentum:
+        c_alpha = cfg.alpha0 * cfg.t0**law.alpha_t / cfg.b0**law.alpha_b
+    eta1, alpha1, b1, flags = _rescale(cfg, t1, b1, law, b_max)
+    return BatchChangeResult(eta1=eta1, alpha1=alpha1, b1=b1, setting=setting, flags=flags,
+                             c_eta=c_eta, c_alpha=c_alpha)

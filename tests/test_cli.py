@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from lmoscale.cli import main, records_from_csv
@@ -346,3 +347,34 @@ def test_simulate_rejects_a_budget_beyond_the_step_limit(capsys):
                            "--replicates", "1", "--eta", "0.1", "--alpha", "1")
     assert code == 2
     assert "steps per run" in json.loads(err)["error"]
+
+
+def test_fixed_momentum_plan_below_the_batch_is_infeasible(capsys):
+    code, out, err = run_cli(capsys, "plan", "--regime", "fixed-momentum", "--b", "1000",
+                             "--t", "10")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["exit_code"] == 3 and "below batch size" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--points", "4", "--t-points", "2"],
+        ["contour", "--alpha", "1", "--target", "0.5", "--k-points", "8"],
+    ],
+)
+def test_memory_exhaustion_is_exit_4_naming_the_command(capsys, monkeypatch, argv):
+    # both commands build their log-spaced axes first; no large array is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "logspace", exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["exit_code"] == 4 and doc["error"].startswith(f"{argv[0]}: out of memory")

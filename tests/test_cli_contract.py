@@ -51,7 +51,7 @@ COMMANDS = {
         {"mode": ("rate", "ceiling", "noise", "path"), "phi": ("0.75",), "q": ("0.5", "0.25"),
          "kappa": ("0.5",), "lam": ("0.75",), "p": ("0.5", "1")},
         {"b-exp": ("0", "0.5"), "alpha-exp": ("0", "0.5"), "eta-exp": ("0.25", "0.75"),
-         "tail-p": ("1.5", "2"), "sigma-q": POS, "init-error": POS, "b": ("1", "64"),
+         "tail-p": ("1.5", "2"), "init-error": POS, "b": ("1", "64"),
          "t": ("1e6",)},
     ),
     "compare-sgd": (

@@ -8,8 +8,11 @@ import pytest
 from lmoscale import (
     BoundConstants,
     Budget,
+    BudgetTooSmallError,
     DomainError,
     HyperParams,
+    PowerLawSchedule,
+    aggressive_ceiling,
     asymptotic_momentum,
     asymptotic_momentum_terms,
     batch_growth_plan,
@@ -98,6 +101,18 @@ class TestFixedMomentumTokens:
         assert opt.clamped and opt.b_star == 1.0
         fixed = optimal_fixed_momentum_tokens(UNIT, 1.0, 4.0, b=1.0)
         assert opt.risk_star == fixed.risk_star
+
+    def test_fixed_batch_is_the_step_optimum_at_t_over_b(self):
+        fixed = optimal_fixed_momentum_tokens(UNIT, 0.3, 1e10, b=64.0)
+        steps = optimal_fixed_momentum_steps(UNIT, 0.3, b=64.0, k=1e10 / 64.0)
+        assert (fixed.eta_star, fixed.risk_star) == (steps.eta_star, steps.risk_star)
+        assert (fixed.b_star, fixed.regime, fixed.clamped) == (64.0, "tokens-fixed-batch", False)
+
+    def test_budget_below_the_batch_is_infeasible(self):
+        with pytest.raises(BudgetTooSmallError, match="not even one step fits"):
+            optimal_fixed_momentum_tokens(UNIT, 1.0, 10.0, b=1000.0)
+        with pytest.raises(DomainError, match="b must be >= 1"):
+            optimal_fixed_momentum_tokens(UNIT, 1.0, 10.0, b=0.0)
 
 
 class TestFixedBatch:
@@ -306,6 +321,18 @@ class TestCorollaries:
         assert fast.regime == "iteration-limited"
         with pytest.raises(DomainError):
             batch_growth_plan(1.0)
+
+    def test_batch_growth_plans_and_ceiling_keep_their_exponents(self):
+        # the laws of TunedLaw reproduce the exponents these were once written with
+        for phi in np.linspace(0.0, 1.0, 100_001)[:-1].tolist():
+            plan = batch_growth_plan(phi)
+            if phi <= 0.5:
+                assert plan.schedule == PowerLawSchedule(phi, 0.5 - phi, 0.75 - phi), phi
+                assert plan.rate_exponent == 0.25
+            else:
+                assert plan.schedule == PowerLawSchedule(phi, 0.0, (1.0 - phi) / 2.0), phi
+                assert plan.rate_exponent == (1.0 - phi) / 2.0
+                assert aggressive_ceiling(phi).delta_star == (1.0 - phi) / 2.0, phi
 
     def test_batch_growth_plan_rate_is_its_schedules_rate(self):
         for phi in [*np.linspace(0.0, 0.999, 334), 0.05, 0.35, 0.5, np.nextafter(1.0, 0.0)]:

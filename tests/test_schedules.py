@@ -5,21 +5,76 @@ import pytest
 
 from lmoscale import (
     BoundConstants,
+    Budget,
     DomainError,
     HyperParams,
     NoiseModel,
     PathExponents,
     PowerLawSchedule,
+    TunedLaw,
     aggressive_ceiling,
     batch_growth_plan,
     bound_tokens,
     effective_eta_exponent,
     fit_power_law,
     noise_exponent_sensitivity,
+    optimal_fixed_batch,
+    optimal_fixed_momentum_tokens,
     rate_exponents,
+    sgd_tuned,
 )
 
 ONES = BoundConstants(1.0, 1.0, 1.0)
+# (batch factor, token factor) pairs that scale a tuned point
+SCALINGS = ((4.0, 1.0), (1.0, 16.0), (7.0, 1e6), (1e3, 2.5e9))
+
+
+def _law_factor(b_exp: float, t_exp: float, lam: float, tau: float) -> float:
+    return lam**b_exp / tau**t_exp
+
+
+def test_fixed_momentum_law_is_the_fixed_batch_eta_optimum():
+    law = TunedLaw.FIXED_MOMENTUM
+    assert not law.tunes_momentum
+    c, alpha, b, t = BoundConstants(1.3, 0.7, 2.1, 1.5), 0.3, 64.0, 1e9
+    base = optimal_fixed_momentum_tokens(c, alpha, t, b)
+    for lam, tau in SCALINGS:
+        scaled = optimal_fixed_momentum_tokens(c, alpha, tau * t, lam * b)
+        assert scaled.eta_star / base.eta_star == pytest.approx(
+            _law_factor(law.eta_b, law.eta_t, lam, tau), rel=1e-12)
+
+
+def test_tuned_momentum_law_is_the_fixed_batch_optimum():
+    law = TunedLaw.TUNED_MOMENTUM
+    assert law.tunes_momentum
+    b, t = 32.0, 1e12
+    base = optimal_fixed_batch(ONES, b, Budget.tokens(t))
+    for lam, tau in SCALINGS:
+        scaled = optimal_fixed_batch(ONES, lam * b, Budget.tokens(tau * t))
+        assert not (base.clamped or scaled.clamped)
+        assert scaled.alpha_star / base.alpha_star == pytest.approx(
+            _law_factor(law.alpha_b, law.alpha_t, lam, tau), rel=1e-12)
+        assert scaled.eta_star / base.eta_star == pytest.approx(
+            _law_factor(law.eta_b, law.eta_t, lam, tau), rel=1e-12)
+
+
+def test_sgd_law_is_the_uncapped_sgd_optimum():
+    law = TunedLaw.SGD
+    assert not law.tunes_momentum
+    b, t = 8.0, 1e6
+    base = sgd_tuned(1.0, 2.0, 0.5, b, Budget.tokens(t), enforce_cap=False)
+    for lam, tau in SCALINGS:
+        scaled = sgd_tuned(1.0, 2.0, 0.5, lam * b, Budget.tokens(tau * t), enforce_cap=False)
+        assert scaled.eta_star / base.eta_star == pytest.approx(
+            _law_factor(law.eta_b, law.eta_t, lam, tau), rel=1e-12)
+
+
+def test_tuned_momentum_law_is_the_noise_rule_at_half():
+    # noise sensitivity writes the rules in (b, K); K = T / b moves K's exponent onto b
+    s = noise_exponent_sensitivity(NoiseModel(q=0.5), b=64.0, t=1e12)
+    law = TunedLaw.TUNED_MOMENTUM
+    assert (s.alpha_b_exp + s.alpha_k_exp, s.alpha_k_exp) == (law.alpha_b, law.alpha_t)
+    assert (s.eta_b_exp + s.eta_k_exp, s.eta_k_exp) == (law.eta_b, law.eta_t)
 
 
 def test_momentum_matched_half_power_schedule():

@@ -1,6 +1,7 @@
 """Optimizer laboratory: directions, polar factor, noise, runs, sweeps."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -386,6 +387,43 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert json.loads(captured.err)["exit_code"] == 3
+
+    @pytest.mark.parametrize(
+        "grids, modes, named",
+        [
+            (((0.0,), (0.5,)), {}, "eta must be finite and > 0, got 0.0"),
+            (((-0.01, 0.1), (0.5,)), {}, "eta must be finite and > 0, got -0.01"),
+            (((float("inf"),), (0.5,)), {}, "eta must be finite and > 0, got inf"),
+            (((0.1,), (0.0,)), {}, "alpha must be in (0, 1], got 0.0"),
+            (((0.1,), (0.5, 2.0)), {}, "alpha must be in (0, 1], got 2.0"),
+            (((0.1,), (0.5,)), {"update": "bogus"}, "update must be one of"),
+            (((0.1,), (0.5,)), {"init": "custom"}, "init must be one of ('matched', 'zero')"),
+        ],
+    )
+    def test_settings_a_run_cannot_take_are_rejected(self, grids, modes, named):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            sweep_sim(QUAD, NormKind.MAX, *grids, (8,), (64.0,), replicates=1, seed=0, **modes)
+
+    def test_run_config_shares_the_sweep_checks(self):
+        for bad, named in (({"eta": float("inf")}, "eta must be finite"),
+                           ({"alpha": 1.5}, "alpha must be in (0, 1]"),
+                           ({"update": "bogus"}, "update must be one of"),
+                           ({"init": "nope"}, "init must be one of")):
+            base = dict(norm=NormKind.MAX, eta=0.1, alpha=0.5, batch=1, steps=10, seed=0)
+            with pytest.raises(DomainError, match=re.escape(named)):
+                LmoConfig(**{**base, **bad})
+
+    @pytest.mark.parametrize("option, value", [("alpha", "0"), ("alpha", "2"), ("eta", "0"),
+                                               ("eta", "-0.01")])
+    def test_cli_rejects_settings_a_run_cannot_take(self, capsys, option, value):
+        code = main(["simulate", "--dim", "2", "--b", "4", "--t", "64", "--replicates", "1",
+                     f"--{option}", value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["exit_code"] == 2 and doc["error"].startswith(option)
 
     def test_runs_beyond_the_step_limit_are_rejected_before_any_step(self, monkeypatch):
         def no_step(*args):

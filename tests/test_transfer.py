@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmoscale import (
     BatchChangeSetting,
@@ -12,6 +14,7 @@ from lmoscale import (
     DomainError,
     TransferRegime,
     TunedConfig,
+    TunedLaw,
     extrapolate,
     extrapolate_with_batch_change,
     optimal_fixed_batch,
@@ -208,3 +211,61 @@ def test_regime_schedules_reach_the_quarter_rate_except_a():
     assert overall[TransferRegime.JOINT] == 0.25
     # with batch and momentum fixed the noise floor c2 sqrt(alpha / b) never decays
     assert overall[TransferRegime.FIXED_BATCH_FIXED_MOMENTUM] == 0.0
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# momentum starts low enough that no hop clamps it: alpha0 (b1/b0) <= 1e-5 * 1e4
+hops = st.tuples(_decades(2, 10), _decades(0, 6), _decades(0, 6), _decades(0, 4),
+                 _decades(0, 4), _decades(0, 4), _decades(-6, 0), _decades(-10, -5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hops)
+def test_batch_change_transfers_compose(draw):
+    t0, grow1, grow2, b0, b1, b2, eta0, alpha0 = draw
+    t1, t2 = t0 * grow1, t0 * grow1 * grow2
+    cfg = TunedConfig(t0=t0, b0=b0, eta0=eta0, alpha0=alpha0)
+    for setting in BatchChangeSetting:
+        mid = extrapolate_with_batch_change(cfg, t1, b1, setting)
+        two_hop = extrapolate_with_batch_change(
+            TunedConfig(t0=t1, b0=mid.b1, eta0=mid.eta1, alpha0=mid.alpha1), t2, b2, setting
+        )
+        one_hop = extrapolate_with_batch_change(cfg, t2, b2, setting)
+        assert mid.flags == two_hop.flags == one_hop.flags == ()
+        assert two_hop.eta1 == pytest.approx(one_hop.eta1, rel=1e-12)
+        assert two_hop.alpha1 == pytest.approx(one_hop.alpha1, rel=1e-12)
+        assert two_hop.c_eta == pytest.approx(one_hop.c_eta, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hops)
+def test_every_settings_invariants_reproduce_its_transfer(draw):
+    t0, grow1, _, b0, b1, _, eta0, alpha0 = draw
+    t1 = t0 * grow1
+    cfg = TunedConfig(t0=t0, b0=b0, eta0=eta0, alpha0=alpha0)
+    for setting, law in ((BatchChangeSetting.LMO_FIXED_MOMENTUM, TunedLaw.FIXED_MOMENTUM),
+                         (BatchChangeSetting.LMO_TUNED_MOMENTUM, TunedLaw.TUNED_MOMENTUM),
+                         (BatchChangeSetting.SGD, TunedLaw.SGD)):
+        res = extrapolate_with_batch_change(cfg, t1, b1, setting)
+        assert res.c_eta * b1**law.eta_b / t1**law.eta_t == pytest.approx(res.eta1, rel=1e-12)
+        if law.tunes_momentum:
+            assert res.c_alpha * b1**law.alpha_b / t1**law.alpha_t == pytest.approx(
+                res.alpha1, rel=1e-12)
+        else:
+            assert res.c_alpha is None and res.alpha1 == alpha0
+
+
+def test_regime_schedules_are_their_laws_on_a_batch_path():
+    assert REGIME_SCHEDULES == {
+        TransferRegime.FIXED_BATCH_FIXED_MOMENTUM: TunedLaw.FIXED_MOMENTUM.schedule(0.0),
+        TransferRegime.FIXED_BATCH_TUNED_MOMENTUM: TunedLaw.TUNED_MOMENTUM.schedule(0.0),
+        TransferRegime.TUNED_BATCH_FIXED_MOMENTUM: TunedLaw.FIXED_MOMENTUM.schedule(0.5),
+        TransferRegime.JOINT: TunedLaw.TUNED_MOMENTUM.schedule(1.0 / 6.0),
+        TransferRegime.SGD: TunedLaw.SGD.schedule(0.0),
+    }
+    joint = REGIME_SCHEDULES[TransferRegime.JOINT]
+    assert (joint.b_exp, joint.eta_exp) == (1.0 / 6.0, 7.0 / 12.0)
+    assert joint.alpha_exp == pytest.approx(1.0 / 3.0, rel=0, abs=1e-16)
