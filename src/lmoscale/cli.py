@@ -382,7 +382,7 @@ def _cmd_transfer(v: dict) -> None:
 
 def _cmd_contour(v: dict) -> None:
     cc = contours.ContourConstants(_resolve_constants(v), v["alpha"])
-    _require(v["k_points"] >= 1, f"k-points must be >= 1, got {v['k_points']}")
+    _require(v["k_points"] >= 1, "k-points must be >= 1, got {}", v["k_points"])
     _require(v["k_lo"] > 0 and v["k_hi"] > 0, "k-lo and k-hi must be > 0")
     k_grid = np.logspace(np.log10(v["k_lo"]), np.log10(v["k_hi"]), v["k_points"])
     meta = _fields(contours.level_set(cc, v["target"], k_grid, v["eta_floor"]))
@@ -421,7 +421,7 @@ def _cmd_analyze(v: dict) -> None:
 def _cmd_simulate(v: dict) -> None:
     _require(v["seed"] >= 0 and v["data_seed"] >= 0, "seed and data-seed must be >= 0")
     if v["kind"] == "noisy-quadratic":
-        _require(v["dim"] >= 1, f"dim must be >= 1, got {v['dim']}")
+        _require(v["dim"] >= 1, "dim must be >= 1, got {}", v["dim"])
         _require(v["spectrum_lo"] > 0 and v["spectrum_hi"] > 0, "spectrum bounds must be > 0")
         spectrum = tuple(np.geomspace(v["spectrum_lo"], v["spectrum_hi"], v["dim"]))
         spec = sim.ObjectiveSpec(

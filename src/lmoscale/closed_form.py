@@ -50,7 +50,7 @@ __all__ = [
 
 def effective_constants(c: BoundConstants, alpha: float) -> tuple[float, float]:
     """(c2_eff, c3_eff) of the large-horizon proxy once momentum is fixed."""
-    _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
+    _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
     return c.c2 * math.sqrt(alpha), smoothness_weight(c, alpha, False)
 
 
@@ -71,6 +71,11 @@ def _at_steps(c: BoundConstants, c2e: float, c3e: float, b: float, k: float) -> 
     return math.sqrt(c.c1 / (c3e * k)), 2.0 * math.sqrt(c.c1 * c3e / k) + c2e / math.sqrt(b)
 
 
+def _tuned_risk(c: BoundConstants, c2e: float, c3e: float) -> float:
+    """T^(-1/4) coefficient 2 sqrt(2) (c1 c3_eff)^(1/4) c2_eff^(1/2) of the tuned-batch risk*."""
+    return 2.0 * math.sqrt(2.0) * (c.c1 * c3e) ** 0.25 * math.sqrt(c2e)
+
+
 def optimal_fixed_momentum_steps(
     c: BoundConstants, alpha: float, b: float, k: float
 ) -> FixedMomentumOptimum:
@@ -79,8 +84,8 @@ def optimal_fixed_momentum_steps(
     The batch enters only through the noise floor of the value, so larger
     batches always improve the bound at a fixed step count.
     """
-    _require(k >= 1, f"k must be >= 1, got {k}")
-    _require(b >= 1, f"b must be >= 1, got {b}")
+    _require(k >= 1, "k must be >= 1, got {}", k)
+    _require(b >= 1, "b must be >= 1, got {}", b)
     eta, risk = _at_steps(c, *effective_constants(c, alpha), b, k)
     return FixedMomentumOptimum(eta_star=eta, risk_star=risk, regime="steps")
 
@@ -100,7 +105,7 @@ def optimal_fixed_momentum_tokens(
     Below the budget where b* crosses 1 the batch is clamped to 1 with a
     flag; the returned eta/risk are then the fixed-batch values at b = 1.
     """
-    _require(t >= 1, f"t must be >= 1, got {t}")
+    _require(t >= 1, "t must be >= 1, got {}", t)
     c2e, c3e = effective_constants(c, alpha)
     regime, clamped = "tokens-fixed-batch", False
     if b is None:
@@ -109,12 +114,12 @@ def optimal_fixed_momentum_tokens(
             b, regime, clamped = 1.0, "tokens-joint-batch", True
         else:
             eta = c.c1**0.25 * math.sqrt(c2e) / (math.sqrt(2.0) * c3e**0.75) * t**-0.25
-            risk = 2.0 * math.sqrt(2.0) * (c.c1 * c3e) ** 0.25 * math.sqrt(c2e) * t**-0.25
+            risk = _tuned_risk(c, c2e, c3e) * t**-0.25
             return FixedMomentumOptimum(
                 eta_star=eta, risk_star=risk, regime="tokens-joint-batch", b_star=b_star
             )
     else:
-        _require(b >= 1, f"b must be >= 1, got {b}")
+        _require(b >= 1, "b must be >= 1, got {}", b)
         if t < b:
             raise BudgetTooSmallError(f"token budget {t} is below batch size {b}; "
                                       "not even one step fits")
@@ -142,6 +147,10 @@ class FixedBatchOptimum:
     objective: str
 
 
+# objective label of each constant convention of the fixed-batch optimum
+_LEADING_PROXY = {"folded": "folded-leading-proxy", "exact": "exact-leading-proxy"}
+
+
 def optimal_fixed_batch(
     c: BoundConstants, b: float, budget: Budget, coefficients: str = "folded"
 ) -> FixedBatchOptimum:
@@ -156,13 +165,13 @@ def optimal_fixed_batch(
     the joint regime).  alpha* is clamped to 1 with a flag when the formula
     exceeds it, including the noiseless c2 = 0 case.
     """
-    _require(b >= 1, f"b must be >= 1, got {b}")
+    _require(b >= 1, "b must be >= 1, got {}", b)
     if coefficients not in ("folded", "exact"):
         raise DomainError(f"coefficients must be 'folded' or 'exact', got {coefficients!r}")
     scale, plain, momentum = eta_coefficients(c, coefficients == "exact")
     s_weight = scale * momentum
     dropped_smooth = scale * plain
-    objective = f"{coefficients}-leading-proxy"
+    objective = _LEADING_PROXY[coefficients]
     k = budget.steps_for(b)
 
     if c.c2 > 0:
@@ -198,9 +207,9 @@ class CubicCoefficients:
     a0: float
 
     def __post_init__(self) -> None:
-        _require(self.a3 > 0, f"a3 must be > 0, got {self.a3}")
-        _require(self.a1 > 0, f"a1 must be > 0, got {self.a1}")
-        _require(self.a0 > 0, f"a0 must be > 0, got {self.a0}")
+        _require(self.a3 > 0, "a3 must be > 0, got {}", self.a3)
+        _require(self.a1 > 0, "a1 must be > 0, got {}", self.a1)
+        _require(self.a0 > 0, "a0 must be > 0, got {}", self.a0)
 
     def evaluate(self, x: float) -> float:
         return (self.a3 * x * x - self.a1) * x - self.a0
@@ -208,24 +217,28 @@ class CubicCoefficients:
 
 def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
     """Cubic whose positive root is the jointly optimal momentum complement."""
-    _require(t >= 1, f"t must be >= 1, got {t}")
+    _require(t >= 1, "t must be >= 1, got {}", t)
     _require(c.rho_sigma > 0, "joint tuning needs a positive noise scale")
     rs2 = c.rho_sigma**2
     coefficients = {"a3": SMOOTHNESS_WEIGHT**2 * c.delta0 * c.smoothness * t,
                     "a1": SMOOTHNESS_WEIGHT * rs2, "a0": 2.0 * rs2}
-    constants = f"at t={t} (delta0={c.delta0}, L={c.smoothness}, rho*sigma={c.rho_sigma})"
     for name, value in coefficients.items():
         if not 0.0 < value < math.inf:
             raise NumericalError(f"momentum cubic coefficient {name} = {value} leaves the float "
-                                 f"range {constants}")
+                                 f"range {_cubic_inputs(c, t)}")
     # the solver works in p = a1 / a3 and q = a0 / a3, which overflow or underflow
     # when a3 is far smaller or larger than a1 and a0
     for name in ("a0", "a1"):
         ratio = coefficients[name] / coefficients["a3"]
         if not 0.0 < ratio < math.inf:
             raise NumericalError(f"momentum cubic ratio {name}/a3 = {ratio} leaves the float "
-                                 f"range {constants}")
+                                 f"range {_cubic_inputs(c, t)}")
     return CubicCoefficients(**coefficients)
+
+
+def _cubic_inputs(c: BoundConstants, t: float) -> str:
+    """The inputs of ``momentum_cubic``, for its float-range errors."""
+    return f"at t={t} (delta0={c.delta0}, L={c.smoothness}, rho*sigma={c.rho_sigma})"
 
 
 def solve_momentum_cubic(cubic: CubicCoefficients) -> tuple[float, float]:
@@ -276,7 +289,7 @@ def asymptotic_momentum(c: BoundConstants, t: float) -> float:
 
 def bound_eta_star(c: BoundConstants, alpha: float, b: float, t: float) -> float:
     """Step size minimizing the exact token bound at fixed (alpha, b)."""
-    _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
+    _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
     weight = smoothness_weight(c, alpha, True)
     return math.sqrt(b * c.delta0 / (t * weight))
 
@@ -298,7 +311,7 @@ def batch_star_given_momentum(c: BoundConstants, alpha: float, t: float) -> floa
     With s = sqrt(b) the value is A(alpha) s + B(alpha) / s, minimized at
     b = B / A; unclamped, so the result may fall below 1 at small budgets.
     """
-    _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
+    _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
     weight = smoothness_weight(c, alpha, True)
     a_coeff = 2.0 * math.sqrt(c.delta0 * weight / t) + c.c2 / (alpha * t)
     b_coeff = c.c2 * math.sqrt(alpha)
@@ -368,20 +381,13 @@ def momentum_gap_ratio(alpha: float) -> float:
     The tuned-batch token optimum carries a (1 + alpha)^(1/4) factor, so the
     most that momentum re-tuning can buy is 2^(1/4) ~ 1.19.
     """
-    _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
+    _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
     return (1.0 + alpha) ** 0.25
 
 
 def tuned_risk_prefactor(c: BoundConstants, alpha: float) -> float:
     """T^(-1/4) coefficient of the batch-and-eta tuned proxy at fixed momentum."""
-    _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
-    return (
-        2.0
-        * math.sqrt(2.0)
-        * (c.c1 * c.c3) ** 0.25
-        * math.sqrt(c.c2)
-        * (1.0 + alpha) ** 0.25
-    )
+    return _tuned_risk(c, *effective_constants(c, alpha))
 
 
 def capped_batch_noise_floor(c: BoundConstants, alpha: float, b_max: float) -> float:
@@ -391,7 +397,7 @@ def capped_batch_noise_floor(c: BoundConstants, alpha: float, b_max: float) -> f
     this level no matter the budget; letting alpha shrink with T removes it.
     """
     c2_eff, _ = effective_constants(c, alpha)
-    _require(b_max >= 1, f"b_max must be >= 1, got {b_max}")
+    _require(b_max >= 1, "b_max must be >= 1, got {}", b_max)
     return c2_eff / math.sqrt(b_max)
 
 

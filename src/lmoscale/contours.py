@@ -34,7 +34,7 @@ class ContourConstants:
     alpha: float
 
     def __post_init__(self) -> None:
-        _require(0 < self.alpha <= 1, f"alpha must be in (0, 1], got {self.alpha}")
+        _require(0 < self.alpha <= 1, "alpha must be in (0, 1], got {}", self.alpha)
 
     @property
     def c_det(self) -> float:
@@ -51,12 +51,12 @@ class ContourConstants:
 
     def k_min(self, target: float) -> float:
         """Step count needed even with unbounded batch: (c_det / target)^2."""
-        _require(target > 0, f"target must be > 0, got {target}")
+        _require(target > 0, "target must be > 0, got {}", target)
         return (self.c_det / target) ** 2
 
     def b_min(self, target: float) -> float:
         """Batch needed even with unbounded steps: (c_floor / target)^2."""
-        _require(target > 0, f"target must be > 0, got {target}")
+        _require(target > 0, "target must be > 0, got {}", target)
         return (self.c_floor / target) ** 2
 
 
@@ -64,7 +64,7 @@ def _det_part(cc: ContourConstants, k: float, eta_floor: float | None) -> float:
     """b-free step-size part D(k) of the tuned bound D(k) + (c_burn / k + c_floor) / sqrt(b)."""
     if eta_floor is None:
         return cc.c_det / math.sqrt(k)
-    _require(eta_floor > 0, f"eta_floor must be > 0, got {eta_floor}")
+    _require(eta_floor > 0, "eta_floor must be > 0, got {}", eta_floor)
     c = cc.constants
     weight = smoothness_weight(c, cc.alpha, True)
     eta = max(math.sqrt(c.delta0 / (k * weight)), eta_floor)
@@ -79,8 +79,8 @@ def tuned_bound(cc: ContourConstants, b: float, k: float, eta_floor: float | Non
     lower-bounded search grid: when the unconstrained minimizer falls below
     the floor, the deterministic part is evaluated at the floor instead.
     """
-    _require(b >= 1, f"b must be >= 1, got {b}")
-    _require(k >= 1, f"k must be >= 1, got {k}")
+    _require(b >= 1, "b must be >= 1, got {}", b)
+    _require(k >= 1, "k must be >= 1, got {}", k)
     return _det_part(cc, k, eta_floor) + cc.c_burn / (k * math.sqrt(b)) + cc.c_floor / math.sqrt(b)
 
 
@@ -133,7 +133,7 @@ def level_set(
     ``hyperbola_residual`` is the largest relative deviation of that form
     over the sampled points.
     """
-    _require(target > 0, f"target must be > 0, got {target}")
+    _require(target > 0, "target must be > 0, got {}", target)
     points: list[LevelPoint] = []
     for k in np.asarray(k_grid, dtype=float):
         k = float(k)

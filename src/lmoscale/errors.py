@@ -5,9 +5,16 @@ class DomainError(ValueError):
     """An input violates a documented domain constraint."""
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """Raise ``DomainError`` unless ``cond`` holds.
+
+    ``message`` is a literal template and ``args`` its values: the text is
+    ``message.format(*args)``, built only when the check fails, so a passing
+    check formats nothing.  With no ``args`` the message is raised verbatim,
+    literal braces included.  Never pass a pre-formatted f-string.
+    """
     if not cond:
-        raise DomainError(message)
+        raise DomainError(message.format(*args) if args else message)
 
 
 class InfeasibleError(ValueError):

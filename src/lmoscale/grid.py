@@ -56,9 +56,9 @@ class GridSpec:
             ("alpha_range", self.alpha_range),
             ("b_range", self.b_range),
         ):
-            _require(lo > 0, f"{name} lower bound must be > 0, got {lo}")
-            _require(lo < hi, f"{name} must have lo < hi, got ({lo}, {hi})")
-        _require(self.t_range[0] > 0, f"t_range lower bound must be > 0, got {self.t_range[0]}")
+            _require(lo > 0, "{} lower bound must be > 0, got {}", name, lo)
+            _require(lo < hi, "{} must have lo < hi, got ({}, {})", name, lo, hi)
+        _require(self.t_range[0] > 0, "t_range lower bound must be > 0, got {}", self.t_range[0])
         _require(self.t_range[0] <= self.t_range[1], "t_range must have lo <= hi")
         _require(self.alpha_range[1] <= 1.0, "alpha_range upper bound must be <= 1")
         _require(self.b_range[0] >= 1.0, "b_range lower bound must be >= 1")
@@ -111,13 +111,14 @@ class Constraint:
 
     def __post_init__(self) -> None:
         if self.fixed_alpha is not None:
-            _require(0 < self.fixed_alpha <= 1, f"fixed alpha must be in (0, 1], got {self.fixed_alpha}")
+            _require(0 < self.fixed_alpha <= 1, "fixed alpha must be in (0, 1], got {}",
+                     self.fixed_alpha)
         if self.fixed_eta is not None:
-            _require(self.fixed_eta > 0, f"fixed eta must be > 0, got {self.fixed_eta}")
+            _require(self.fixed_eta > 0, "fixed eta must be > 0, got {}", self.fixed_eta)
         if self.fixed_b is not None:
-            _require(self.fixed_b >= 1, f"fixed b must be >= 1, got {self.fixed_b}")
+            _require(self.fixed_b >= 1, "fixed b must be >= 1, got {}", self.fixed_b)
         if self.b_cap is not None:
-            _require(self.b_cap >= 1, f"b_cap must be >= 1, got {self.b_cap}")
+            _require(self.b_cap >= 1, "b_cap must be >= 1, got {}", self.b_cap)
             _require(self.fixed_b is None, "fixed_b and b_cap are mutually exclusive")
 
     @classmethod
@@ -203,7 +204,7 @@ def sweep(
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    _require(threads >= 1, f"threads must be >= 1, got {threads}")
+    _require(threads >= 1, "threads must be >= 1, got {}", threads)
     eta = np.array([constraint.fixed_eta]) if constraint.fixed_eta is not None else spec.eta_axis()
     alpha = (
         np.array([constraint.fixed_alpha])

@@ -65,10 +65,10 @@ class BoundConstants:
     norm_equiv: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.delta0 > 0, f"delta0 must be > 0, got {self.delta0}")
-        _require(self.smoothness > 0, f"smoothness must be > 0, got {self.smoothness}")
-        _require(self.noise_scale >= 0, f"noise_scale must be >= 0, got {self.noise_scale}")
-        _require(self.norm_equiv >= 1, f"norm_equiv must be >= 1, got {self.norm_equiv}")
+        _require(self.delta0 > 0, "delta0 must be > 0, got {}", self.delta0)
+        _require(self.smoothness > 0, "smoothness must be > 0, got {}", self.smoothness)
+        _require(self.noise_scale >= 0, "noise_scale must be >= 0, got {}", self.noise_scale)
+        _require(self.norm_equiv >= 1, "norm_equiv must be >= 1, got {}", self.norm_equiv)
 
     @property
     def c1(self) -> float:
@@ -105,9 +105,9 @@ class HyperParams:
     batch: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.eta > 0, f"eta must be > 0, got {self.eta}")
-        _require(0 < self.alpha <= 1, f"alpha must be in (0, 1], got {self.alpha}")
-        _require(self.batch >= 1, f"batch must be >= 1, got {self.batch}")
+        _require(self.eta > 0, "eta must be > 0, got {}", self.eta)
+        _require(0 < self.alpha <= 1, "alpha must be in (0, 1], got {}", self.alpha)
+        _require(self.batch >= 1, "batch must be >= 1, got {}", self.batch)
 
 
 class BudgetKind(Enum):
@@ -123,7 +123,7 @@ class Budget:
     value: float
 
     def __post_init__(self) -> None:
-        _require(self.value >= 1, f"budget value must be >= 1, got {self.value}")
+        _require(self.value >= 1, "budget value must be >= 1, got {}", self.value)
 
     @classmethod
     def iterations(cls, k: float) -> "Budget":
@@ -192,7 +192,7 @@ def bound_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     Sum of the deterministic descent term, the momentum burn-in term, the
     noise floor, and the two smoothness error terms.
     """
-    _require(steps >= 1, f"steps must be >= 1, got {steps}")
+    _require(steps >= 1, "steps must be >= 1, got {}", steps)
     descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, True)
     return (descent + burn) / (h.batch * steps) + floor + smooth
 
@@ -209,7 +209,7 @@ def bound_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
 
 def risk_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     """Compact proxy at a step budget, written in (c1, c2, c3)."""
-    _require(steps >= 1, f"steps must be >= 1, got {steps}")
+    _require(steps >= 1, "steps must be >= 1, got {}", steps)
     descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, False)
     return (descent + burn) / (h.batch * steps) + floor + smooth
 
@@ -244,5 +244,5 @@ def large_horizon_gap(c: BoundConstants, h: HyperParams, steps: float) -> float:
 
     risk_steps - risk_large_horizon == c2 / (alpha * sqrt(b) * K), always.
     """
-    _require(steps >= 1, f"steps must be >= 1, got {steps}")
+    _require(steps >= 1, "steps must be >= 1, got {}", steps)
     return token_terms(c, h.eta, h.alpha, h.batch, False)[1] / (h.batch * steps)

@@ -37,11 +37,11 @@ class SgdInputs:
     budget: Budget
 
     def __post_init__(self) -> None:
-        _require(self.delta0 > 0, f"delta0 must be > 0, got {self.delta0}")
-        _require(self.smoothness > 0, f"smoothness must be > 0, got {self.smoothness}")
-        _require(self.noise_scale >= 0, f"noise_scale must be >= 0, got {self.noise_scale}")
-        _require(self.eta > 0, f"eta must be > 0, got {self.eta}")
-        _require(self.batch >= 1, f"batch must be >= 1, got {self.batch}")
+        _require(self.delta0 > 0, "delta0 must be > 0, got {}", self.delta0)
+        _require(self.smoothness > 0, "smoothness must be > 0, got {}", self.smoothness)
+        _require(self.noise_scale >= 0, "noise_scale must be >= 0, got {}", self.noise_scale)
+        _require(self.eta > 0, "eta must be > 0, got {}", self.eta)
+        _require(self.batch >= 1, "batch must be >= 1, got {}", self.batch)
 
     @property
     def stability_cap(self) -> float:
@@ -97,10 +97,10 @@ def sgd_tuned(
     binding); pass False to inspect the pre-cap optimum, where ``capped``
     still reports whether the cap would have been hit.
     """
-    _require(delta0 > 0, f"delta0 must be > 0, got {delta0}")
-    _require(smoothness > 0, f"smoothness must be > 0, got {smoothness}")
-    _require(noise_scale > 0, f"noise_scale must be > 0, got {noise_scale}")
-    _require(batch >= 1, f"batch must be >= 1, got {batch}")
+    _require(delta0 > 0, "delta0 must be > 0, got {}", delta0)
+    _require(smoothness > 0, "smoothness must be > 0, got {}", smoothness)
+    _require(noise_scale > 0, "noise_scale must be > 0, got {}", noise_scale)
+    _require(batch >= 1, "batch must be >= 1, got {}", batch)
     k = _steps(budget, batch)
     descent = delta0 / k
     variance = smoothness * noise_scale**2 / batch

@@ -127,7 +127,7 @@ class ObjectiveSpec:
     stable_alpha: float | None = None
 
     def __post_init__(self) -> None:
-        _require(self.noise_sigma >= 0, f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        _require(self.noise_sigma >= 0, "noise_sigma must be >= 0, got {}", self.noise_sigma)
         if self.kind == "noisy-quadratic":
             _require(self.spectrum is not None and len(self.spectrum) > 0,
                      "noisy-quadratic needs a spectrum")
@@ -219,11 +219,11 @@ def _noise_factory(spec: ObjectiveSpec, batch: int):
 def _check_settings(etas, alphas, update: str, init: str, inits: tuple[str, ...]) -> None:
     """Reject step sizes, momenta, updates and inits that a run cannot take."""
     for eta in etas:
-        _require(math.isfinite(eta) and eta > 0, f"eta must be finite and > 0, got {eta}")
+        _require(math.isfinite(eta) and eta > 0, "eta must be finite and > 0, got {}", eta)
     for alpha in alphas:
-        _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
-    _require(update in ("lmo", "sgd"), f"update must be one of ('lmo', 'sgd'), got {update!r}")
-    _require(init in inits, f"init must be one of {inits}, got {init!r}")
+        _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
+    _require(update in ("lmo", "sgd"), "update must be one of ('lmo', 'sgd'), got {!r}", update)
+    _require(init in inits, "init must be one of {}, got {!r}", inits, init)
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,8 @@ class LmoConfig:
         _check_settings((self.eta,), (self.alpha,), self.update, self.init,
                         ("matched", "zero", "custom"))
         _require(isinstance(self.batch, int) and self.batch >= 1,
-                 f"batch must be an integer >= 1, got {self.batch!r}")
-        _require(self.steps >= 1, f"steps must be >= 1, got {self.steps}")
+                 "batch must be an integer >= 1, got {!r}", self.batch)
+        _require(self.steps >= 1, "steps must be >= 1, got {}", self.steps)
         if self.init == "custom":
             _require(self.init_value is not None, "custom init needs init_value")
 
@@ -503,7 +503,7 @@ def sweep_sim(
     ties break toward the smallest batch, then the smallest step size,
     then the largest momentum complement.
     """
-    _require(replicates >= 1, f"replicates must be >= 1, got {replicates}")
+    _require(replicates >= 1, "replicates must be >= 1, got {}", replicates)
     etas = np.sort(np.asarray(eta_grid, dtype=float))
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     _check_settings(etas, alphas, update, init, ("matched", "zero"))
@@ -516,8 +516,8 @@ def sweep_sim(
         )
     t_max, b_min = float(budgets.max()), batches[0]
     _require(round(t_max / b_min) <= MAX_STEPS,
-             f"t={t_max} at b={b_min} means {t_max / b_min:.12g} steps per run, "
-             f"above the limit of {MAX_STEPS}")
+             "t={} at b={} means {:.12g} steps per run, above the limit of {}",
+             t_max, b_min, t_max / b_min, MAX_STEPS)
     groups = [(ti, bi, ai) for ti, t in enumerate(budgets) for bi, b in enumerate(batches)
               if b <= t for ai in range(len(alphas))]
     steps = [round(budgets[ti] / batches[bi]) for ti, bi, _ in groups]

@@ -3,16 +3,19 @@
 A configuration tuned at token budget T0 is rescaled to T1 >= T0 by a
 tuned law of ``schedules.TunedLaw``, x1 = x0 (b1/b0)^x (t0/t1)^y, at the
 regime's or the caller's b1.  Infeasible extrapolations are clamped and
-flagged rather than rejected, so callers choose the policy.  Batch sizes
-stay real-valued here; rounding belongs at the simulator boundary.
+flagged rather than rejected, so callers choose the policy; a result or
+invariant that leaves the float range (0, inf or NaN) raises
+``NumericalError``.  Batch sizes stay real-valued here; rounding belongs
+at the simulator boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, _require
+from .errors import DomainError, NumericalError, _require
 from .schedules import TunedLaw
 
 __all__ = [
@@ -78,10 +81,10 @@ class TunedConfig:
     alpha0: float
 
     def __post_init__(self) -> None:
-        _require(self.t0 > 0, f"t0 must be > 0, got {self.t0}")
-        _require(self.b0 >= 1, f"b0 must be >= 1, got {self.b0}")
-        _require(self.eta0 > 0, f"eta0 must be > 0, got {self.eta0}")
-        _require(0 < self.alpha0 <= 1, f"alpha0 must be in (0, 1], got {self.alpha0}")
+        _require(self.t0 > 0, "t0 must be > 0, got {}", self.t0)
+        _require(self.b0 >= 1, "b0 must be >= 1, got {}", self.b0)
+        _require(self.eta0 > 0, "eta0 must be > 0, got {}", self.eta0)
+        _require(0 < self.alpha0 <= 1, "alpha0 must be in (0, 1], got {}", self.alpha0)
 
 
 def _rescale(cfg: TunedConfig, t1: float, b1: float, law: TunedLaw,
@@ -96,10 +99,20 @@ def _rescale(cfg: TunedConfig, t1: float, b1: float, law: TunedLaw,
     if alpha1 > 1.0:
         alpha1 = 1.0
         flags.append("alpha-clamped")
-    if b_max is not None and b1 > b_max:
+    if b_max is not None and not b1 <= b_max:  # a NaN cap fails the check below
+        _require(b_max >= 1, "b_max must be >= 1, got {}", b_max)
         b1 = b_max
         flags.append("b-capped")
+    if not (0.0 < eta1 < math.inf and 0.0 < alpha1 < math.inf and 0.0 < b1 < math.inf):
+        raise _range_error(cfg, t1, ("eta1", eta1), ("alpha1", alpha1), ("b1", b1))
     return eta1, alpha1, b1, tuple(flags)
+
+
+def _range_error(cfg: TunedConfig, t1: float, *named: tuple) -> NumericalError:
+    """NumericalError naming the first (name, value) pair that is 0, inf or NaN."""
+    name, value = next((n, v) for n, v in named if not 0.0 < v < math.inf)
+    return NumericalError(f"transfer {name} = {value} leaves the float range from "
+                          f"t0={cfg.t0}, b0={cfg.b0} to t1={t1}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,7 @@ def extrapolate(cfg: TunedConfig, t1: float, regime: TransferRegime,
     at (t1, b1): its schedule in ``REGIME_SCHEDULES``.  Pure power laws, so
     transfers compose: t0 -> t1 -> t2 equals t0 -> t2 for every regime.
     """
-    _require(t1 >= cfg.t0, f"t1 must be >= t0, got t1={t1}, t0={cfg.t0}")
+    _require(t1 >= cfg.t0, "t1 must be >= t0, got t1={}, t0={}", t1, cfg.t0)
     law, phi = _REGIME_LAWS.get(regime, (None, None))
     if law is None:
         raise DomainError(f"unknown transfer regime {regime!r}")
@@ -157,8 +170,8 @@ def extrapolate_with_batch_change(cfg: TunedConfig, t1: float, b1: float,
                              eta1   = eta0 * (b1/b0) * (t0/t1)^(3/4)
         SGD:                 eta1 = eta0 * (b1/b0) * sqrt(t0/t1)
     """
-    _require(t1 >= cfg.t0, f"t1 must be >= t0, got t1={t1}, t0={cfg.t0}")
-    _require(b1 >= 1, f"b1 must be >= 1, got {b1}")
+    _require(t1 >= cfg.t0, "t1 must be >= t0, got t1={}, t0={}", t1, cfg.t0)
+    _require(b1 >= 1, "b1 must be >= 1, got {}", b1)
     law = _SETTING_LAWS.get(setting)
     if law is None:
         raise DomainError(f"unknown batch-change setting {setting!r}")
@@ -166,6 +179,8 @@ def extrapolate_with_batch_change(cfg: TunedConfig, t1: float, b1: float,
     c_alpha = None
     if law.tunes_momentum:
         c_alpha = cfg.alpha0 * cfg.t0**law.alpha_t / cfg.b0**law.alpha_b
+    if not (0.0 < c_eta < math.inf and (c_alpha is None or 0.0 < c_alpha < math.inf)):
+        raise _range_error(cfg, t1, ("invariant c_eta", c_eta), ("invariant c_alpha", c_alpha))
     eta1, alpha1, b1, flags = _rescale(cfg, t1, b1, law, b_max)
     return BatchChangeResult(eta1=eta1, alpha1=alpha1, b1=b1, setting=setting, flags=flags,
                              c_eta=c_eta, c_alpha=c_alpha)

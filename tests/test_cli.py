@@ -378,3 +378,30 @@ def test_memory_exhaustion_is_exit_4_naming_the_command(capsys, monkeypatch, arg
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["exit_code"] == 4 and doc["error"].startswith(f"{argv[0]}: out of memory")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("--t0 1e-300 --eta0 1 --t1 1e300 --regime A", "eta1 = 0.0"),
+        ("--t0 1e-300 --eta0 1 --t1 1e300 --b0 1 --b1 1e300 --setting sgd", "eta1 = 0.0"),
+        ("--t0 1 --eta0 1e10 --t1 1 --b0 1 --b1 1e300 --setting sgd", "eta1 = inf"),
+        ("--t0 1e-300 --eta0 1 --t1 1e300 --regime C --alpha0 0.5", "eta1 = nan"),
+        ("--t0 1e300 --eta0 1e300 --t1 1e300 --b0 1 --b1 1 --setting sgd",
+         "invariant c_eta = inf"),
+    ],
+)
+def test_transfers_that_leave_the_float_range_exit_4(capsys, argv, named):
+    code, out, err = run_cli(capsys, "transfer", *argv.split())
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["exit_code"] == 4 and f"transfer {named} leaves the float range" in doc["error"]
+
+
+def test_transfer_batch_cap_below_one_is_invalid(capsys):
+    code, out, err = run_cli(capsys, "transfer", "--t0", "1", "--eta0", "0.1", "--t1", "10",
+                             "--regime", "A", "--b-max", "0.5")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "b_max must be >= 1, got 0.5"

@@ -12,6 +12,7 @@ from lmoscale import (
     BoundConstants,
     Budget,
     DomainError,
+    NumericalError,
     TransferRegime,
     TunedConfig,
     TunedLaw,
@@ -269,3 +270,27 @@ def test_regime_schedules_are_their_laws_on_a_batch_path():
     joint = REGIME_SCHEDULES[TransferRegime.JOINT]
     assert (joint.b_exp, joint.eta_exp) == (1.0 / 6.0, 7.0 / 12.0)
     assert joint.alpha_exp == pytest.approx(1.0 / 3.0, rel=0, abs=1e-16)
+
+
+def test_results_outside_the_float_range_raise():
+    tiny = TunedConfig(t0=1e-300, b0=1.0, eta0=1.0, alpha0=0.5)
+    with pytest.raises(NumericalError, match=r"^transfer eta1 = 0\.0 leaves the float range"):
+        extrapolate(tiny, 1e300, TransferRegime.FIXED_BATCH_FIXED_MOMENTUM)
+    with pytest.raises(NumericalError, match=r"^transfer eta1 = nan "):
+        extrapolate(tiny, 1e300, TransferRegime.TUNED_BATCH_FIXED_MOMENTUM)
+    with pytest.raises(NumericalError, match=r"^transfer alpha1 = 0\.0 "):
+        extrapolate(TunedConfig(t0=1.0, b0=1.0, eta0=1.0, alpha0=1e-300), 1e100,
+                    TransferRegime.FIXED_BATCH_TUNED_MOMENTUM)
+    huge = TunedConfig(t0=1e300, b0=1.0, eta0=1e300, alpha0=1e-300)
+    with pytest.raises(NumericalError, match=r"^transfer invariant c_eta = inf "):
+        extrapolate_with_batch_change(huge, 1e300, 1.0, BatchChangeSetting.SGD)
+    with pytest.raises(NumericalError, match=r"^transfer invariant c_alpha = 0\.0 "):
+        extrapolate_with_batch_change(TunedConfig(1.0, 1e300, 1e-10, 1e-30), 1.0, 1e300,
+                                      BatchChangeSetting.LMO_TUNED_MOMENTUM)
+
+
+def test_batch_cap_below_one_is_rejected():
+    cfg = TunedConfig(t0=1e6, b0=8.0, eta0=0.01, alpha0=0.5)
+    for b_max in (0.5, math.nan):
+        with pytest.raises(DomainError, match=rf"^b_max must be >= 1, got {b_max}$"):
+            extrapolate(cfg, 1e7, TransferRegime.JOINT, b_max=b_max)
