@@ -63,6 +63,8 @@ class Opt:
 
 
 _FORMAT = Opt("format", str, "json", choices=("csv", "json"), help="output format")
+_GRID = grid.GridSpec()  # the verify ranges' defaults
+_RANGES = ("eta", "alpha", "b", "t")  # --<axis>-lo/--<axis>-hi span GridSpec.<axis>_range
 
 _CONSTANTS = [
     Opt("c1", float, 1.0, help="proxy constant c1 (initial suboptimality)"),
@@ -87,11 +89,9 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
             choices=("free", "fixed-alpha", "fixed-b", "fixed-eta", "capped-b")),
         Opt("value", float, None, help="pinned/capped value for the constraint"),
         Opt("objective", str, "risk_tokens", choices=("risk_tokens", "bound_tokens")),
-        Opt("eta-lo", float, 1e-15), Opt("eta-hi", float, 1e4),
-        Opt("alpha-lo", float, 1e-10), Opt("alpha-hi", float, 1.0),
-        Opt("b-lo", float, 1.0), Opt("b-hi", float, 1e15),
-        Opt("t-lo", float, 1e2), Opt("t-hi", float, 1e22),
-        Opt("points", int, 100, help="grid points per axis"),
+        *(Opt(f"{axis}-{end}", float, getattr(_GRID, f"{axis}_range")[i])
+          for axis in _RANGES for i, end in enumerate(("lo", "hi"))),
+        Opt("points", int, _GRID.points_per_axis, help="grid points per axis"),
         Opt("t-points", int, None, help="budget-axis point count override"),
         Opt("fit-decades", float, 2.0, help="top decades of budget kept for the fits"),
         _FORMAT,
@@ -159,7 +159,8 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
         Opt("b", _float_list, (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6),
             help="comma-separated batch sizes"),
         Opt("alpha", float, 1.0, help="momentum complement for the contrast optimum"),
-        Opt("enforce-cap", int, 0, help="1 to apply the eta <= 1/L stability cap"),
+        Opt("enforce-cap", int, 0, choices=(0, 1),
+            help="1 to apply the eta <= 1/L stability cap"),
     ],
 }
 for _opts in _SPECS.values():
@@ -195,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         sub.add_argument("--config", help="JSON config file; explicit flags win")
         for opt in opts:
-            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            metavar = "{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None
             sub.add_argument(f"--{opt.name}", dest=opt.dest, metavar=metavar, help=opt.help)
     return parser
 
@@ -342,14 +343,8 @@ def _verify_constraint(v: dict) -> grid.Constraint:
 
 def _cmd_verify(v: dict) -> None:
     c = _resolve_constants(v)
-    spec = grid.GridSpec(
-        eta_range=(v["eta_lo"], v["eta_hi"]),
-        alpha_range=(v["alpha_lo"], v["alpha_hi"]),
-        b_range=(v["b_lo"], v["b_hi"]),
-        t_range=(v["t_lo"], v["t_hi"]),
-        points_per_axis=v["points"],
-        t_points=v["t_points"],
-    )
+    ranges = {f"{axis}_range": (v[f"{axis}_lo"], v[f"{axis}_hi"]) for axis in _RANGES}
+    spec = grid.GridSpec(**ranges, points_per_axis=v["points"], t_points=v["t_points"])
     constraint = _verify_constraint(v)
     result = grid.sweep(c, spec, constraint, v["objective"], threads=v["threads"])
     fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
@@ -402,12 +397,12 @@ def _cmd_analyze(v: dict) -> None:
             raise DomainError("ceiling mode needs --phi")
         body = _fields(schedules.aggressive_ceiling(v["phi"]))
     elif mode == "noise":
-        if v["tail_p"] is not None:
-            model = schedules.NoiseModel.heavy_tailed(v["tail_p"])
-        elif v["q"] is not None:
-            model = schedules.NoiseModel(v["q"], init_error=v["init_error"])
-        else:
+        q, p = v["q"], v["tail_p"]
+        if q is None and p is None:
             raise DomainError("noise mode needs --q or --tail-p")
+        # a q beside --tail-p must agree with it; NoiseModel rejects a pair that does not
+        model = schedules.NoiseModel(1.0 - 1.0 / p if q is None else q, heavy_tail_p=p,
+                                     init_error=v["init_error"])
         body = _fields(schedules.noise_exponent_sensitivity(model, v["b"], v["t"]))
     else:
         if v["kappa"] is None or v["lam"] is None or v["p"] is None:

@@ -5,7 +5,9 @@ token-form objective on an outer-product grid of (batch, step size,
 momentum complement), takes a constrained argmin per budget, and fits power
 laws to the per-budget optima.  Results are deterministic and independent
 of evaluation order; ties break toward the smallest batch, then the
-smallest step size, then the largest momentum complement.
+smallest step size, then the largest momentum complement.  ``_AXES`` is
+the one table of the searched axes; the sweep, its edge labels, the fits,
+the constraint tags, the range checks and the log-step bound all read it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ __all__ = [
 
 OBJECTIVES = ("risk_tokens", "bound_tokens")
 
+# The searched axes in cube order: (name, the Constraint field that pins the
+# axis, the GridSpec range that spans it).  The cube stores alpha descending.
+_AXES = (
+    ("b", "fixed_b", "b_range"),
+    ("eta", "fixed_eta", "eta_range"),
+    ("alpha", "fixed_alpha", "alpha_range"),
+)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -51,13 +61,10 @@ class GridSpec:
     t_points: int | None = None
 
     def __post_init__(self) -> None:
-        for name, (lo, hi) in (
-            ("eta_range", self.eta_range),
-            ("alpha_range", self.alpha_range),
-            ("b_range", self.b_range),
-        ):
-            _require(lo > 0, "{} lower bound must be > 0, got {}", name, lo)
-            _require(lo < hi, "{} must have lo < hi, got ({}, {})", name, lo, hi)
+        for _, _, attr in _AXES:
+            lo, hi = getattr(self, attr)
+            _require(lo > 0, "{} lower bound must be > 0, got {}", attr, lo)
+            _require(lo < hi, "{} must have lo < hi, got ({}, {})", attr, lo, hi)
         _require(self.t_range[0] > 0, "t_range lower bound must be > 0, got {}", self.t_range[0])
         _require(self.t_range[0] <= self.t_range[1], "t_range must have lo <= hi")
         _require(self.alpha_range[1] <= 1.0, "alpha_range upper bound must be <= 1")
@@ -69,29 +76,15 @@ class GridSpec:
     def eta_axis(self) -> np.ndarray:
         return _log_axis(*self.eta_range, self.points_per_axis)
 
-    def alpha_axis(self) -> np.ndarray:
-        return _log_axis(*self.alpha_range, self.points_per_axis)
-
-    def b_axis(self) -> np.ndarray:
-        return _log_axis(*self.b_range, self.points_per_axis)
-
     def t_axis(self) -> np.ndarray:
         return _log_axis(*self.t_range, self.t_points or self.points_per_axis)
 
     def max_log_step(self, constraint: "Constraint") -> float:
         """Largest per-step log spacing among the axes left free by the constraint."""
-        steps = []
-        if constraint.fixed_eta is None:
-            steps.append(self._step(self.eta_range, self.points_per_axis))
-        if constraint.fixed_alpha is None:
-            steps.append(self._step(self.alpha_range, self.points_per_axis))
-        if constraint.fixed_b is None:
-            steps.append(self._step(self.b_range, self.points_per_axis))
-        return max(steps) if steps else 0.0
-
-    @staticmethod
-    def _step(rng: tuple[float, float], n: int) -> float:
-        return math.log(rng[1] / rng[0]) / (n - 1)
+        ranges = [getattr(self, attr) for _, field, attr in _AXES
+                  if getattr(constraint, field) is None]
+        return max((math.log(hi / lo) / (self.points_per_axis - 1) for lo, hi in ranges),
+                   default=0.0)
 
 
 def _log_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -143,15 +136,7 @@ class Constraint:
 
     @property
     def tag(self) -> str:
-        fixed = [
-            name
-            for name, value in (
-                ("eta", self.fixed_eta),
-                ("alpha", self.fixed_alpha),
-                ("b", self.fixed_b),
-            )
-            if value is not None
-        ]
+        fixed = [name for name, field, _ in _AXES if getattr(self, field) is not None]
         if not fixed and self.b_cap is None:
             return "free"
         if len(fixed) == 1 and self.b_cap is None:
@@ -199,19 +184,20 @@ def sweep(
 
     Budgets whose feasible set is empty (every allowed batch exceeds the
     budget) are skipped; if no budget is feasible at all the sweep raises.
-    The argmin index is taken in (b asc, eta asc, alpha desc) order, which
-    realizes the documented tie-breaking.
+    Each axis of ``_AXES`` is its pinned value or its GridSpec range.  The
+    argmin index is taken in (b asc, eta asc, alpha desc) order, which
+    realizes the documented tie-breaking; ``at_edge`` names, in that order,
+    each free axis whose end the argmin sits on (b's upper end is the largest
+    batch feasible at the budget).
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     _require(threads >= 1, "threads must be >= 1, got {}", threads)
-    eta = np.array([constraint.fixed_eta]) if constraint.fixed_eta is not None else spec.eta_axis()
-    alpha = (
-        np.array([constraint.fixed_alpha])
-        if constraint.fixed_alpha is not None
-        else spec.alpha_axis()
+    pins = [getattr(constraint, field) for _, field, _ in _AXES]
+    b, eta, alpha = (
+        _log_axis(*getattr(spec, attr), spec.points_per_axis) if pin is None else np.array([pin])
+        for pin, (_, _, attr) in zip(pins, _AXES)
     )
-    b = np.array([constraint.fixed_b]) if constraint.fixed_b is not None else spec.b_axis()
     if constraint.b_cap is not None:
         b = b[b <= constraint.b_cap]
         if b.size == 0:
@@ -224,11 +210,7 @@ def sweep(
     )
     u = descent + burn
     v = floor + smooth
-    free_axes = (
-        constraint.fixed_b is None,
-        constraint.fixed_eta is None,
-        constraint.fixed_alpha is None,
-    )
+    free = [(k, _AXES[k][0]) for k, pin in enumerate(pins) if pin is None]
 
     def best_at(t: float) -> SweepRecord | None:
         m = int(np.searchsorted(b, t, side="right"))
@@ -240,22 +222,14 @@ def sweep(
         risk = float(values[i_b, i_e, i_a])
         if math.isnan(risk):  # argmin stops at the first NaN
             raise NumericalError(f"the objective is NaN on some grid cells at budget {t}")
+        # positions in ascending order on each axis; alpha is stored descending
+        at, last = (i_b, i_e, alpha.size - 1 - i_a), (m - 1, eta.size - 1, alpha.size - 1)
         edges = []
-        if free_axes[0]:
-            if i_b == 0:
-                edges.append("b-lo")
-            if i_b == m - 1:
-                edges.append("b-hi")
-        if free_axes[1]:
-            if i_e == 0:
-                edges.append("eta-lo")
-            if i_e == eta.size - 1:
-                edges.append("eta-hi")
-        if free_axes[2]:
-            if i_a == alpha_desc.size - 1:
-                edges.append("alpha-lo")
-            if i_a == 0:
-                edges.append("alpha-hi")
+        for k, name in free:
+            if at[k] == 0:
+                edges.append(f"{name}-lo")
+            if at[k] == last[k]:
+                edges.append(f"{name}-hi")
         return SweepRecord(
             t=float(t),
             eta=float(eta[i_e]),
@@ -343,6 +317,7 @@ def fit_sweep_exponents(
 ) -> dict[str, FitResult]:
     """Power-law fits of best risk/eta/b/alpha against the budget.
 
+    Risk is fitted, then each free axis of ``_AXES`` in the order eta, b, alpha.
     Records whose argmin sits on a grid edge are excluded (they are clamped
     by the grid, not genuine optima; this also removes the small-budget
     phase where the best batch is pinned at 1).  The default window keeps
@@ -355,12 +330,8 @@ def fit_sweep_exponents(
     if window is None:
         hi = float(ts.max())
         window = (hi / 10.0**decades, hi)
-    fits: dict[str, FitResult] = {}
-    fits["risk"] = fit_power_law(ts, [r.risk for r in clean], window)
-    if result.constraint.fixed_eta is None:
-        fits["eta"] = fit_power_law(ts, [r.eta for r in clean], window)
-    if result.constraint.fixed_b is None:
-        fits["b"] = fit_power_law(ts, [r.b for r in clean], window)
-    if result.constraint.fixed_alpha is None:
-        fits["alpha"] = fit_power_law(ts, [r.alpha for r in clean], window)
+    fits = {"risk": fit_power_law(ts, [r.risk for r in clean], window)}
+    for name, field, _ in sorted(_AXES, key=lambda axis: axis[0] != "eta"):
+        if getattr(result.constraint, field) is None:
+            fits[name] = fit_power_law(ts, [getattr(r, name) for r in clean], window)
     return fits

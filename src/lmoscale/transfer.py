@@ -2,11 +2,11 @@
 
 A configuration tuned at token budget T0 is rescaled to T1 >= T0 by a
 tuned law of ``schedules.TunedLaw``, x1 = x0 (b1/b0)^x (t0/t1)^y, at the
-regime's or the caller's b1.  Infeasible extrapolations are clamped and
-flagged rather than rejected, so callers choose the policy; a result or
-invariant that leaves the float range (0, inf or NaN) raises
-``NumericalError``.  Batch sizes stay real-valued here; rounding belongs
-at the simulator boundary.
+regime's or the caller's b1, capped to ``b_max`` before the law is
+evaluated.  Infeasible extrapolations are clamped and flagged rather than
+rejected, so callers choose the policy; a result or invariant that leaves
+the float range (0, inf or NaN) raises ``NumericalError``.  Batch sizes
+stay real-valued here; rounding belongs at the simulator boundary.
 """
 
 from __future__ import annotations
@@ -89,7 +89,11 @@ class TunedConfig:
 
 def _rescale(cfg: TunedConfig, t1: float, b1: float, law: TunedLaw,
              b_max: float | None) -> tuple:
-    """(eta1, alpha1, b1, flags) by the law, with alpha clamped to 1 and b1 to b_max."""
+    """(eta1, alpha1, b1, flags): the law at b1 capped to b_max, alpha clamped to 1."""
+    capped = b_max is not None and not b1 <= b_max  # a NaN cap fails the check below
+    if capped:
+        _require(b_max >= 1, "b_max must be >= 1, got {}", b_max)
+        b1 = b_max
     b_ratio, ratio = b1 / cfg.b0, cfg.t0 / t1
     eta1 = cfg.eta0 * b_ratio**law.eta_b * ratio**law.eta_t
     alpha1 = cfg.alpha0
@@ -99,9 +103,7 @@ def _rescale(cfg: TunedConfig, t1: float, b1: float, law: TunedLaw,
     if alpha1 > 1.0:
         alpha1 = 1.0
         flags.append("alpha-clamped")
-    if b_max is not None and not b1 <= b_max:  # a NaN cap fails the check below
-        _require(b_max >= 1, "b_max must be >= 1, got {}", b_max)
-        b1 = b_max
+    if capped:
         flags.append("b-capped")
     if not (0.0 < eta1 < math.inf and 0.0 < alpha1 < math.inf and 0.0 < b1 < math.inf):
         raise _range_error(cfg, t1, ("eta1", eta1), ("alpha1", alpha1), ("b1", b1))
@@ -128,8 +130,9 @@ def extrapolate(cfg: TunedConfig, t1: float, regime: TransferRegime,
                 b_max: float | None = None) -> TransferResult:
     """Rescale (eta, alpha, b) from t0 to t1 by the regime's tuned law.
 
-    b1 = b0 (t1/t0)^phi with the regime's phi, and eta, alpha follow its law
-    at (t1, b1): its schedule in ``REGIME_SCHEDULES``.  Pure power laws, so
+    b1 = b0 (t1/t0)^phi with the regime's phi, capped to ``b_max`` (flagged
+    "b-capped"), and eta, alpha follow its law at (t1, b1): uncapped, its
+    schedule in ``REGIME_SCHEDULES``.  Pure power laws, so uncapped
     transfers compose: t0 -> t1 -> t2 equals t0 -> t2 for every regime.
     """
     _require(t1 >= cfg.t0, "t1 must be >= t0, got t1={}, t0={}", t1, cfg.t0)
@@ -146,7 +149,8 @@ class BatchChangeResult:
 
     ``c_eta`` (and ``c_alpha`` where the law tunes momentum) are the
     constants x0 t0^y / b0^x of the tuned law fitted at (t0, b0);
-    re-evaluating c b1^x / t1^y at (t1, b1) reproduces eta1/alpha1.
+    re-evaluating c b1^x / t1^y at (t1, b1) reproduces eta1/alpha1, with
+    b1 the reported batch, capped or not (alpha1 unless clamped to 1).
     """
 
     eta1: float
@@ -169,6 +173,9 @@ def extrapolate_with_batch_change(cfg: TunedConfig, t1: float, b1: float,
         LMO tuned momentum:  alpha1 = alpha0 * (b1/b0) * sqrt(t0/t1)
                              eta1   = eta0 * (b1/b0) * (t0/t1)^(3/4)
         SGD:                 eta1 = eta0 * (b1/b0) * sqrt(t0/t1)
+
+    A b1 above ``b_max`` is capped to it (flagged "b-capped") before the law
+    is evaluated, so the result sits on the law at the batch it reports.
     """
     _require(t1 >= cfg.t0, "t1 must be >= t0, got t1={}, t0={}", t1, cfg.t0)
     _require(b1 >= 1, "b1 must be >= 1, got {}", b1)

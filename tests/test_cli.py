@@ -405,3 +405,36 @@ def test_transfer_batch_cap_below_one_is_invalid(capsys):
                              "--regime", "A", "--b-max", "0.5")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "b_max must be >= 1, got 0.5"
+
+
+def test_noise_mode_keeps_init_error_beside_tail_p(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--mode", "noise", "--tail-p", "1.5",
+                             "--init-error", "0.3")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["init_error"] == 0.3 and doc["q"] == 1.0 - 1.0 / 1.5
+
+
+@pytest.mark.parametrize("q, code", [("0.5", 0), ("0.25", 2)])
+def test_noise_mode_q_beside_tail_p_must_agree(capsys, q, code):
+    got, out, err = run_cli(capsys, "analyze", "--mode", "noise", "--tail-p", "2", "--q", q)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["q"] == 0.5 and err == ""
+    else:
+        assert out == "" and json.loads(err) == {
+            "error": "heavy_tail_p=2.0 requires q = 1 - 1/p = 0.5, got 0.25", "exit_code": 2}
+
+
+@pytest.mark.parametrize("value, code", [("0", 0), ("1", 0), ("7", 2), ("-1", 2)])
+def test_enforce_cap_is_zero_or_one(capsys, value, code):
+    got, out, err = run_cli(capsys, "compare-sgd", "--t", "1e4", "--enforce-cap", value)
+    assert got == code
+    if code == 2:
+        assert out == "" and json.loads(err)["error"] == \
+            f"--enforce-cap must be one of (0, 1), got {value}"
+
+
+def test_enforce_cap_help_lists_its_choices(capsys):
+    code, out, _ = run_cli(capsys, "compare-sgd", "--help")
+    assert code == 0 and "--enforce-cap {0,1}" in out

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmoscale import (
     BoundConstants,
@@ -245,3 +247,94 @@ def test_constraint_tags():
     assert Constraint(fixed_alpha=1.0, fixed_b=1.0).tag == "composite"
     with pytest.raises(DomainError):
         Constraint(fixed_b=2.0, b_cap=4.0)
+
+
+# The twelve valid field combinations of a Constraint (fixed_b and b_cap
+# exclude each other), each with its tag and the axes it leaves free.
+_COMBOS = [
+    ((), "free"),
+    (("fixed_eta",), "fixed-eta"),
+    (("fixed_alpha",), "fixed-alpha"),
+    (("fixed_b",), "fixed-b"),
+    (("b_cap",), "capped-b"),
+    (("fixed_eta", "fixed_alpha"), "composite"),
+    (("fixed_eta", "fixed_b"), "composite"),
+    (("fixed_eta", "b_cap"), "composite"),
+    (("fixed_alpha", "fixed_b"), "composite"),
+    (("fixed_alpha", "b_cap"), "composite"),
+    (("fixed_eta", "fixed_alpha", "fixed_b"), "composite"),
+    (("fixed_eta", "fixed_alpha", "b_cap"), "composite"),
+]
+_PIN = {"fixed_eta": 0.1, "fixed_alpha": 0.5, "fixed_b": 2.0, "b_cap": 10.0}
+
+
+@pytest.mark.parametrize("fields, tag", _COMBOS, ids=[t + ":" + "+".join(f) for f, t in _COMBOS])
+def test_constraint_tag_of_every_field_combination(fields, tag):
+    assert Constraint(**{name: _PIN[name] for name in fields}).tag == tag
+
+
+@pytest.mark.parametrize("fields", [f for f, _ in _COMBOS], ids=["+".join(f) for f, _ in _COMBOS])
+def test_max_log_step_is_the_widest_free_axis(fields):
+    spec = GridSpec(eta_range=(1e-6, 1e2), alpha_range=(1e-4, 1.0), b_range=(1.0, 1e12),
+                    points_per_axis=9)
+    steps = {"fixed_eta": math.log(1e8) / 8, "fixed_alpha": math.log(1e4) / 8,
+             "fixed_b": math.log(1e12) / 8}
+    free = [step for name, step in steps.items() if name not in fields]
+    constraint = Constraint(**{name: _PIN[name] for name in fields})
+    assert spec.max_log_step(constraint) == (max(free) if free else 0.0)
+
+
+def _decade(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _small_sweeps(draw):
+    """(constants, spec, constraint) with at most 6 points per axis."""
+    c = BoundConstants(draw(_decade(-3, 3)), draw(_decade(-3, 3)),
+                       draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3])), draw(_decade(0, 1)))
+    eta_lo, b_lo, t_lo = draw(_decade(-8, 0)), draw(_decade(0, 3)), draw(_decade(0, 10))
+    alpha_hi = draw(_decade(-2, 0))
+    spec = GridSpec(eta_range=(eta_lo, eta_lo * draw(_decade(0.5, 8))),
+                    alpha_range=(alpha_hi / draw(_decade(0.3, 3)), alpha_hi),
+                    b_range=(b_lo, b_lo * draw(_decade(0.5, 8))),
+                    t_range=(t_lo, t_lo * draw(_decade(0, 10))),
+                    points_per_axis=draw(st.integers(2, 6)), t_points=draw(st.integers(1, 6)))
+    fields, _ = draw(st.sampled_from(_COMBOS))
+    pins = {"fixed_eta": draw(_decade(-6, 0)), "fixed_alpha": draw(_decade(-4, 0)),
+            "fixed_b": draw(_decade(0, 4)), "b_cap": b_lo * draw(_decade(0, 6))}
+    return c, spec, Constraint(**{name: pins[name] for name in fields})
+
+
+def _edges_by_value(spec, constraint, rec):
+    """Grid-edge labels from the record's values alone, in (b, eta, alpha) order."""
+    def axis(lo, hi):
+        return np.logspace(math.log10(lo), math.log10(hi), spec.points_per_axis)
+
+    b = axis(*spec.b_range)
+    if constraint.b_cap is not None:
+        b = b[b <= constraint.b_cap]
+    feasible_b = b[b <= rec.t]
+    axes = (("b", constraint.fixed_b, rec.b, feasible_b),
+            ("eta", constraint.fixed_eta, rec.eta, axis(*spec.eta_range)),
+            ("alpha", constraint.fixed_alpha, rec.alpha, axis(*spec.alpha_range)))
+    edges = []
+    for name, pinned, value, values in axes:
+        if pinned is None:
+            if value == values.min():
+                edges.append(f"{name}-lo")
+            if value == values.max():
+                edges.append(f"{name}-hi")
+    return tuple(edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_sweeps())
+def test_edge_labels_match_the_records_values(draw):
+    c, spec, constraint = draw
+    try:
+        result = sweep(c, spec, constraint)
+    except InfeasibleError:
+        return
+    for rec in result.records:
+        assert rec.at_edge == _edges_by_value(spec, constraint, rec), rec

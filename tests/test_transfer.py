@@ -294,3 +294,50 @@ def test_batch_cap_below_one_is_rejected():
     for b_max in (0.5, math.nan):
         with pytest.raises(DomainError, match=rf"^b_max must be >= 1, got {b_max}$"):
             extrapolate(cfg, 1e7, TransferRegime.JOINT, b_max=b_max)
+
+
+# the law each regime and setting follows, as its batch-change setting
+_SETTING_OF_REGIME = {
+    TransferRegime.FIXED_BATCH_FIXED_MOMENTUM: BatchChangeSetting.LMO_FIXED_MOMENTUM,
+    TransferRegime.FIXED_BATCH_TUNED_MOMENTUM: BatchChangeSetting.LMO_TUNED_MOMENTUM,
+    TransferRegime.TUNED_BATCH_FIXED_MOMENTUM: BatchChangeSetting.LMO_FIXED_MOMENTUM,
+    TransferRegime.JOINT: BatchChangeSetting.LMO_TUNED_MOMENTUM,
+    TransferRegime.SGD: BatchChangeSetting.SGD,
+}
+_LAW_OF_SETTING = {
+    BatchChangeSetting.LMO_FIXED_MOMENTUM: TunedLaw.FIXED_MOMENTUM,
+    BatchChangeSetting.LMO_TUNED_MOMENTUM: TunedLaw.TUNED_MOMENTUM,
+    BatchChangeSetting.SGD: TunedLaw.SGD,
+}
+
+
+@pytest.mark.parametrize("regime", list(TransferRegime), ids=lambda r: r.value)
+def test_capped_transfer_is_on_its_law_at_the_capped_batch(regime):
+    # every regime's batch starts (b0 = 64) above the cap, so each is capped
+    cfg = TunedConfig(t0=1e6, b0=64.0, eta0=0.01, alpha0=0.05)
+    res = extrapolate(cfg, 1e9, regime, b_max=16.0)
+    assert res.b1 == 16.0 and res.flags == ("b-capped",)
+    on_law = extrapolate_with_batch_change(cfg, 1e9, 16.0, _SETTING_OF_REGIME[regime])
+    assert (res.eta1, res.alpha1) == (on_law.eta1, on_law.alpha1)
+
+
+@pytest.mark.parametrize("setting", list(BatchChangeSetting), ids=lambda s: s.value)
+def test_capped_batch_change_keeps_the_invariants_identity(setting):
+    cfg = TunedConfig(t0=1e6, b0=8.0, eta0=0.01, alpha0=1e-3)
+    res = extrapolate_with_batch_change(cfg, 1e9, 1e3, setting, b_max=100.0)
+    assert res.b1 == 100.0 and res.flags == ("b-capped",)
+    on_law = extrapolate_with_batch_change(cfg, 1e9, 100.0, setting)
+    assert (res.eta1, res.alpha1) == (on_law.eta1, on_law.alpha1)
+    law = _LAW_OF_SETTING[setting]
+    assert res.c_eta * res.b1**law.eta_b / 1e9**law.eta_t == pytest.approx(res.eta1, rel=1e-12)
+    if law.tunes_momentum:
+        assert res.c_alpha * res.b1**law.alpha_b / 1e9**law.alpha_t == pytest.approx(
+            res.alpha1, rel=1e-12)
+
+
+def test_joint_transfer_capped_at_ten():
+    res = extrapolate(TunedConfig(1e6, 8.0, 0.01, 0.5), 1e8, TransferRegime.JOINT, b_max=10.0)
+    assert res.b1 == 10.0 and res.flags == ("b-capped",)
+    # eta0 (b1/b0) (t0/t1)^(3/4) at b1 = 10, not at the uncapped 8 * 100^(1/6)
+    assert res.eta1 == pytest.approx(0.01 * (10.0 / 8.0) * 0.01**0.75, rel=1e-12)
+    assert res.eta1 == pytest.approx(3.9528e-4, rel=1e-4)
