@@ -400,7 +400,9 @@ def _cmd_analyze(v: dict) -> None:
         q, p = v["q"], v["tail_p"]
         if q is None and p is None:
             raise DomainError("noise mode needs --q or --tail-p")
-        # a q beside --tail-p must agree with it; NoiseModel rejects a pair that does not
+        # p is checked before q = 1 - 1/p is formed; a q beside --tail-p must
+        # agree with it, and NoiseModel rejects a pair that does not
+        _require(p is None or 1.0 < p <= 2.0, "heavy_tail_p must be in (1, 2], got {}", p)
         model = schedules.NoiseModel(1.0 - 1.0 / p if q is None else q, heavy_tail_p=p,
                                      init_error=v["init_error"])
         body = _fields(schedules.noise_exponent_sensitivity(model, v["b"], v["t"]))

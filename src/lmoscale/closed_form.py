@@ -291,7 +291,10 @@ def bound_eta_star(c: BoundConstants, alpha: float, b: float, t: float) -> float
     """Step size minimizing the exact token bound at fixed (alpha, b)."""
     _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
     weight = smoothness_weight(c, alpha, True)
-    return math.sqrt(b * c.delta0 / (t * weight))
+    eta = math.sqrt(b * c.delta0 / (t * weight))
+    if not 0.0 < eta < math.inf:
+        raise NumericalError(f"eta* = {eta} leaves the float range at alpha={alpha}, b={b}, t={t}")
+    return eta
 
 
 def bound_eta_minimized(c: BoundConstants, alpha: float, b: float, t: float) -> float:

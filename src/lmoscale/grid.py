@@ -8,6 +8,12 @@ of evaluation order; ties break toward the smallest batch, then the
 smallest step size, then the largest momentum complement.  ``_AXES`` is
 the one table of the searched axes; the sweep, its edge labels, the fits,
 the constraint tags, the range checks and the log-step bound all read it.
+
+The objective is u / T + v with u, v >= 0 fixed per cell, so before the
+budget loop the sweep drops every cell that a cell in an earlier block of
+batch rows weakly dominates (u and v both no larger): that cell is never
+worse at any budget, comes first in argmin order, and is feasible whenever
+the dropped one is.  The records are exactly those of a scan of every cell.
 """
 
 from __future__ import annotations
@@ -169,9 +175,68 @@ class SweepResult:
         return np.array([getattr(r, name) for r in self.records])
 
 
-# value(t) = u / t + v on the (b, eta, alpha) cube, so the per-budget loop
-# reuses two cubes.  Cells that overflow are +inf and never win the argmin; a
-# NaN cell (0 * inf at the float limits) is reported by best_at.
+# Cells per pruning block.  Whole b rows are pruned a block at a time, so a
+# pinned sweep's short rows do not pay numpy's per-call cost row by row.
+_PRUNE_BLOCK = 4096
+
+
+def _prune(u_terms: tuple, v_terms: tuple, shape: tuple[int, ...]):
+    """The cells of the cubes u, v that no cell of an earlier block dominates.
+
+    u and v are the sums of the two arrays in ``u_terms`` and in ``v_terms``,
+    which broadcast to ``shape`` (b rows first).  Each block's rows are summed
+    when the block is pruned, so neither cube is ever built whole.  Cell j
+    dominates cell i when u_j <= u_i and v_j <= v_i.  Blocks are runs of
+    whole b rows holding at least ``_PRUNE_BLOCK`` cells.  Returns the
+    survivors' u, v and flat index, in flat order, and ``offsets`` with
+    ``offsets[m]`` the number of survivors in the first m rows.
+    """
+    rows, width = shape[0], math.prod(shape[1:])
+    step = -(-_PRUNE_BLOCK // width)
+    (u0, u1), (v0, v1) = ([np.broadcast_to(x, shape) for x in pair] for pair in (u_terms, v_terms))
+
+    def block(r0: int) -> tuple[np.ndarray, np.ndarray]:
+        r1 = r0 + step
+        return (u0[r0:r1] + u1[r0:r1]).ravel(), (v0[r0:r1] + v1[r0:r1]).ravel()
+
+    bu, bv = block(0)
+    parts = [(bu, bv, np.arange(bu.size))]
+    su = sv = np.empty(0)
+    for r0 in range(step, rows, step):
+        # The staircase of the earlier blocks' survivors, NaN left out: u
+        # ascending, v strictly descending, so the v at the last u <= a cell's
+        # u is the least v of any earlier cell with u that small.
+        ku, kv, _ = parts[-1]
+        fine = ~(np.isnan(ku) | np.isnan(kv))
+        cu, cv = np.concatenate((su, ku[fine])), np.concatenate((sv, kv[fine]))
+        order = np.argsort(cu)
+        cu, cv = cu[order], cv[order]
+        front = np.empty(cv.size, dtype=bool)
+        front[:1] = True
+        np.less(cv[1:], np.minimum.accumulate(cv)[:-1], out=front[1:])
+        su, sv = cu[front], cv[front]
+        # Sentinels with v NaN, which no comparison passes: every u >= 0 sorts
+        # after -inf, and searchsorted sorts a NaN u after the trailing NaN.
+        bu, bv = block(r0)
+        k = np.searchsorted(np.concatenate(([-np.inf], su, [np.nan])), bu, side="right")
+        keep = ~(np.concatenate(([np.nan], sv, [np.nan]))[k - 1] <= bv)
+        flat = np.flatnonzero(keep)
+        parts.append((bu[flat], bv[flat], flat + r0 * width))
+    ku, kv, flat = (np.concatenate(col) for col in zip(*parts))
+    return ku, kv, flat, np.searchsorted(flat, np.arange(rows + 1) * width)
+
+
+# value(t) = u / t + v on the (b, eta, alpha) cube, so _prune sums u and v
+# once for all budgets, a block of b rows at a time.  Cells that overflow are
+# +inf and never win the argmin; a NaN cell (0 * inf at the float limits) is
+# reported by best_at.  Each budget's argmin runs over the survivors of
+# _prune alone, and is exact: u and v are >= 0, and dividing by t > 0 and
+# adding are monotone under rounding, so a dominating cell's value is <= the
+# dominated cell's at every budget; it lies in an earlier b row, so it comes
+# first in flat order, where argmin keeps the first minimum, and it is
+# feasible whenever the dominated cell is, since the feasible cells are a
+# prefix of b rows.  NaN compares false, so NaN cells are never dropped and
+# raise at the same budget as without the prune.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def sweep(
     c: BoundConstants,
@@ -208,20 +273,21 @@ def sweep(
         c, eta[None, :, None], alpha_desc[None, None, :], b[:, None, None],
         objective == "bound_tokens",
     )
-    u = descent + burn
-    v = floor + smooth
+    shape = (b.size, eta.size, alpha.size)
+    u, v, kept, offsets = _prune((descent, burn), (floor, smooth), shape)
     free = [(k, _AXES[k][0]) for k, pin in enumerate(pins) if pin is None]
 
     def best_at(t: float) -> SweepRecord | None:
         m = int(np.searchsorted(b, t, side="right"))
         if m == 0:
             return None
-        values = u[:m] / t + v[:m]
-        flat = int(np.argmin(values))
-        i_b, i_e, i_a = np.unravel_index(flat, values.shape)
-        risk = float(values[i_b, i_e, i_a])
+        n = offsets[m]
+        values = u[:n] / t + v[:n]
+        j = int(np.argmin(values))
+        risk = float(values[j])
         if math.isnan(risk):  # argmin stops at the first NaN
             raise NumericalError(f"the objective is NaN on some grid cells at budget {t}")
+        i_b, i_e, i_a = np.unravel_index(kept[j], shape)
         # positions in ascending order on each axis; alpha is stored descending
         at, last = (i_b, i_e, alpha.size - 1 - i_a), (m - 1, eta.size - 1, alpha.size - 1)
         edges = []
@@ -239,13 +305,20 @@ def sweep(
             at_edge=tuple(edges),
         )
 
+    def best_of(ts: np.ndarray) -> list[SweepRecord | None]:
+        return [best_at(t) for t in ts]
+
     t_axis = spec.t_axis()
     if threads > 1:
+        # One contiguous run of budgets per thread: an argmin over the
+        # survivors takes microseconds, so a task per budget would cost more
+        # in hand-offs between threads than the argmins do.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # worker threads do not inherit the error state of this call
-            maybe = list(pool.map(np.errstate(over="ignore")(best_at), t_axis))
+            runs = pool.map(np.errstate(over="ignore")(best_of), np.array_split(t_axis, threads))
+            maybe = [r for run in runs for r in run]
     else:
-        maybe = [best_at(t) for t in t_axis]
+        maybe = best_of(t_axis)
     records = tuple(r for r in maybe if r is not None)
     if not records:
         raise InfeasibleError("empty feasible set: every allowed batch exceeds every budget")

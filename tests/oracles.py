@@ -1,10 +1,11 @@
 """Independent numerical oracles used to cross-check closed forms and the simulator.
 
 These stay deliberately dumb: golden-section line search, plain bisection,
-iterative local grid refinement, and a simulator step loop that runs one
-(budget, batch, momentum) group at a time.  None of them share code with
-the package's own solvers; the simulator reference takes only the
-objective, the noise sampler and the polar factor from the package.
+iterative local grid refinement, a cell-by-cell grid argmin, and a
+simulator step loop that runs one (budget, batch, momentum) group at a
+time.  None of them share code with the package's own solvers; the
+simulator reference takes only the objective, the noise sampler and the
+polar factor from the package.
 """
 
 import math
@@ -79,6 +80,21 @@ def refine_min(f, start, rounds=70, span=4.0, n=9):
             x[key] = candidates[min(range(n), key=values.__getitem__)]
         half *= 0.7
     return x, f(x)
+
+
+def first_argmin(u, v, t):
+    """Flat index and value of the first minimum of u / t + v, one cell at a time.
+
+    Like ``np.argmin``, a NaN value wins at once and ties go to the earlier cell.
+    """
+    best = None
+    for i, (a, c) in enumerate(zip(np.ravel(u).tolist(), np.ravel(v).tolist())):
+        value = a / t + c
+        if math.isnan(value):
+            return i, value
+        if best is None or value < best[1]:
+            best = (i, value)
+    return best
 
 
 # --------------------------------------------------------------------------

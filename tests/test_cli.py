@@ -426,6 +426,14 @@ def test_noise_mode_q_beside_tail_p_must_agree(capsys, q, code):
             "error": "heavy_tail_p=2.0 requires q = 1 - 1/p = 0.5, got 0.25", "exit_code": 2}
 
 
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_noise_mode_checks_tail_p_before_forming_q(capsys, p):
+    code, out, err = run_cli(capsys, "analyze", "--mode", "noise", "--tail-p", p)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"heavy_tail_p must be in (1, 2], got {float(p)}",
+                               "exit_code": 2}
+
+
 @pytest.mark.parametrize("value, code", [("0", 0), ("1", 0), ("7", 2), ("-1", 2)])
 def test_enforce_cap_is_zero_or_one(capsys, value, code):
     got, out, err = run_cli(capsys, "compare-sgd", "--t", "1e4", "--enforce-cap", value)

@@ -114,6 +114,12 @@ MESSAGES = [
     (lambda: closed_form.momentum_cubic(proxy.BoundConstants(1.0, 1.0, 1e-150), 1e30),
      NumericalError, "momentum cubic ratio a0/a3 = 0.0 leaves the float range at t=1e+30 "
      "(delta0=1.0, L=1.0, rho*sigma=1e-150)"),
+    (lambda: closed_form.bound_eta_star(UNIT, 1e-320, 1e300, 1e300), NumericalError,
+     "eta* = 0.0 leaves the float range at alpha=1e-320, b=1e+300, t=1e+300"),
+    (lambda: closed_form.bound_eta_minimized(UNIT, 1e-320, 1e300, 1e300), NumericalError,
+     "eta* = 0.0 leaves the float range at alpha=1e-320, b=1e+300, t=1e+300"),
+    (lambda: closed_form.bound_eta_minimized(UNIT, 1e-300, 1.0, 1e300), NumericalError,
+     "eta* = 0.0 leaves the float range at alpha=1e-300, b=1.0, t=1e+300"),
     (lambda: sgd.sgd_tuned(1.0, 1.0, 0.0, 4.0, proxy.Budget.tokens(1e6)), DomainError,
      "noise_scale must be > 0, got 0.0"),
     (lambda: contours.tuned_bound(contours.ContourConstants(UNIT, 0.5), 0.5, 10.0), DomainError,

@@ -1,6 +1,7 @@
 """Grid sweep engine: argmins, determinism, fits, burn-in detection."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lmoscale import (
     GridSpec,
     HyperParams,
     InfeasibleError,
+    NumericalError,
     bound_tokens,
     detect_burn_in,
     fit_power_law,
@@ -24,8 +26,9 @@ from lmoscale import (
     risk_tokens,
     sweep,
 )
+from lmoscale import grid
 from lmoscale.proxy import token_terms
-from oracles import bisect_root
+from oracles import bisect_root, first_argmin
 
 UNIT = BoundConstants.from_proxy_constants()
 
@@ -338,3 +341,116 @@ def test_edge_labels_match_the_records_values(draw):
         return
     for rec in result.records:
         assert rec.at_edge == _edges_by_value(spec, constraint, rec), rec
+
+
+def _axis(spec, attr):
+    lo, hi = getattr(spec, attr)
+    return np.logspace(math.log10(lo), math.log10(hi), spec.points_per_axis)
+
+
+def _expected_records(b, eta, alpha_desc, u, v, t_axis):
+    """Per-budget (t, eta, alpha, b, risk) from the brute-force argmin, or the NaN budget."""
+    rows = []
+    for t in t_axis:
+        m = int(np.sum(b <= t))
+        if m == 0:
+            continue
+        flat, value = first_argmin(u[:m], v[:m], t)
+        if math.isnan(value):
+            return rows, t
+        i_b, i_e, i_a = np.unravel_index(flat, u.shape)
+        rows.append((t, eta[i_e], alpha_desc[i_a], b[i_b], value))
+    return rows, None
+
+
+def _check_sweep(expected, nan_at, run):
+    if nan_at is not None:
+        with pytest.raises(NumericalError, match=f"at budget {nan_at}$"):
+            run()
+        return
+    got = [(r.t, r.eta, r.alpha, r.b, r.risk) for r in run().records]
+    assert got == expected
+
+
+_CELL = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
+
+
+@st.composite
+def _integer_cubes(draw):
+    """(spec, u, v) with small-integer cells, inf cells and at most one NaN cell."""
+    n = draw(st.integers(2, 5))
+    u = np.array(draw(st.lists(_CELL, min_size=n**3, max_size=n**3))).reshape(n, n, n)
+    v = np.array(draw(st.lists(_CELL, min_size=n**3, max_size=n**3))).reshape(n, n, n)
+    nan_at = draw(st.none() | st.tuples(st.integers(0, n**3 - 1), st.booleans()))
+    if nan_at is not None:
+        (u if nan_at[1] else v).reshape(-1)[nan_at[0]] = math.nan
+    spec = GridSpec(b_range=(1.0, 10.0 ** n), t_range=(0.5, 10.0 ** (n + 1)), points_per_axis=n,
+                    t_points=draw(st.integers(2, 2 * n)))
+    return spec, u, v
+
+
+# prune blocks of one row, of several rows, and of the whole cube
+_BLOCKS = st.sampled_from([1, 10, 30, grid._PRUNE_BLOCK])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_integer_cubes(), _BLOCKS, st.sampled_from([1, 2]))
+def test_pruned_sweep_matches_brute_force_on_integer_cubes(cube, block, threads):
+    spec, u, v = cube
+    b, eta, alpha = (_axis(spec, attr) for attr in ("b_range", "eta_range", "alpha_range"))
+    expected, nan_at = _expected_records(b, eta, alpha[::-1], u, v, spec.t_axis())
+
+    def cube_terms(*_):
+        return u, 0.0, v, 0.0
+
+    with mock.patch.object(grid, "token_terms", cube_terms), \
+            mock.patch.object(grid, "_PRUNE_BLOCK", block):
+        _check_sweep(expected, nan_at, lambda: sweep(UNIT, spec, threads=threads))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_small_sweeps(), st.sampled_from(grid.OBJECTIVES), _BLOCKS)
+def test_pruned_sweep_matches_brute_force_on_token_terms(draw, objective, block):
+    c, spec, constraint = draw
+    b, eta, alpha = (_axis(spec, attr) if pin is None else np.array([pin]) for pin, attr in (
+        (constraint.fixed_b, "b_range"), (constraint.fixed_eta, "eta_range"),
+        (constraint.fixed_alpha, "alpha_range")))
+    if constraint.b_cap is not None:
+        b = b[b <= constraint.b_cap]
+    alpha_desc = alpha[::-1]
+    with np.errstate(all="ignore"):
+        descent, burn, floor, smooth = token_terms(
+            c, eta[None, :, None], alpha_desc[None, None, :], b[:, None, None],
+            objective == "bound_tokens")
+        u, v = descent + burn, floor + smooth
+    expected, nan_at = _expected_records(b, eta, alpha_desc, u, v, spec.t_axis())
+    if not expected and nan_at is None:
+        return  # no feasible budget or an empty cap: the sweep raises InfeasibleError
+    with mock.patch.object(grid, "_PRUNE_BLOCK", block):
+        _check_sweep(expected, nan_at, lambda: sweep(c, spec, constraint, objective))
+
+
+def test_prune_keeps_a_few_percent_of_the_default_free_cube():
+    spec = GridSpec()
+    b, eta, alpha = (_axis(spec, attr) for attr in ("b_range", "eta_range", "alpha_range"))
+    descent, burn, floor, smooth = token_terms(
+        UNIT, eta[None, :, None], alpha[::-1][None, None, :], b[:, None, None], False)
+    shape = (b.size, eta.size, alpha.size)
+    u, v, flat, offsets = grid._prune((descent, burn), (floor, smooth), shape)
+    assert offsets[0] == 0 and offsets[1] == eta.size * alpha.size  # the first block is whole
+    assert offsets[-1] == flat.size < 0.03 * b.size * eta.size * alpha.size
+    assert np.all(np.diff(flat) > 0)
+
+
+def test_prune_keeps_nan_cells_and_prunes_past_them():
+    nan, inf = math.nan, math.inf
+    cells = [[(0, nan), (1, 1), (nan, 0), (5, 0)],
+             [(nan, inf), (inf, nan), (inf, inf), (2, 2)],
+             [(nan, inf), (inf, 5), (3, 3), (1, 1)]]
+    u, v = (np.array([[[cell[k] for cell in row]] for row in cells], dtype=float)
+            for k in (0, 1))
+    with mock.patch.object(grid, "_PRUNE_BLOCK", 4):  # one b row per block
+        ku, kv, flat, offsets = grid._prune((u, 0.0), (v, 0.0), u.shape)
+    assert flat.tolist() == [0, 1, 2, 3, 4, 5, 8] and offsets.tolist() == [0, 4, 6, 7]
+    np.testing.assert_array_equal(ku, u.ravel()[flat])
+    np.testing.assert_array_equal(kv, v.ravel()[flat])
