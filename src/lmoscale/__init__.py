@@ -6,94 +6,32 @@ orthogonalized stochastic descent with momentum, derives the exact optimal
 token budgets, verifies them against a brute-force grid oracle and a
 desk-scale simulator, and computes budget-transfer plans and
 iso-performance contours.
+
+Public names come from each module's ``__all__`` and load on first use
+(PEP 562); only ``contours``, ``grid`` and ``sim`` import numpy, searched last.
 """
 
-from .closed_form import (
-    BatchPathPlan,
-    CubicCoefficients,
-    FixedBatchOptimum,
-    FixedMomentumOptimum,
-    JointOptimum,
-    asymptotic_momentum,
-    asymptotic_momentum_terms,
-    batch_growth_plan,
-    batch_star_given_momentum,
-    bound_eta_minimized,
-    bound_eta_star,
-    capped_batch_noise_floor,
-    effective_constants,
-    momentum_cubic,
-    momentum_gap_ratio,
-    optimal_fixed_batch,
-    optimal_fixed_momentum_steps,
-    optimal_fixed_momentum_tokens,
-    optimal_joint,
-    solve_momentum_cubic,
-    tuned_risk_prefactor,
-)
-from .contours import ContourConstants, LevelPoint, LevelSet, level_set, tuned_bound
-from .errors import BudgetTooSmallError, DomainError, InfeasibleError, NumericalError
-from .grid import (
-    Constraint,
-    FitResult,
-    GridSpec,
-    SweepRecord,
-    SweepResult,
-    detect_burn_in,
-    fit_power_law,
-    fit_sweep_exponents,
-    sweep,
-)
-from .proxy import (
-    BoundConstants,
-    Budget,
-    BudgetKind,
-    HyperParams,
-    bound_steps,
-    bound_tokens,
-    large_horizon_gap,
-    risk_large_horizon,
-    risk_steps,
-    risk_tokens,
-)
-from .schedules import (
-    AggressiveCeiling,
-    NoiseModel,
-    NoiseSensitivity,
-    PathAnalysis,
-    PathExponents,
-    PowerLawSchedule,
-    RateExponents,
-    TunedLaw,
-    aggressive_ceiling,
-    effective_eta_exponent,
-    noise_exponent_sensitivity,
-    rate_exponents,
-)
-from .sgd import SgdInputs, SgdTunedResult, sgd_risk, sgd_tuned
-from .sim import (
-    LmoConfig,
-    NormKind,
-    ObjectiveSpec,
-    SimPoint,
-    SimRun,
-    SimSweepResult,
-    dual_norm,
-    integer_batch,
-    lmo_direction,
-    momentum_update,
-    polar_factor,
-    run,
-    sweep_sim,
-)
-from .transfer import (
-    BatchChangeResult,
-    BatchChangeSetting,
-    TransferRegime,
-    TransferResult,
-    TunedConfig,
-    extrapolate,
-    extrapolate_with_batch_change,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+_MODULES = ("errors", "proxy", "schedules", "closed_form", "sgd", "transfer",
+            "contours", "grid", "sim")
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        value = [*_MODULES, *(n for m in _MODULES for n in __getattr__(m).__all__)]
+    elif name in _MODULES or name in ("serialize", "cli"):
+        value = _import_module(f"{__name__}.{name}")
+    else:
+        owner = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -7,11 +7,12 @@ parser from it and merges an optional declarative JSON config
 win over the config, unknown config keys are rejected, and a null value
 keeps the default.  Every command takes ``--out``; ``--format``
 belongs to the commands with a table (verify, contour, simulate),
-``--seed`` to simulate and ``--threads`` to verify.
+``--seed`` to simulate and ``--threads`` to verify.  Only the table
+commands import numpy, ``grid``, ``contours`` and ``sim``, when they run.
 
 A table document is (schema, meta, rows of a record dataclass), written as
 JSON or as a versioned CSV; ``records_from_csv`` reads any such CSV back
-into its records through ``_TABLES``, the table the writer uses.  The
+into its records through ``_TABLES``, the writer's table of class names.  The
 other documents are JSON built from the fields of the result dataclasses.
 Exit codes: 0 ok, 2 invalid input (argument errors included; non-finite
 numbers are rejected), 3 infeasible request, 4 numerical failure or memory
@@ -27,9 +28,9 @@ import sys
 import typing
 from dataclasses import dataclass
 
-import numpy as np
+import lmoscale
 
-from . import closed_form, contours, grid, schedules, sgd, sim, transfer
+from . import closed_form, schedules, sgd, transfer
 from .errors import DomainError, InfeasibleError, NumericalError, _require
 from .proxy import BoundConstants, Budget
 from .serialize import SCHEMA_PREFIX, _field_names, _fields, dumps_json, read_csv, write_csv
@@ -63,7 +64,6 @@ class Opt:
 
 
 _FORMAT = Opt("format", str, "json", choices=("csv", "json"), help="output format")
-_GRID = grid.GridSpec()  # the verify ranges' defaults
 _RANGES = ("eta", "alpha", "b", "t")  # --<axis>-lo/--<axis>-hi span GridSpec.<axis>_range
 
 _CONSTANTS = [
@@ -89,9 +89,9 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
             choices=("free", "fixed-alpha", "fixed-b", "fixed-eta", "capped-b")),
         Opt("value", float, None, help="pinned/capped value for the constraint"),
         Opt("objective", str, "risk_tokens", choices=("risk_tokens", "bound_tokens")),
-        *(Opt(f"{axis}-{end}", float, getattr(_GRID, f"{axis}_range")[i])
-          for axis in _RANGES for i, end in enumerate(("lo", "hi"))),
-        Opt("points", int, _GRID.points_per_axis, help="grid points per axis"),
+        # None: the ranges and --points take GridSpec()'s values when verify runs
+        *(Opt(f"{axis}-{end}", float) for axis in _RANGES for end in ("lo", "hi")),
+        Opt("points", int, help="grid points per axis"),
         Opt("t-points", int, None, help="budget-axis point count override"),
         Opt("fit-decades", float, 2.0, help="top decades of budget kept for the fits"),
         _FORMAT,
@@ -166,13 +166,9 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
 for _opts in _SPECS.values():
     _opts.append(Opt("out", str, None, help="output path (default: stdout)"))
 
-# CSV schema -> record class; one column per field, in field order
-_TABLES = {
-    "sweep/v1": grid.SweepRecord,
-    "contour/v1": contours.LevelPoint,
-    "sim-summary/v1": sim.SimPoint,
-    "sim-points/v1": sim.SimPoint,
-}
+# CSV schema -> name of its record class in lmoscale; one column per field, in field order
+_TABLES = {"sweep/v1": "SweepRecord", "contour/v1": "LevelPoint",
+           "sim-summary/v1": "SimPoint", "sim-points/v1": "SimPoint"}
 _COLUMN = {"at_edge": "clamped"}  # fields whose CSV column is named otherwise
 # column text -> field value, by the field's type
 _CELL = {float: float, int: int, str: str,
@@ -263,7 +259,7 @@ def _json(schema: str, doc: dict) -> str:
 
 def _csv(schema: str, meta: dict, rows) -> str:
     """Rows of the schema's record class as CSV; null meta values are left out."""
-    names = _field_names(_TABLES[schema])
+    names = _field_names(getattr(lmoscale, _TABLES[schema]))
     return write_csv(schema, [_COLUMN.get(name, name) for name in names],
                      ([getattr(row, name) for name in names] for row in rows),
                      {key: value for key, value in meta.items() if value is not None})
@@ -287,9 +283,10 @@ def records_from_csv(text: str) -> list:
     whose columns do not match the class, raises ``DomainError``.
     """
     schema, _, header, rows = read_csv(text)
-    cls = _TABLES.get(schema.removeprefix(f"{SCHEMA_PREFIX}/"))
-    if cls is None:
+    name = _TABLES.get(schema.removeprefix(f"{SCHEMA_PREFIX}/"))
+    if name is None:
         raise DomainError(f"not a table document: {schema}")
+    cls = getattr(lmoscale, name)
     names = _field_names(cls)
     columns = [_COLUMN.get(name, name) for name in names]
     if header != columns:
@@ -327,25 +324,27 @@ def _cmd_plan(v: dict) -> None:
     _emit(_json("plan/v1", {"regime": regime, "t": t, **body}), v["out"])
 
 
-def _verify_constraint(v: dict) -> grid.Constraint:
+def _cmd_verify(v: dict) -> None:
+    from . import grid
+
+    c = _resolve_constants(v)
+    default = grid.GridSpec()
+    ranges = {f"{axis}_range": tuple(fill if end is None else end for end, fill in zip(
+        (v[f"{axis}_lo"], v[f"{axis}_hi"]), getattr(default, f"{axis}_range"))) for axis in _RANGES}
+    points = default.points_per_axis if v["points"] is None else v["points"]
+    spec = grid.GridSpec(**ranges, points_per_axis=points, t_points=v["t_points"])
     kind = v["constraint"]
     if kind == "free":
-        return grid.Constraint.free()
-    if v["value"] is None:
+        constraint = grid.Constraint.free()
+    elif v["value"] is None:
         raise DomainError(f"constraint {kind!r} needs --value")
-    return {
-        "fixed-alpha": grid.Constraint.fix_alpha,
-        "fixed-b": grid.Constraint.fix_b,
-        "fixed-eta": grid.Constraint.fix_eta,
-        "capped-b": grid.Constraint.cap_b,
-    }[kind](v["value"])
-
-
-def _cmd_verify(v: dict) -> None:
-    c = _resolve_constants(v)
-    ranges = {f"{axis}_range": (v[f"{axis}_lo"], v[f"{axis}_hi"]) for axis in _RANGES}
-    spec = grid.GridSpec(**ranges, points_per_axis=v["points"], t_points=v["t_points"])
-    constraint = _verify_constraint(v)
+    else:
+        constraint = {
+            "fixed-alpha": grid.Constraint.fix_alpha,
+            "fixed-b": grid.Constraint.fix_b,
+            "fixed-eta": grid.Constraint.fix_eta,
+            "capped-b": grid.Constraint.cap_b,
+        }[kind](v["value"])
     result = grid.sweep(c, spec, constraint, v["objective"], threads=v["threads"])
     fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
     burn_in = grid.detect_burn_in(result) if constraint.fixed_alpha is not None else None
@@ -376,6 +375,10 @@ def _cmd_transfer(v: dict) -> None:
 
 
 def _cmd_contour(v: dict) -> None:
+    import numpy as np
+
+    from . import contours
+
     cc = contours.ContourConstants(_resolve_constants(v), v["alpha"])
     _require(v["k_points"] >= 1, "k-points must be >= 1, got {}", v["k_points"])
     _require(v["k_lo"] > 0 and v["k_hi"] > 0, "k-lo and k-hi must be > 0")
@@ -416,6 +419,10 @@ def _cmd_analyze(v: dict) -> None:
 
 
 def _cmd_simulate(v: dict) -> None:
+    import numpy as np
+
+    from . import sim
+
     _require(v["seed"] >= 0 and v["data_seed"] >= 0, "seed and data-seed must be >= 0")
     if v["kind"] == "noisy-quadratic":
         _require(v["dim"] >= 1, "dim must be >= 1, got {}", v["dim"])

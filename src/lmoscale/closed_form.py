@@ -290,6 +290,8 @@ def asymptotic_momentum(c: BoundConstants, t: float) -> float:
 def bound_eta_star(c: BoundConstants, alpha: float, b: float, t: float) -> float:
     """Step size minimizing the exact token bound at fixed (alpha, b)."""
     _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
+    _require(b > 0, "b must be > 0, got {}", b)
+    _require(t > 0, "t must be > 0, got {}", t)
     weight = smoothness_weight(c, alpha, True)
     eta = math.sqrt(b * c.delta0 / (t * weight))
     if not 0.0 < eta < math.inf:
@@ -315,6 +317,7 @@ def batch_star_given_momentum(c: BoundConstants, alpha: float, t: float) -> floa
     b = B / A; unclamped, so the result may fall below 1 at small budgets.
     """
     _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
+    _require(t > 0, "t must be > 0, got {}", t)
     weight = smoothness_weight(c, alpha, True)
     a_coeff = 2.0 * math.sqrt(c.delta0 * weight / t) + c.c2 / (alpha * t)
     b_coeff = c.c2 * math.sqrt(alpha)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "InfeasibleError", "BudgetTooSmallError", "NumericalError"]
+
 
 class DomainError(ValueError):
     """An input violates a documented domain constraint."""

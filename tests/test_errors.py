@@ -134,3 +134,28 @@ def test_failure_messages_are_unchanged(call, kind, text):
     with pytest.raises(kind) as info:
         call()
     assert type(info.value) is kind and str(info.value) == text
+
+
+# b and t are checked before any root or division; b may be below 1, t not 0
+BOUND_DOMAIN = [
+    (lambda: closed_form.bound_eta_star(UNIT, 0.5, -1.0, 1e6), "b must be > 0, got -1.0"),
+    (lambda: closed_form.bound_eta_star(UNIT, 0.5, 1.0, -1e6), "t must be > 0, got -1000000.0"),
+    (lambda: closed_form.bound_eta_star(UNIT, 0.5, 1.0, 0.0), "t must be > 0, got 0.0"),
+    (lambda: closed_form.batch_star_given_momentum(UNIT, 0.5, 0.0), "t must be > 0, got 0.0"),
+    (lambda: closed_form.batch_star_given_momentum(UNIT, 0.5, -1.0), "t must be > 0, got -1.0"),
+    (lambda: closed_form.bound_eta_minimized(UNIT, 0.5, float("nan"), 1e6),
+     "b must be > 0, got nan"),
+    (lambda: closed_form.bound_eta_minimized(UNIT, 0.5, 1.0, float("nan")),
+     "t must be > 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("call, text", BOUND_DOMAIN, ids=[m[1] for m in BOUND_DOMAIN])
+def test_bound_minimizers_name_a_bad_batch_or_budget(call, text):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError and str(info.value) == text
+
+
+def test_bound_eta_star_accepts_a_batch_below_one():
+    assert closed_form.bound_eta_star(UNIT, 0.5, 1e-3, 1e6) > 0
