@@ -25,7 +25,9 @@ def __getattr__(name: str):
     elif name in _MODULES or name in ("serialize", "cli"):
         value = _import_module(f"{__name__}.{name}")
     else:
-        owner = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+        # no __all__ holds a private name, so one raises without loading a module
+        owner = None if name.startswith("_") else next(
+            (m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
         if owner is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
         value = getattr(owner, name)

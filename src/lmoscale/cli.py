@@ -346,7 +346,11 @@ def _cmd_verify(v: dict) -> None:
             "capped-b": grid.Constraint.cap_b,
         }[kind](v["value"])
     result = grid.sweep(c, spec, constraint, v["objective"], threads=v["threads"])
-    fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
+    try:
+        fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
+    except DomainError as exc:
+        raise DomainError(f"{exc}; widen the fit window with --fit-decades or add budgets "
+                          "with --t-points") from None
     burn_in = grid.detect_burn_in(result) if constraint.fixed_alpha is not None else None
     meta = {"constraint": constraint.tag, "objective": v["objective"], "burn_in_t": burn_in}
     _emit_table(v, "sweep/v1", meta, "records", result.records,

@@ -365,13 +365,14 @@ def optimal_joint(c: BoundConstants, t: float) -> JointOptimum:
     b_clamped = b_raw < 1.0
     b = max(b_raw, 1.0)
     eta = bound_eta_star(c, alpha, b, t)
-    risk = bound_eta_minimized(c, alpha, b, t)
+    # bound_eta_minimized's risk, at the eta already found
+    descent, burn, floor, smooth = token_terms(c, eta, alpha, b, True)
     return JointOptimum(
         alpha_star=alpha,
         b_star=b,
         eta_star=eta,
         k_star=t / b,
-        risk_star=risk,
+        risk_star=(descent + burn) / t + floor + smooth,
         cubic=cubic,
         alpha_root=root,
         cubic_residual=residual,

@@ -205,11 +205,12 @@ def _prune(u_terms: tuple, v_terms: tuple, shape: tuple[int, ...]):
     for r0 in range(step, rows, step):
         # The staircase of the earlier blocks' survivors, NaN left out: u
         # ascending, v strictly descending, so the v at the last u <= a cell's
-        # u is the least v of any earlier cell with u that small.
+        # u is the least v of any earlier cell with u that small.  The old
+        # staircase is one sorted run, so a stable sort merges the new cells in.
         ku, kv, _ = parts[-1]
         fine = ~(np.isnan(ku) | np.isnan(kv))
         cu, cv = np.concatenate((su, ku[fine])), np.concatenate((sv, kv[fine]))
-        order = np.argsort(cu)
+        order = np.argsort(cu, kind="stable")
         cu, cv = cu[order], cv[order]
         front = np.empty(cv.size, dtype=bool)
         front[:1] = True
@@ -217,19 +218,40 @@ def _prune(u_terms: tuple, v_terms: tuple, shape: tuple[int, ...]):
         su, sv = cu[front], cv[front]
         # Sentinels with v NaN, which no comparison passes: every u >= 0 sorts
         # after -inf, and searchsorted sorts a NaN u after the trailing NaN.
+        su_ext = np.concatenate(([-np.inf], su, [np.nan]))
+        sv_ext = np.concatenate(([np.nan], sv, [np.nan]))
+
+        def least_v(x: np.ndarray) -> np.ndarray:
+            return sv_ext[np.searchsorted(su_ext, x, side="right") - 1]
+
+        # A float >= 0 orders as its bit pattern, so a cell whose v is >= the
+        # staircase's v at the lower edge of its bucket (the top 14 bits of u)
+        # is dominated.  The table covers the staircase's buckets and has NaN
+        # at both ends, where the other cells read, so those go to the exact
+        # lookup with the rest: cells below the first u or with the sign bit
+        # set, and cells above the last, such as a NaN u, which as a sum is a
+        # quiet NaN, whose pattern lies above inf's.
+        bits = su_ext.view(np.int64)
+        lo, hi = (max(int(bits[i]) >> 50, 0) for i in (1, -2))
+        table = least_v((np.arange(lo - 1, max(lo, hi) + 2) << 50).view(np.float64))
+        table[-1] = np.nan
         bu, bv = block(r0)
-        k = np.searchsorted(np.concatenate(([-np.inf], su, [np.nan])), bu, side="right")
-        keep = ~(np.concatenate(([np.nan], sv, [np.nan]))[k - 1] <= bv)
-        flat = np.flatnonzero(keep)
+        bucket = bu.view(np.int64) >> 50
+        bucket -= lo - 1
+        near = np.flatnonzero(~(table.take(bucket, mode="clip") <= bv))
+        flat = near[~(least_v(bu[near]) <= bv[near])]
         parts.append((bu[flat], bv[flat], flat + r0 * width))
     ku, kv, flat = (np.concatenate(col) for col in zip(*parts))
     return ku, kv, flat, np.searchsorted(flat, np.arange(rows + 1) * width)
 
 
 # value(t) = u / t + v on the (b, eta, alpha) cube, so _prune sums u and v
-# once for all budgets, a block of b rows at a time.  Cells that overflow are
-# +inf and never win the argmin; a NaN cell (0 * inf at the float limits) is
-# reported by best_at.  Each budget's argmin runs over the survivors of
+# once for all budgets, a block of b rows at a time.  It drops most dominated
+# cells by one lookup in a table of staircase values indexed by the top bits
+# of u, and binary-searches only the few cells the table leaves, so it keeps
+# exactly the cells a binary search of every cell keeps.  Cells that overflow
+# are +inf and never win the argmin; a NaN cell (0 * inf at the float limits)
+# is reported by best_at.  Each budget's argmin runs over the survivors of
 # _prune alone, and is exact: u and v are >= 0, and dividing by t > 0 and
 # adding are monotone under rounding, so a dominating cell's value is <= the
 # dominated cell's at every budget; it lies in an earlier b row, so it comes

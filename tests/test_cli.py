@@ -188,6 +188,19 @@ def test_missing_required_is_invalid(capsys):
     assert "missing required" in err
 
 
+def test_verify_with_too_few_fit_points_names_the_options_that_fix_it(capsys):
+    # 20 budgets over 20 decades leave 2 in the default 2-decade fit window
+    code, out, err = run_cli(capsys, "verify", "--points", "20")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    assert doc["exit_code"] == 2
+    assert doc["error"].startswith("need at least 5 in-window points, got 2")
+    assert "--fit-decades" in doc["error"] and "--t-points" in doc["error"]
+    for fix in (["--fit-decades", "6"], ["--t-points", "100"]):
+        assert run_cli(capsys, "verify", "--points", "20", *fix)[0] == 0
+
+
 def test_bad_flag_is_invalid(capsys):
     assert main(["plan", "--regime", "nonsense", "--t", "1e6"]) == 2
     capsys.readouterr()

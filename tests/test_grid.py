@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmoscale import (
@@ -28,7 +28,7 @@ from lmoscale import (
 )
 from lmoscale import grid
 from lmoscale.proxy import token_terms
-from oracles import bisect_root, first_argmin
+from oracles import bisect_root, first_argmin, reference_prune
 
 UNIT = BoundConstants.from_proxy_constants()
 
@@ -454,3 +454,42 @@ def test_prune_keeps_nan_cells_and_prunes_past_them():
     assert flat.tolist() == [0, 1, 2, 3, 4, 5, 8] and offsets.tolist() == [0, 4, 6, 7]
     np.testing.assert_array_equal(ku, u.ravel()[flat])
     np.testing.assert_array_equal(kv, v.ravel()[flat])
+
+
+# 5e-324 and 1e-310 are subnormal, 1 and 1.2 share a bucket of the grid
+# prune's table, and so do -1 and -1.2, which have the sign bit set like -0.0
+_PRUNE_CELL = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 1.2, -1.0, -1.2, 1e300, math.inf,
+                               math.nan])
+
+
+@st.composite
+def _prune_inputs(draw):
+    """(u_terms, v_terms, shape): a small sweep's token terms, or cubes of _PRUNE_CELL."""
+    if draw(st.booleans()):
+        c, spec, constraint = draw(_small_sweeps())
+        b, eta, alpha = (_axis(spec, attr) if pin is None else np.array([pin]) for pin, attr in (
+            (constraint.fixed_b, "b_range"), (constraint.fixed_eta, "eta_range"),
+            (constraint.fixed_alpha, "alpha_range")))
+        with np.errstate(all="ignore"):
+            descent, burn, floor, smooth = token_terms(
+                c, eta[None, :, None], alpha[::-1][None, None, :], b[:, None, None],
+                draw(st.booleans()))
+        return (descent, burn), (floor, smooth), (b.size, eta.size, alpha.size)
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 4), st.integers(1, 4)))
+    n = math.prod(shape)
+    u, v = (np.array(draw(st.lists(_PRUNE_CELL, min_size=n, max_size=n))).reshape(shape)
+            for _ in range(2))
+    return (u, -0.0), (v, -0.0), shape  # x + -0.0 is x, -0.0 included
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_prune_inputs(), _BLOCKS)
+# a later cell (1, 1) below the staircase point (1.2, 1) in its bucket is kept
+@example(((np.array([1.2, 1e300, 1.0, 1e300]).reshape(2, 1, 2), 0.0),
+          (np.array([1.0, 0.0, 1.0, 0.0]).reshape(2, 1, 2), 0.0), (2, 1, 2)), 1)
+def test_prune_matches_the_reference_prune(inputs, block):
+    with np.errstate(all="ignore"), mock.patch.object(grid, "_PRUNE_BLOCK", block):
+        got = grid._prune(*inputs)
+        expected = reference_prune(*inputs, block)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)

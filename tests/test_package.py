@@ -153,6 +153,19 @@ def test_an_unknown_name_raises_attribute_error():
     assert not hasattr(lmoscale, "no_such_name")
 
 
+def test_a_private_name_raises_at_once_and_loads_no_module():
+    code = (
+        "import json, sys, lmoscale\n"
+        "before = set(sys.modules)\n"
+        "found = [hasattr(lmoscale, name) for name in ('__wrapped__', '_MISSING', '_require')]\n"
+        "print(json.dumps({'found': found, 'numpy': 'numpy' in sys.modules,\n"
+        "                  'loaded': sorted(set(sys.modules) - before)}))\n"
+    )
+    res = _fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {"found": [False, False, False], "numpy": False, "loaded": []}
+
+
 def _verify(capsys, *argv):
     assert main(["verify", "--constraint", "fixed-alpha", "--value", "0.1", *argv]) == 0
     return capsys.readouterr().out
