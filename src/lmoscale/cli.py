@@ -7,7 +7,8 @@ parser from it and merges an optional declarative JSON config
 win over the config, unknown config keys are rejected, and a null value
 keeps the default.  Every command takes ``--out``; ``--format``
 belongs to the commands with a table (verify, contour, simulate),
-``--seed`` to simulate and ``--threads`` to verify.  Only the table
+``--seed`` to simulate and ``--threads`` to verify, which checks it (>= 1)
+and ignores it: the grid sweep runs in one thread.  Only the table
 commands import numpy, ``grid``, ``contours`` and ``sim``, when they run.
 
 A table document is (schema, meta, rows of a record dataclass), written as
@@ -95,7 +96,7 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
         Opt("t-points", int, None, help="budget-axis point count override"),
         Opt("fit-decades", float, 2.0, help="top decades of budget kept for the fits"),
         _FORMAT,
-        Opt("threads", int, 1, help="worker threads for the grid sweep"),
+        Opt("threads", int, 1, help="accepted for compatibility (>= 1); has no effect"),
     ],
     "transfer": [
         Opt("t0", float, None, required=True), Opt("b0", float, 1.0),
@@ -345,7 +346,8 @@ def _cmd_verify(v: dict) -> None:
             "fixed-eta": grid.Constraint.fix_eta,
             "capped-b": grid.Constraint.cap_b,
         }[kind](v["value"])
-    result = grid.sweep(c, spec, constraint, v["objective"], threads=v["threads"])
+    _require(v["threads"] >= 1, "threads must be >= 1, got {}", v["threads"])
+    result = grid.sweep(c, spec, constraint, v["objective"])
     try:
         fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
     except DomainError as exc:
@@ -407,11 +409,7 @@ def _cmd_analyze(v: dict) -> None:
         q, p = v["q"], v["tail_p"]
         if q is None and p is None:
             raise DomainError("noise mode needs --q or --tail-p")
-        # p is checked before q = 1 - 1/p is formed; a q beside --tail-p must
-        # agree with it, and NoiseModel rejects a pair that does not
-        _require(p is None or 1.0 < p <= 2.0, "heavy_tail_p must be in (1, 2], got {}", p)
-        model = schedules.NoiseModel(1.0 - 1.0 / p if q is None else q, heavy_tail_p=p,
-                                     init_error=v["init_error"])
+        model = schedules.NoiseModel(q, heavy_tail_p=p, init_error=v["init_error"])
         body = _fields(schedules.noise_exponent_sensitivity(model, v["b"], v["t"]))
     else:
         if v["kappa"] is None or v["lam"] is None or v["p"] is None:

@@ -139,9 +139,9 @@ def level_set(
         k = float(k)
         if k < 1:
             continue
-        if tuned_bound(cc, 1.0, k, eta_floor) < target:
-            continue  # contour sits below the b >= 1 boundary at this k
         det = _det_part(cc, k, eta_floor)
+        if det + cc.c_burn / k + cc.c_floor < target:  # tuned_bound at b = 1
+            continue  # contour sits below the b >= 1 boundary at this k
         if target <= det:
             continue  # not even an unbounded batch reaches the target
         root_b = (cc.c_burn / k + cc.c_floor) / (target - det)

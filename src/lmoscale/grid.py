@@ -19,7 +19,6 @@ the dropped one is.  The records are exactly those of a scan of every cell.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,7 +264,6 @@ def sweep(
     spec: GridSpec = GridSpec(),
     constraint: Constraint = Constraint(),
     objective: str = "risk_tokens",
-    threads: int = 1,
 ) -> SweepResult:
     """Per-budget argmin of the objective over the constrained grid.
 
@@ -279,7 +277,6 @@ def sweep(
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    _require(threads >= 1, "threads must be >= 1, got {}", threads)
     pins = [getattr(constraint, field) for _, field, _ in _AXES]
     b, eta, alpha = (
         _log_axis(*getattr(spec, attr), spec.points_per_axis) if pin is None else np.array([pin])
@@ -327,21 +324,7 @@ def sweep(
             at_edge=tuple(edges),
         )
 
-    def best_of(ts: np.ndarray) -> list[SweepRecord | None]:
-        return [best_at(t) for t in ts]
-
-    t_axis = spec.t_axis()
-    if threads > 1:
-        # One contiguous run of budgets per thread: an argmin over the
-        # survivors takes microseconds, so a task per budget would cost more
-        # in hand-offs between threads than the argmins do.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # worker threads do not inherit the error state of this call
-            runs = pool.map(np.errstate(over="ignore")(best_of), np.array_split(t_axis, threads))
-            maybe = [r for run in runs for r in run]
-    else:
-        maybe = best_of(t_axis)
-    records = tuple(r for r in maybe if r is not None)
+    records = tuple(r for r in map(best_at, spec.t_axis()) if r is not None)
     if not records:
         raise InfeasibleError("empty feasible set: every allowed batch exceeds every budget")
     return SweepResult(records=records, constraint=constraint, objective=objective, spec=spec)

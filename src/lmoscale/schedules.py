@@ -140,31 +140,35 @@ class NoiseModel:
     """Mini-batch noise magnitude ~ b^-q.
 
     q = 1/2 is the independent bounded-variance case.  A heavy-tail moment
-    index p in (1, 2] induces q = 1 - 1/p.  ``init_error`` is an optional
-    momentum-start error scale for non-matched starts; it replaces the
-    1/sqrt(b) decay of the burn-in numerator and no schedule is derived
-    from it here, it is only carried through.
+    index p in (1, 2] induces q = 1 - 1/p: p is checked first, q is formed
+    from it when not given, and a q given beside p must agree with it.
+    ``init_error`` is an optional momentum-start error scale for non-matched
+    starts; it replaces the 1/sqrt(b) decay of the burn-in numerator and no
+    schedule is derived from it here, it is only carried through.
     """
 
-    q: float
+    q: float | None = None
     heavy_tail_p: float | None = None
     init_error: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.q <= 1.0:
-            raise DomainError(f"q must be in (0, 1], got {self.q}")
-        if self.heavy_tail_p is not None:
-            p = self.heavy_tail_p
+        p = self.heavy_tail_p
+        if p is not None:
             if not 1.0 < p <= 2.0:
                 raise DomainError(f"heavy_tail_p must be in (1, 2], got {p}")
-            if abs(self.q - (1.0 - 1.0 / p)) > 1e-12:
-                raise DomainError(
-                    f"heavy_tail_p={p} requires q = 1 - 1/p = {1.0 - 1.0 / p}, got {self.q}"
-                )
+            implied = 1.0 - 1.0 / p
+            if self.q is None:
+                object.__setattr__(self, "q", implied)
+        if self.q is None:
+            raise DomainError("NoiseModel needs q or heavy_tail_p")
+        if not 0.0 < self.q <= 1.0:
+            raise DomainError(f"q must be in (0, 1], got {self.q}")
+        if p is not None and abs(self.q - implied) > 1e-12:
+            raise DomainError(f"heavy_tail_p={p} requires q = 1 - 1/p = {implied}, got {self.q}")
 
     @classmethod
     def heavy_tailed(cls, p: float) -> "NoiseModel":
-        return cls(q=1.0 - 1.0 / p, heavy_tail_p=p)
+        return cls(heavy_tail_p=p)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 import json
 import math
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +128,19 @@ def test_verify_threaded_output_is_byte_identical(capsys, tmp_path):
     assert main(args + ["--threads", "4", "--out", str(threaded)]) == 0
     capsys.readouterr()
     assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_verify_threads_option_starts_no_thread(capsys):
+    def refuse(self):
+        raise AssertionError(f"verify started a thread: {self!r}")
+
+    with mock.patch.object(threading.Thread, "start", refuse):
+        code, out, err = run_cli(
+            capsys, "verify", "--constraint", "fixed-alpha", "--value", "0.01",
+            "--t-lo", "1e8", "--t-hi", "1e14", "--t-points", "10", "--points", "30",
+            "--fit-decades", "6", "--threads", "2",
+        )
+    assert code == 0 and err == "" and json.loads(out)["records"]
 
 
 def test_verify_json_contains_fits(capsys):

@@ -105,13 +105,6 @@ def test_sweep_is_deterministic():
     assert a == b
 
 
-def test_threaded_sweep_matches_serial():
-    spec = GridSpec(t_range=(1e4, 1e16), t_points=13, points_per_axis=30)
-    serial = sweep(UNIT, spec, Constraint.free())
-    threaded = sweep(UNIT, spec, Constraint.free(), threads=4)
-    assert serial.records == threaded.records
-
-
 def test_best_risk_monotone_in_budget():
     for constraint in (Constraint.free(), Constraint.fix_alpha(1e-3)):
         res = sweep(UNIT, GridSpec(points_per_axis=40, t_points=40), constraint)
@@ -394,8 +387,8 @@ _BLOCKS = st.sampled_from([1, 10, 30, grid._PRUNE_BLOCK])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_integer_cubes(), _BLOCKS, st.sampled_from([1, 2]))
-def test_pruned_sweep_matches_brute_force_on_integer_cubes(cube, block, threads):
+@given(_integer_cubes(), _BLOCKS)
+def test_pruned_sweep_matches_brute_force_on_integer_cubes(cube, block):
     spec, u, v = cube
     b, eta, alpha = (_axis(spec, attr) for attr in ("b_range", "eta_range", "alpha_range"))
     expected, nan_at = _expected_records(b, eta, alpha[::-1], u, v, spec.t_axis())
@@ -405,7 +398,7 @@ def test_pruned_sweep_matches_brute_force_on_integer_cubes(cube, block, threads)
 
     with mock.patch.object(grid, "token_terms", cube_terms), \
             mock.patch.object(grid, "_PRUNE_BLOCK", block):
-        _check_sweep(expected, nan_at, lambda: sweep(UNIT, spec, threads=threads))
+        _check_sweep(expected, nan_at, lambda: sweep(UNIT, spec))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,5 +1,7 @@
 """Power-law rate calculus: term exponents, ceilings, sensitivities, paths."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,12 @@ def test_heavy_tail_model():
         NoiseModel(q=0.3, heavy_tail_p=1.5)  # 1 - 1/p = 1/3 != 0.3
     with pytest.raises(DomainError):
         NoiseModel.heavy_tailed(2.5)
+
+
+@pytest.mark.parametrize("p", [0, 1, 0.5, math.nan])
+def test_heavy_tail_index_is_checked_before_q_is_formed(p):
+    with pytest.raises(DomainError, match=r"^heavy_tail_p must be in \(1, 2\], got "):
+        NoiseModel.heavy_tailed(p)
 
 
 def test_perf_scale_point_evaluation():
