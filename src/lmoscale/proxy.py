@@ -193,8 +193,7 @@ def bound_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     noise floor, and the two smoothness error terms.
     """
     _require(steps >= 1, "steps must be >= 1, got {}", steps)
-    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, True)
-    return (descent + burn) / (h.batch * steps) + floor + smooth
+    return bound_tokens(c, h, h.batch * steps)
 
 
 def bound_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
@@ -210,8 +209,7 @@ def bound_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
 def risk_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     """Compact proxy at a step budget, written in (c1, c2, c3)."""
     _require(steps >= 1, "steps must be >= 1, got {}", steps)
-    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, False)
-    return (descent + burn) / (h.batch * steps) + floor + smooth
+    return risk_tokens(c, h, h.batch * steps)
 
 
 def risk_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:

@@ -9,9 +9,11 @@ A plain gradient-step mode (``update="sgd"``) serves as the baseline.
 Everything is deterministic given the seed: replicate streams derive from
 (master seed, grid-point index, replicate index), and assembly never
 depends on execution order.  A sweep runs all of its (budget, batch,
-momentum) groups in one lockstep step loop over preallocated buffers; each
-replicate generator keeps its own stream and draw order, so the outputs do
-not depend on which groups run together.  Batch sizes are integers here,
+momentum) groups in one lockstep step loop over preallocated buffers, one
+running prefix of groups at a time; each replicate generator keeps its own
+stream and draw order, and every noise draw is split-invariant (n then m
+values equal n + m), so the outputs depend neither on which groups run
+together nor on how the draws are chunked.  Batch sizes are integers here,
 unlike in the proxy; ``integer_batch`` rounds proxy-derived values at this
 boundary.
 """
@@ -184,10 +186,11 @@ class _Objective:
 def _noise_factory(spec: ObjectiveSpec, batch: int):
     """Mini-batch noise sampler ``draw(gen, shape, out=None)``, or None without noise.
 
-    Gaussian draws are written straight into ``out`` and are split-invariant
-    (two draws of n and m values equal one of n + m); a stable draw takes a
-    uniform then an exponential block, so its values depend on the block
-    length.
+    Every draw is split-invariant along its leading axis: draws of n then m
+    values equal one draw of n + m.  Gaussian draws are written straight
+    into ``out``; a stable value takes its own pair of uniforms (u0, u1),
+    with V = pi (u0 - 1/2) and W = -log1p(-u1) in the Chambers-Mallows-Stuck
+    formula.
     """
     if spec.noise_sigma == 0.0:
         return None
@@ -204,8 +207,9 @@ def _noise_factory(spec: ObjectiveSpec, batch: int):
     scale = spec.noise_sigma / batch ** (1.0 - 1.0 / a)
 
     def stable(gen, shape, out=None):
-        v = gen.uniform(-np.pi / 2, np.pi / 2, shape)
-        w = gen.exponential(1.0, shape)
+        u = gen.random(shape + (2,))
+        v = np.pi * (u[..., 0] - 0.5)
+        w = -np.log1p(-u[..., 1])
         z = scale * (np.sin(a * v) / np.cos(v) ** (1.0 / a)
                      * (np.cos((1.0 - a) * v) / w) ** ((1.0 - a) / a))
         if out is None:
@@ -310,7 +314,7 @@ def _batched_dual_norms(g: np.ndarray, norm: NormKind, var_ndim: int, work=None,
     return np.sqrt(np.add.reduce(np.multiply(g, g, out=work), axis=axes, out=out), out=out)
 
 
-_NOISE_VALUES = 2**19  # Gaussian noise values one _run_batch call buffers (4 MiB)
+_NOISE_VALUES = 2**19  # noise values one _run_batch call buffers (4 MiB)
 
 
 # a diverged run overflows; it is caught by its non-finite dual norm below
@@ -333,11 +337,13 @@ def _run_batch(
     Group j takes steps[j] steps at momentum alphas[j] and batch batches[j],
     with one replicate generator per entry of seed_seqs[j].  The state is
     (G, H, R, *var): groups x step sizes x replicates.  Groups run longest
-    first, so the ones still running are a prefix and the loop takes
-    max(steps) iterations; every step updates momentum, iterate, gradient
-    and dual norm in place.  Each generator draws its matched-init noise,
-    then its steps in order, so a group's floats do not depend on the
-    groups it runs with.
+    first, so the ones still running are a prefix: the loop runs one
+    segment per prefix, max(steps) steps in all, and every step updates
+    momentum, iterate, gradient and dual norm in place.  Each generator
+    draws its matched-init noise, then its steps in order, in chunks that
+    buffer at most ``_NOISE_VALUES`` values (or one step); draws are
+    split-invariant, so a group's floats depend neither on the chunking nor
+    on the groups it runs with.
 
     Returns (best (G, H, R), aborted (G, H, R), trace (steps,) or None,
     final iterates (G, H, R, *var)) in the given group order; the trace is
@@ -369,11 +375,8 @@ def _run_batch(
     else:
         m = np.broadcast_to(np.asarray(init_value, dtype=float).reshape(var_shape), shape).copy()
 
-    # Gaussian draws are split-invariant, so their chunk shrinks to bound the
-    # buffer; a stable draw's values depend on its length, which stays 512
-    chunk = 512
-    if noisy and obj.spec.noise_kind == "gaussian":
-        chunk = max(1, min(chunk, _NOISE_VALUES // (n_groups * r * obj.x0.size)))
+    # every draw is split-invariant, so the chunk shrinks to bound the buffer
+    chunk = max(1, min(512, _NOISE_VALUES // (n_groups * r * obj.x0.size)))
     draws = np.empty((n_groups, r, min(chunk, steps[0])) + var_shape) if noisy else None
 
     work = np.empty(shape)
@@ -381,40 +384,36 @@ def _run_batch(
     best = np.full((n_groups, h, r), np.inf)
     worst = np.zeros((n_groups, h, r))  # running max: a NaN or inf norm sticks, marking an abort
     trace = np.empty(steps[0]) if record else None
-    k, viewed = n_groups, 0
-    for done in range(0, steps[0], chunk):
-        n = min(chunk, steps[0] - done)
-        while steps[k - 1] <= done:
-            k -= 1
-        if noisy:
-            for j in range(k):
-                span = min(n, steps[j] - done)
-                for i, gen in enumerate(gens[j]):
-                    noises[j](gen, (span,) + var_shape, out=draws[j, i, :span])
-        for i in range(n):
-            while steps[k - 1] <= done + i:
-                k -= 1
-            if k != viewed:
-                viewed = k
-                xk, mk, gk, wk = x[:k], m[:k], g_true[:k], work[:k]
-                nk, bk, wrk = norms[:k], best[:k], worst[:k]
-                alpha_k, keep_k = alpha[:k], keep[:k]
+    end = 0
+    for k in range(n_groups, 0, -1):
+        # one segment per running prefix: groups [0, k) step on to steps[k - 1]
+        start, end = end, steps[k - 1]
+        xk, mk, gk, wk = x[:k], m[:k], g_true[:k], work[:k]
+        nk, bk, wrk = norms[:k], best[:k], worst[:k]
+        alpha_k, keep_k = alpha[:k], keep[:k]
+        for done in range(start, end, chunk):
+            n = min(chunk, end - done)
             if noisy:
-                np.add(gk, draws[:k, None, :, i], out=wk)
-                np.multiply(wk, alpha_k, out=wk)
-            else:
-                np.multiply(gk, alpha_k, out=wk)
-            np.multiply(mk, keep_k, out=mk)
-            np.add(mk, wk, out=mk)
-            u = _ascent(mk, norm, var_ndim, wk) if update == "lmo" else mk
-            np.multiply(u, eta, out=wk)
-            np.subtract(xk, wk, out=xk)
-            obj.grad(xk, out=gk)
-            dual = _batched_dual_norms(gk, norm, var_ndim, wk, nk)
-            np.fmin(bk, dual, out=bk)  # a NaN norm counts as inf
-            np.maximum(wrk, dual, out=wrk)
-            if record:
-                trace[done + i] = dual[0, 0, 0]
+                for j in range(k):
+                    for i, gen in enumerate(gens[j]):
+                        noises[j](gen, (n,) + var_shape, out=draws[j, i, :n])
+            for i in range(n):
+                if noisy:
+                    np.add(gk, draws[:k, None, :, i], out=wk)
+                    np.multiply(wk, alpha_k, out=wk)
+                else:
+                    np.multiply(gk, alpha_k, out=wk)
+                np.multiply(mk, keep_k, out=mk)
+                np.add(mk, wk, out=mk)
+                u = _ascent(mk, norm, var_ndim, wk) if update == "lmo" else mk
+                np.multiply(u, eta, out=wk)
+                np.subtract(xk, wk, out=xk)
+                obj.grad(xk, out=gk)
+                dual = _batched_dual_norms(gk, norm, var_ndim, wk, nk)
+                np.fmin(bk, dual, out=bk)  # a NaN norm counts as inf
+                np.maximum(wrk, dual, out=wrk)
+                if record:
+                    trace[done + i] = dual[0, 0, 0]
     if record:
         trace[np.isnan(trace)] = np.inf
     back = np.argsort(order)
@@ -487,8 +486,9 @@ def sweep_sim(
 ) -> SimSweepResult:
     """Empirical sweep: argmin of the replicate-averaged metric per budget.
 
-    Step sizes must be finite and > 0, momenta in (0, 1] and ``init``
-    "matched" or "zero".  Step counts are round(t / b), at most
+    Every grid must be non-empty and batches and budgets finite; step sizes
+    must be finite and > 0, momenta in (0, 1] and ``init`` "matched" or
+    "zero".  Step counts are round(t / b), at most
     ``MAX_STEPS``; a longer run is rejected before any step.  As in the grid
     oracle, a batch larger than a budget is skipped at that budget (not even
     one step fits), and a budget below every batch raises
@@ -504,12 +504,16 @@ def sweep_sim(
     then the largest momentum complement.
     """
     _require(replicates >= 1, "replicates must be >= 1, got {}", replicates)
-    etas = np.sort(np.asarray(eta_grid, dtype=float))
-    alphas = np.sort(np.asarray(alpha_grid, dtype=float))
+    etas, alphas, b_vals, budgets = grids = [
+        np.asarray(g, dtype=float) for g in (eta_grid, alpha_grid, b_grid, t_grid)]
+    for name, grid in zip(("eta_grid", "alpha_grid", "b_grid", "t_grid"), grids):
+        _require(grid.size > 0, "{} must not be empty", name)
+    for name, grid in (("b_grid", b_vals), ("t_grid", budgets)):
+        _require(np.isfinite(grid).all(), "{} must be finite, got {}", name, grid.tolist())
+    etas, alphas = np.sort(etas), np.sort(alphas)
     _check_settings(etas, alphas, update, init, ("matched", "zero"))
     obj = _Objective(spec)
-    batches = sorted(integer_batch(b) for b in np.asarray(b_grid, dtype=float))
-    budgets = np.asarray(t_grid, dtype=float)
+    batches = sorted(integer_batch(b) for b in b_vals)
     if budgets.min() < batches[0]:
         raise BudgetTooSmallError(
             f"token budget {budgets.min()} is below every batch size; not even one step fits"

@@ -169,7 +169,9 @@ def reference_group(obj, norm, update, etas, alpha, batch, steps, seed_seqs, ini
     """One (budget, batch, momentum) group, run on its own with its own step loop.
 
     The noise of each generator is drawn in 512-step chunks and stacked, as
-    the simulator did before its groups ran in lockstep.  Returns (best
+    the simulator did before its groups ran in lockstep.  Every noise draw
+    is split-invariant, so the chunk length does not change any value and
+    the lockstep loop's own chunks need not match it.  Returns (best
     (H, R), aborted (H, R), trace (steps,) or None, final iterates (H, R,
     *var)).
     """

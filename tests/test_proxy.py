@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmoscale import (
     BoundConstants,
@@ -110,6 +112,21 @@ def test_bound_substitution_identity():
         lhs = bound_tokens(c, h, t)
         rhs = bound_steps(c, h, t / h.batch)
         assert abs(lhs - rhs) <= 1e-12 * rhs
+
+
+def decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(decades(-3, 3), decades(-3, 3), st.one_of(st.just(0.0), decades(-3, 3)),
+       decades(0, 2), decades(-15, 4), decades(-10, 0), decades(0, 15), decades(0, 12))
+def test_step_forms_equal_token_forms_bit_exactly(delta0, smoothness, noise, rho, eta, alpha,
+                                                  b, k):
+    c = BoundConstants(delta0, smoothness, noise, rho)
+    h = HyperParams(eta=eta, alpha=alpha, batch=b)
+    assert bound_steps(c, h, k) == bound_tokens(c, h, b * k)
+    assert risk_steps(c, h, k) == risk_tokens(c, h, b * k)
 
 
 def test_gap_is_exactly_the_burn_in_term():

@@ -237,6 +237,15 @@ class TestNoise:
         # visibly heavier tails than the matching-scale Gaussian would give
         assert np.mean(np.abs(samples) > 10.0) > 1e-4
 
+    @pytest.mark.parametrize("noise", ["gaussian", "stable"])
+    def test_draws_are_split_invariant(self, noise):
+        # the lockstep loop cuts each stream into chunks at its own points
+        draw = _noise_factory(LOCKSTEP_SPECS[noise], 4)
+        whole = draw(np.random.default_rng(5), (7 + 4, 3, 5))
+        gen = np.random.default_rng(5)
+        parts = [draw(gen, (7, 3, 5)), draw(gen, (4, 3, 5), out=np.empty((4, 3, 5)))]
+        assert np.array_equal(whole, np.concatenate(parts))
+
     def test_stable_alpha_validation(self):
         with pytest.raises(DomainError):
             ObjectiveSpec(kind="noisy-quadratic", spectrum=(1.0,), noise_kind="stable")
@@ -425,6 +434,22 @@ class TestSweep:
         doc = json.loads(lines[0])
         assert doc["exit_code"] == 2 and doc["error"].startswith(option)
 
+    @pytest.mark.parametrize("name, value", [
+        ("eta_grid", ()), ("alpha_grid", ()), ("b_grid", ()), ("t_grid", ()),
+        ("b_grid", (8.0, float("nan"))), ("b_grid", (float("inf"),)),
+        ("t_grid", (float("nan"),)), ("t_grid", (64.0, float("inf"))),
+    ])
+    def test_empty_and_non_finite_grids_are_rejected_before_any_step(self, monkeypatch, name,
+                                                                     value):
+        def no_step(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(sim, "_run_batch", no_step)
+        grids = dict(eta_grid=(0.01,), alpha_grid=(1.0,), b_grid=(8,), t_grid=(64.0,))
+        named = f"{name} must be finite, got {list(value)}" if value else f"{name} must not be empty"
+        with pytest.raises(DomainError, match=re.escape(named)):
+            sweep_sim(QUAD, NormKind.MAX, **{**grids, name: value}, replicates=1, seed=0)
+
     def test_runs_beyond_the_step_limit_are_rejected_before_any_step(self, monkeypatch):
         def no_step(*args):
             raise AssertionError("a run started")
@@ -492,12 +517,13 @@ class TestLockstep:
         # aborted runs sit next to healthy ones
         assert aborted[:, -1].any() and not aborted[:, 0].any()
 
+    @pytest.mark.parametrize("noise", ["gaussian", "stable"])
     @pytest.mark.parametrize("norm", [NormKind.MAX, NormKind.EUCLIDEAN])
-    def test_short_gaussian_chunks_keep_every_stream(self, monkeypatch, norm):
+    def test_short_chunks_keep_every_stream(self, monkeypatch, norm, noise):
         # 12 groups x 2 replicates x 5 coordinates: chunks of 5 steps, so each
         # generator's draws split at other points than in the reference
         monkeypatch.setattr(sim, "_NOISE_VALUES", 600)
-        spec = LOCKSTEP_SPECS["gaussian"]
+        spec = LOCKSTEP_SPECS[noise]
         grids = ((0.01, 0.1), (0.2, 1.0), (2, 8, 32), (64.0, 416.0))
         res = sweep_sim(spec, norm, *grids, replicates=2, seed=8)
         ref = reference_sweep(spec, norm, *grids, replicates=2, seed=8)
@@ -531,9 +557,11 @@ class TestLockstep:
             at_t = [p for p in res.points if p.t == t]
             assert best == min(at_t, key=lambda p: (p.metric, p.b, p.eta, -p.alpha))
 
-    def test_lockstep_peak_memory_stays_under_one_reference_group(self):
+    @pytest.mark.parametrize("noise", [{}, {"noise_kind": "stable", "stable_alpha": 1.5}],
+                             ids=["gaussian", "stable"])
+    def test_lockstep_peak_memory_stays_under_one_reference_group(self, noise):
         spec = ObjectiveSpec(kind="noisy-quadratic", noise_sigma=1.0,
-                             spectrum=tuple(np.geomspace(0.05, 1.0, 80)))
+                             spectrum=tuple(np.geomspace(0.05, 1.0, 80)), **noise)
         etas, seqs = (0.001, 0.01), np.random.SeedSequence(0).spawn(32)
         tracemalloc.start()
         try:
