@@ -8,12 +8,15 @@ win over the config, unknown config keys are rejected, and a null value
 keeps the default.  Every command takes ``--out``; ``--format``
 belongs to the commands with a table (verify, contour, simulate),
 ``--seed`` to simulate and ``--threads`` to verify, which checks it (>= 1)
-and ignores it: the grid sweep runs in one thread.  Only the table
-commands import numpy, ``grid``, ``contours`` and ``sim``, when they run.
+and ignores it: the grid sweep runs in one thread.  Each command imports
+the lmoscale modules it runs when it runs, so start-up loads only this
+module, ``errors`` and ``serialize``, and only the table commands import
+numpy.
 
 A table document is (schema, meta, rows of a record dataclass), written as
 JSON or as a versioned CSV; ``records_from_csv`` reads any such CSV back
-into its records through ``_TABLES``, the writer's table of class names.  The
+into its records through ``_TABLES``, the writer's table of the module and
+class of each schema's record, so a table loads only its own module.  The
 other documents are JSON built from the fields of the result dataclasses.
 Exit codes: 0 ok, 2 invalid input (argument errors included; non-finite
 numbers are rejected), 3 infeasible request, 4 numerical failure or memory
@@ -26,14 +29,11 @@ import argparse
 import json
 import math
 import sys
-import typing
 from dataclasses import dataclass
 
 import lmoscale
 
-from . import closed_form, schedules, sgd, transfer
 from .errors import DomainError, InfeasibleError, NumericalError, _require
-from .proxy import BoundConstants, Budget
 from .serialize import SCHEMA_PREFIX, _field_names, _fields, dumps_json, read_csv, write_csv
 
 __all__ = ["main", "records_from_csv"]
@@ -167,9 +167,9 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
 for _opts in _SPECS.values():
     _opts.append(Opt("out", str, None, help="output path (default: stdout)"))
 
-# CSV schema -> name of its record class in lmoscale; one column per field, in field order
-_TABLES = {"sweep/v1": "SweepRecord", "contour/v1": "LevelPoint",
-           "sim-summary/v1": "SimPoint", "sim-points/v1": "SimPoint"}
+# CSV schema -> (lmoscale module, record class); one column per field, in field order
+_TABLES = {"sweep/v1": ("grid", "SweepRecord"), "contour/v1": ("contours", "LevelPoint"),
+           "sim-summary/v1": ("sim", "SimPoint"), "sim-points/v1": ("sim", "SimPoint")}
 _COLUMN = {"at_edge": "clamped"}  # fields whose CSV column is named otherwise
 # column text -> field value, by the field's type
 _CELL = {float: float, int: int, str: str,
@@ -237,7 +237,9 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     return values
 
 
-def _resolve_constants(v: dict) -> BoundConstants:
+def _resolve_constants(v: dict):
+    from .proxy import BoundConstants
+
     direct = (v["delta0"], v["smoothness"], v["noise_scale"])
     if any(x is not None for x in direct):
         if any(x is None for x in direct):
@@ -260,7 +262,7 @@ def _json(schema: str, doc: dict) -> str:
 
 def _csv(schema: str, meta: dict, rows) -> str:
     """Rows of the schema's record class as CSV; null meta values are left out."""
-    names = _field_names(getattr(lmoscale, _TABLES[schema]))
+    names = _field_names(_record_class(*_TABLES[schema]))
     return write_csv(schema, [_COLUMN.get(name, name) for name in names],
                      ([getattr(row, name) for name in names] for row in rows),
                      {key: value for key, value in meta.items() if value is not None})
@@ -276,6 +278,10 @@ def _emit_table(v: dict, schema: str, meta: dict, rows_key: str, rows,
     _emit(text, v["out"])
 
 
+def _record_class(module: str, name: str) -> type:
+    return getattr(getattr(lmoscale, module), name)
+
+
 def records_from_csv(text: str) -> list:
     """Read a table document written with ``--format csv`` back into its records.
 
@@ -283,11 +289,13 @@ def records_from_csv(text: str) -> list:
     column converts by its field's type; a document of another schema, or
     whose columns do not match the class, raises ``DomainError``.
     """
+    import typing
+
     schema, _, header, rows = read_csv(text)
-    name = _TABLES.get(schema.removeprefix(f"{SCHEMA_PREFIX}/"))
-    if name is None:
+    table = _TABLES.get(schema.removeprefix(f"{SCHEMA_PREFIX}/"))
+    if table is None:
         raise DomainError(f"not a table document: {schema}")
-    cls = getattr(lmoscale, name)
+    cls = _record_class(*table)
     names = _field_names(cls)
     columns = [_COLUMN.get(name, name) for name in names]
     if header != columns:
@@ -302,6 +310,9 @@ def records_from_csv(text: str) -> list:
 
 
 def _cmd_plan(v: dict) -> None:
+    from . import closed_form
+    from .proxy import Budget
+
     c = _resolve_constants(v)
     regime, t = v["regime"], v["t"]
     if regime == "fixed-momentum":
@@ -361,6 +372,8 @@ def _cmd_verify(v: dict) -> None:
 
 
 def _cmd_transfer(v: dict) -> None:
+    from . import transfer
+
     cfg = transfer.TunedConfig(t0=v["t0"], b0=v["b0"], eta0=v["eta0"], alpha0=v["alpha0"])
     if v["b1"] is not None:
         if v["setting"] is None:
@@ -394,6 +407,8 @@ def _cmd_contour(v: dict) -> None:
 
 
 def _cmd_analyze(v: dict) -> None:
+    from . import schedules
+
     mode = v["mode"]
     if mode == "rate":
         r = schedules.rate_exponents(
@@ -462,6 +477,9 @@ def _cmd_simulate(v: dict) -> None:
 
 
 def _cmd_compare_sgd(v: dict) -> None:
+    from . import closed_form, sgd
+    from .proxy import BoundConstants, Budget
+
     budget = Budget.tokens(v["t"])
     per_b = []
     for b in v["b"]:

@@ -170,9 +170,11 @@ class _Objective:
     def var_axes(self) -> tuple[int, ...]:
         return tuple(range(-self.x0.ndim, 0))
 
-    def grad(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def grad(self, x: np.ndarray, out: np.ndarray | None = None,
+             lam: np.ndarray | None = None) -> np.ndarray:
+        """Gradient at x; a given ``lam`` is the quadratic's spectrum broadcast to x's shape."""
         if self.spec.kind == "noisy-quadratic":
-            return np.multiply(self.lam, x, out=out)
+            return np.multiply(self.lam if lam is None else lam, x, out=out)
         return np.matmul(np.swapaxes(self.a, -1, -2), self.a @ x - self.y, out=out)
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -335,15 +337,18 @@ def _run_batch(
     """Simulate groups of runs in lockstep, sharing noise across the step-size axis.
 
     Group j takes steps[j] steps at momentum alphas[j] and batch batches[j],
-    with one replicate generator per entry of seed_seqs[j].  The state is
+    with one replicate generator per entry of seed_seqs[j].  The state, and
+    the momentum, step-size and spectrum operands broadcast to it once, are
     (G, H, R, *var): groups x step sizes x replicates.  Groups run longest
     first, so the ones still running are a prefix: the loop runs one
-    segment per prefix, max(steps) steps in all, and every step updates
-    momentum, iterate, gradient and dual norm in place.  Each generator
-    draws its matched-init noise, then its steps in order, in chunks that
-    buffer at most ``_NOISE_VALUES`` values (or one step); draws are
-    split-invariant, so a group's floats depend neither on the chunking nor
-    on the groups it runs with.
+    segment per prefix and noise chunk, max(steps) steps in all, and every
+    step updates momentum, iterate, gradient and dual norm in place.  Each
+    generator draws its matched-init noise, then its steps in order, in
+    chunks that buffer at most ``_NOISE_VALUES`` values (or one step): at
+    every chunk's first step each running group draws the chunk's steps up
+    to its own end, so a generator makes one draw per chunk it reaches.
+    Draws are split-invariant, so a group's floats depend neither on the
+    chunking nor on the groups it runs with.
 
     Returns (best (G, H, R), aborted (G, H, R), trace (steps,) or None,
     final iterates (G, H, R, *var)) in the given group order; the trace is
@@ -358,9 +363,13 @@ def _run_batch(
     noisy = noises[0] is not None
     n_groups, h, r = len(order), len(etas), len(gens[0])
     shape = (n_groups, h, r) + var_shape
-    alpha = np.asarray(alphas, dtype=float)[order].reshape((n_groups,) + (1,) * (2 + var_ndim))
+    # contiguous operands: a product with them runs faster than one that broadcasts
+    alpha = np.broadcast_to(np.asarray(alphas, dtype=float)[order].reshape(
+        (n_groups,) + (1,) * (2 + var_ndim)), shape).copy()
     keep = 1.0 - alpha
-    eta = np.asarray(etas, dtype=float).reshape((1, h, 1) + (1,) * var_ndim)
+    eta = np.broadcast_to(np.asarray(etas, dtype=float).reshape(
+        (1, h, 1) + (1,) * var_ndim), shape).copy()
+    lam = np.broadcast_to(obj.lam, shape).copy() if obj.spec.kind == "noisy-quadratic" else None
 
     x = np.broadcast_to(obj.x0, shape).copy()
     g_true = np.broadcast_to(obj.grad(obj.x0), shape).copy()
@@ -384,36 +393,40 @@ def _run_batch(
     best = np.full((n_groups, h, r), np.inf)
     worst = np.zeros((n_groups, h, r))  # running max: a NaN or inf norm sticks, marking an abort
     trace = np.empty(steps[0]) if record else None
-    end = 0
-    for k in range(n_groups, 0, -1):
-        # one segment per running prefix: groups [0, k) step on to steps[k - 1]
-        start, end = end, steps[k - 1]
+    done, k = 0, n_groups
+    while done < steps[0]:
+        while steps[k - 1] <= done:  # groups [0, k) are still running
+            k -= 1
+        base = done - done % chunk  # the step that buffer index 0 holds
+        if noisy and done == base:
+            for j in range(k):
+                n = min(chunk, steps[j] - done)
+                for i, gen in enumerate(gens[j]):
+                    noises[j](gen, (n,) + var_shape, out=draws[j, i, :n])
+        # one segment: groups [0, k) step on to the first group end or chunk end
+        end = min(steps[k - 1], base + chunk)
         xk, mk, gk, wk = x[:k], m[:k], g_true[:k], work[:k]
         nk, bk, wrk = norms[:k], best[:k], worst[:k]
-        alpha_k, keep_k = alpha[:k], keep[:k]
-        for done in range(start, end, chunk):
-            n = min(chunk, end - done)
+        alpha_k, keep_k, eta_k = alpha[:k], keep[:k], eta[:k]
+        lam_k = None if lam is None else lam[:k]
+        for i in range(done - base, end - base):
             if noisy:
-                for j in range(k):
-                    for i, gen in enumerate(gens[j]):
-                        noises[j](gen, (n,) + var_shape, out=draws[j, i, :n])
-            for i in range(n):
-                if noisy:
-                    np.add(gk, draws[:k, None, :, i], out=wk)
-                    np.multiply(wk, alpha_k, out=wk)
-                else:
-                    np.multiply(gk, alpha_k, out=wk)
-                np.multiply(mk, keep_k, out=mk)
-                np.add(mk, wk, out=mk)
-                u = _ascent(mk, norm, var_ndim, wk) if update == "lmo" else mk
-                np.multiply(u, eta, out=wk)
-                np.subtract(xk, wk, out=xk)
-                obj.grad(xk, out=gk)
-                dual = _batched_dual_norms(gk, norm, var_ndim, wk, nk)
-                np.fmin(bk, dual, out=bk)  # a NaN norm counts as inf
-                np.maximum(wrk, dual, out=wrk)
-                if record:
-                    trace[done + i] = dual[0, 0, 0]
+                np.add(gk, draws[:k, None, :, i], out=wk)
+                np.multiply(wk, alpha_k, out=wk)
+            else:
+                np.multiply(gk, alpha_k, out=wk)
+            np.multiply(mk, keep_k, out=mk)
+            np.add(mk, wk, out=mk)
+            u = _ascent(mk, norm, var_ndim, wk) if update == "lmo" else mk
+            np.multiply(u, eta_k, out=wk)
+            np.subtract(xk, wk, out=xk)
+            obj.grad(xk, out=gk, lam=lam_k)
+            dual = _batched_dual_norms(gk, norm, var_ndim, wk, nk)
+            np.fmin(bk, dual, out=bk)  # a NaN norm counts as inf
+            np.maximum(wrk, dual, out=wrk)
+            if record:
+                trace[base + i] = dual[0, 0, 0]
+        done = end
     if record:
         trace[np.isnan(trace)] = np.inf
     back = np.argsort(order)

@@ -1,4 +1,4 @@
-"""The package surface: lazily resolved exports, and which commands load numpy."""
+"""The package surface: lazily resolved exports, and which modules each command loads."""
 
 import importlib
 import json
@@ -114,6 +114,53 @@ def test_numpy_commands_run_in_a_fresh_interpreter(argv, capsys):
     assert res.returncode == 0, res.stderr
     assert main(argv) == 0
     assert res.stdout == capsys.readouterr().out
+
+
+CONTOUR = ["contour", "--alpha", "0.5", "--target", "0.05", "--k-points", "5"]
+VERIFY = ["verify", "--constraint", "fixed-alpha", "--value", "0.1"]
+SIMULATE = ["simulate", "--t", "1024", "--replicates", "2", "--eta", "0.01,0.1"]
+CSV = ["--format", "csv"]
+
+# argv, exit code, and the lmoscale modules that main(argv) adds to those of start-up
+MODULE_SETS = [
+    (["plan", "--regime", "joint", "--t", "1e6"], 0, ["closed_form", "proxy", "schedules"]),
+    (["transfer", "--t0", "1e6", "--eta0", "0.01", "--t1", "1e8", "--regime", "A"], 0,
+     ["schedules", "transfer"]),
+    (["transfer", "--t0", "1e6", "--eta0", "0.01", "--t1", "1e8", "--b1", "64",
+      "--setting", "sgd"], 0, ["schedules", "transfer"]),
+    (["analyze", "--mode", "rate", "--b-exp", "0.5"], 0, ["schedules"]),
+    (["compare-sgd", "--t", "1e6"], 0, ["closed_form", "proxy", "schedules", "sgd"]),
+    (CONTOUR, 0, ["contours", "proxy"]),
+    (CONTOUR + CSV, 0, ["contours", "proxy"]),
+    (VERIFY, 0, ["grid", "proxy"]),
+    (VERIFY + CSV, 0, ["grid", "proxy"]),
+    (SIMULATE, 0, ["sim"]),
+    (SIMULATE + CSV, 0, ["sim"]),
+    (["plan", "--t", "1e6"], 2, []),
+    (["simulate", "--no-such-option", "1"], 2, []),
+]
+
+
+@pytest.mark.parametrize("argv, code, added", MODULE_SETS, ids=[
+    argv[0] + ("-csv" if "csv" in argv else "") + ("-reject" if code else "")
+    for argv, code, _ in MODULE_SETS])
+def test_each_command_loads_only_the_modules_it_runs(argv, code, added, tmp_path):
+    script = (
+        "import json, sys\n"
+        "def ours():\n"
+        "    return {name for name in sys.modules if name.split('.')[0] == 'lmoscale'}\n"
+        "import lmoscale.cli\n"
+        "start = ours()\n"
+        "code = lmoscale.cli.main(json.loads(sys.argv[1]) + ['--out', sys.argv[2]])\n"
+        "print(json.dumps({'code': code, 'start': sorted(start), 'added': sorted(ours() - start)}))\n"
+    )
+    res = _fresh_python(script, json.dumps(argv), str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {
+        "code": code,
+        "start": ["lmoscale", "lmoscale.cli", "lmoscale.errors", "lmoscale.serialize"],
+        "added": [f"lmoscale.{name}" for name in added],
+    }
 
 
 def _names():

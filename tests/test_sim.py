@@ -1,6 +1,7 @@
 """Optimizer laboratory: directions, polar factor, noise, runs, sweeps."""
 
 import json
+import math
 import re
 import tracemalloc
 
@@ -529,6 +530,42 @@ class TestLockstep:
         ref = reference_sweep(spec, norm, *grids, replicates=2, seed=8)
         metrics = np.array([p.metric for p in res.points])
         assert np.array_equal(metrics, np.concatenate([g[4].mean(axis=1) for g in ref]))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 512])
+    def test_each_generator_draws_once_per_chunk(self, monkeypatch, chunk):
+        # 3 budgets x 2 batches x 2 momenta end at 8 to 500 steps: chunks of 7
+        # straddle every segment end, chunks of 50 meet some, one chunk of 512 holds all
+        spec = LOCKSTEP_SPECS["gaussian"]
+        grids = ((0.01, 0.1), (0.2, 1.0), (2, 8), (64.0, 400.0, 1000.0))
+        monkeypatch.setattr(sim, "_NOISE_VALUES", chunk * 12 * 2 * len(spec.spectrum))
+        drawn: dict[np.random.Generator, list[int]] = {}  # steps per draw call
+        inner = sim._noise_factory
+
+        def counting(spec, batch):
+            draw = inner(spec, batch)
+
+            def counted(gen, shape, out=None):
+                drawn.setdefault(gen, []).append(shape[0] if len(shape) == 2 else 0)
+                return draw(gen, shape, out=out)
+
+            return counted
+
+        monkeypatch.setattr(sim, "_noise_factory", counting)
+        calls, run_batch = [], sim._run_batch
+        monkeypatch.setattr(sim, "_run_batch",
+                            lambda *args, **kw: calls.append(run_batch(*args, **kw)) or calls[-1])
+        res = sweep_sim(spec, NormKind.MAX, *grids, replicates=2, seed=4)
+        steps = [round(t / b) for t in grids[3] for b in grids[2] for _ in grids[1]]
+        assert sorted(sum(n) for n in drawn.values()) == sorted(steps * 2)
+        for n in drawn.values():  # the matched init, then one draw per chunk
+            assert n[0] == 0 and len(n) == 1 + math.ceil(sum(n) / chunk)
+        monkeypatch.setattr(sim, "_noise_factory", inner)
+        ref = reference_sweep(spec, NormKind.MAX, *grids, replicates=2, seed=4)
+        metrics = np.array([p.metric for p in res.points])
+        assert np.array_equal(metrics, np.concatenate([g[4].mean(axis=1) for g in ref]))
+        best, _, _, x = calls[0]
+        for j, (*_, ref_best, _, ref_x) in enumerate(ref):
+            assert np.array_equal(best[j], ref_best) and np.array_equal(x[j], ref_x)
 
     @pytest.mark.parametrize("noise", ["gaussian", "stable"])
     @pytest.mark.parametrize("update", ["lmo", "sgd"])
