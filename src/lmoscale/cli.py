@@ -1,26 +1,29 @@
 """Command-line surface.
 
 Subcommands: plan, verify, transfer, contour, analyze, simulate,
-compare-sgd.  ``_SPECS`` is the one table of options: ``main`` builds the
-parser from it and merges an optional declarative JSON config
+compare-sgd.  ``_SPECS`` is the one table of options: each ``main`` call
+builds a parser from it that lists every command but holds the options
+of the named command only, and merges an optional declarative JSON config
 (``--config``) whose keys match the option names; explicitly passed flags
-win over the config, unknown config keys are rejected, and a null value
-keeps the default.  Every command takes ``--out``; ``--format``
-belongs to the commands with a table (verify, contour, simulate),
-``--seed`` to simulate and ``--threads`` to verify, which checks it (>= 1)
-and ignores it: the grid sweep runs in one thread.  Each command imports
-the lmoscale modules it runs when it runs, so start-up loads only this
-module, ``errors`` and ``serialize``, and only the table commands import
-numpy.
+win over the config, unknown config keys are rejected, a null value keeps
+the default, and a value the flag would reject (a boolean for a number, a
+fraction for an int) is rejected too.  Every command takes ``--out``;
+``--format`` belongs to the commands with a table (verify, contour,
+simulate), ``--seed`` to simulate and ``--threads`` to verify, which
+checks it (>= 1) and ignores it: the grid sweep runs in one thread.  Each
+command imports the lmoscale modules it runs when it runs, so start-up
+loads only this module, ``errors`` and ``serialize``, and only the table
+commands import numpy.
 
 A table document is (schema, meta, rows of a record dataclass), written as
 JSON or as a versioned CSV; ``records_from_csv`` reads any such CSV back
 into its records through ``_TABLES``, the writer's table of the module and
 class of each schema's record, so a table loads only its own module.  The
 other documents are JSON built from the fields of the result dataclasses.
-Exit codes: 0 ok, 2 invalid input (argument errors included; non-finite
-numbers are rejected), 3 infeasible request, 4 numerical failure or memory
-exhaustion.  Every failure writes one JSON line to stderr.
+Exit codes: 0 ok, 2 invalid input (argument errors, non-finite numbers,
+an unreadable config and an unwritable output file included), 3
+infeasible request, 4 numerical failure or memory exhaustion.  Every
+failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -183,19 +186,37 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every command's subparser, but only ``command``'s with its options.
+
+    The empty subparsers keep the top-level help and the invalid-choice
+    message whole; each ``add_argument`` builds a help formatter, which
+    asks for the terminal size, so the other commands' options are skipped.
+    """
     parser = _Parser(
         prog="lmoscale",
         description="Scaling-law engine for norm-constrained optimizer hyperparameters.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, opts in _SPECS.items():
+    for name in _SPECS:
         sub = subs.add_parser(name)
+        if name != command:
+            continue
         sub.add_argument("--config", help="JSON config file; explicit flags win")
-        for opt in opts:
+        for opt in _SPECS[name]:
             metavar = "{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None
             sub.add_argument(f"--{opt.name}", dest=opt.dest, metavar=metavar, help=opt.help)
     return parser
+
+
+def _flag_could_spell(opt: Opt, value) -> bool:
+    """False for a config value that the option's flag would reject: a JSON
+    boolean for a number, or a fraction for an int."""
+    if opt.type is str:
+        return True
+    if any(isinstance(x, bool) for x in (value if isinstance(value, list) else (value,))):
+        return False
+    return not (opt.type is int and isinstance(value, float) and not value.is_integer())
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
@@ -206,7 +227,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DomainError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise DomainError("config file must hold a JSON object")
@@ -219,10 +240,13 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     given.update((dest, getattr(args, dest)) for dest in spec if getattr(args, dest) is not None)
     values = {dest: opt.default for dest, opt in spec.items()}
     for dest, value in given.items():
+        opt = spec[dest]
         try:
-            values[dest] = spec[dest].type(value)
+            if not _flag_could_spell(opt, value):
+                raise TypeError
+            values[dest] = opt.type(value)
         except (ValueError, TypeError, OverflowError) as exc:
-            raise DomainError(f"option {spec[dest].name!r}: invalid value {value!r}") from exc
+            raise DomainError(f"option {opt.name!r}: invalid value {value!r}") from exc
     for dest, opt in spec.items():
         value = values[dest]
         if opt.choices and value is not None and value not in opt.choices:
@@ -252,8 +276,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write output {out}: {exc.strerror or exc}") from exc
 
 
 def _json(schema: str, doc: dict) -> str:
@@ -526,8 +553,12 @@ def _fail(code: int, message: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        argv = sys.argv[1:] if argv is None else argv
+        # the top-level parser has only -h, so its first positional, the
+        # command, is the first token that names one
+        command = next((arg for arg in argv if arg in _SPECS), None)
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser(command).parse_args(argv)
         except SystemExit:  # only --help exits here; bad arguments raise DomainError
             return EXIT_OK
         _DISPATCH[args.command](_merge_config(args.command, args))

@@ -1,17 +1,20 @@
-"""Independent numerical oracles used to cross-check closed forms and the simulator.
+"""Independent oracles used to cross-check closed forms, the simulator and the CLI parser.
 
 These stay deliberately dumb: golden-section line search, plain bisection,
 iterative local grid refinement, a cell-by-cell grid argmin, the grid
-prune with one binary search per cell, and a simulator step loop that runs
-one (budget, batch, momentum) group at a time.  None of them share code with the package's own solvers; the
-simulator reference takes only the objective, the noise sampler and the
-polar factor from the package.
+prune with one binary search per cell, a simulator step loop that runs
+one (budget, batch, momentum) group at a time, and a CLI parser that holds
+every command's options.  None of them share code with the package's own
+solvers; the simulator reference takes only the objective, the noise
+sampler and the polar factor from the package, and the parser reference
+only the option table and the parser class.
 """
 
 import math
 
 import numpy as np
 
+from lmoscale.cli import _SPECS, _Parser
 from lmoscale.sim import (
     NormKind,
     _noise_factory,
@@ -251,3 +254,19 @@ def reference_sweep(spec, norm, eta_grid, alpha_grid, b_grid, t_grid, replicates
                 )
                 groups.append((float(t), b, float(alpha), steps, best, aborted, x))
     return groups
+
+
+def reference_parser():
+    """The CLI parser with the options of all seven commands, built in one go."""
+    parser = _Parser(
+        prog="lmoscale",
+        description="Scaling-law engine for norm-constrained optimizer hyperparameters.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, opts in _SPECS.items():
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", help="JSON config file; explicit flags win")
+        for opt in opts:
+            metavar = "{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None
+            sub.add_argument(f"--{opt.name}", dest=opt.dest, metavar=metavar, help=opt.help)
+    return parser

@@ -251,12 +251,22 @@ def test_json_floats_round_trip_exactly(capsys):
         (["verify"], {"points": "abc"}, "'points'"),
         (["plan"], {"regime": "joint", "t": float("inf")}, "'t'"),
         (["compare-sgd", "--t", "1e4"], {"b": []}, "'b'"),
+        (["plan"], b"\xff\xfe{}", "cannot read config"),
+        # config values that the flag would reject
+        (["plan", "--regime", "joint"], {"t": True}, "'t'"),
+        (["simulate", "--t", "64", "--b", "8", "--replicates", "1"], {"dim": 2.5}, "'dim'"),
+        (["simulate", "--t", "64", "--b", "8", "--dim", "2"], {"replicates": True},
+         "'replicates'"),
+        (["simulate", "--t", "64", "--replicates", "1", "--dim", "2"], {"b": [8, False]}, "'b'"),
     ],
 )
 def test_bad_input_is_one_json_line_and_exit_2(capsys, tmp_path, argv, config, named):
     if config is not None:
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(config))
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(json.dumps(config))
         argv = argv + ["--config", str(cfg)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -264,6 +274,36 @@ def test_bad_input_is_one_json_line_and_exit_2(capsys, tmp_path, argv, config, n
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["exit_code"] == 2 and named in doc["error"]
+
+
+def test_integral_config_numbers_keep_working(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t": 64, "b": 8, "replicates": 2.0, "dim": 3, "seed": 7.0}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    flags = run_cli(capsys, "simulate", "--t", "64", "--b", "8", "--replicates", "2",
+                    "--dim", "3", "--seed", "7")
+    assert code == 0 and err == "" and (code, out, err) == flags
+
+
+@pytest.mark.parametrize("make_out", [lambda tmp: tmp / "missing" / "out.json", lambda tmp: tmp],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_is_one_json_line_and_exit_2(capsys, tmp_path, make_out):
+    out_path = make_out(tmp_path)
+    code, out, err = run_cli(capsys, "plan", "--regime", "joint", "--t", "1e6",
+                             "--out", str(out_path))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    assert doc["exit_code"] == 2 and doc["error"].startswith(f"cannot write output {out_path}: ")
+
+
+def test_unwritable_points_file_is_one_json_line_and_exit_2(capsys, tmp_path):
+    out_path = tmp_path / "sim.csv"
+    (tmp_path / "sim.csv.points.csv").mkdir()  # the second file's path is a directory
+    code, out, err = run_cli(capsys, "simulate", "--dim", "2", "--t", "64", "--b", "8",
+                             "--replicates", "1", "--format", "csv", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(f"cannot write output {out_path}.points.csv: ")
 
 
 def test_help_still_prints_usage(capsys):
