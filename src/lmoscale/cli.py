@@ -210,10 +210,11 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 
 
 def _flag_could_spell(opt: Opt, value) -> bool:
-    """False for a config value that the option's flag would reject: a JSON
-    boolean for a number, or a fraction for an int."""
+    """False for a config value that the option's flag would reject: a
+    non-string for a string, a JSON boolean for a number, or a fraction for
+    an int."""
     if opt.type is str:
-        return True
+        return isinstance(value, str)
     if any(isinstance(x, bool) for x in (value if isinstance(value, list) else (value,))):
         return False
     return not (opt.type is int and isinstance(value, float) and not value.is_integer())

@@ -3,7 +3,7 @@
 Runs the norm-constrained momentum method (normalized descent, sign
 descent, or orthogonalized descent, depending on the chosen norm) on
 synthetic objectives with controllable initial suboptimality, smoothness,
-and gradient noise, to confirm the proxy's qualitative predictions.
+and Gaussian gradient noise, to confirm the proxy's qualitative predictions.
 A plain gradient-step mode (``update="sgd"``) serves as the baseline.
 
 Everything is deterministic given the seed: replicate streams derive from
@@ -115,8 +115,7 @@ class ObjectiveSpec:
     dims-shaped matrix variable with data drawn deterministically from
     data_seed and started from zero.  Per-sample gradient noise has scale
     noise_sigma; a mini-batch of size b averages it down to noise_sigma /
-    sqrt(b) per coordinate (or the slower b^(1/p - 1) law under the
-    heavy-tailed demo generator, noise_kind="stable").
+    sqrt(b) per coordinate.
     """
 
     kind: str = "noisy-quadratic"
@@ -125,8 +124,6 @@ class ObjectiveSpec:
     dims: tuple[int, int] | None = None
     x0_scale: float = 1.0
     data_seed: int = 0
-    noise_kind: str = "gaussian"
-    stable_alpha: float | None = None
 
     def __post_init__(self) -> None:
         _require(self.noise_sigma >= 0, "noise_sigma must be >= 0, got {}", self.noise_sigma)
@@ -140,11 +137,6 @@ class ObjectiveSpec:
                      "matrix-least-squares needs dims=(rows, cols)")
         else:
             raise DomainError(f"unknown objective kind {self.kind!r}")
-        if self.noise_kind == "stable":
-            _require(self.stable_alpha is not None and 1.0 < self.stable_alpha <= 2.0,
-                     "stable noise needs stable_alpha in (1, 2]")
-        elif self.noise_kind != "gaussian":
-            raise DomainError(f"unknown noise kind {self.noise_kind!r}")
 
 
 class _Objective:
@@ -186,50 +178,34 @@ class _Objective:
 
 
 def _noise_factory(spec: ObjectiveSpec, batch: int):
-    """Mini-batch noise sampler ``draw(gen, shape, out=None)``, or None without noise.
+    """Gaussian mini-batch noise sampler ``draw(gen, shape, out=None)``, or None without noise.
 
-    Every draw is split-invariant along its leading axis: draws of n then m
-    values equal one draw of n + m.  Gaussian draws are written straight
-    into ``out``; a stable value takes its own pair of uniforms (u0, u1),
-    with V = pi (u0 - 1/2) and W = -log1p(-u1) in the Chambers-Mallows-Stuck
-    formula.
+    Each value has standard deviation noise_sigma / sqrt(batch) and is
+    written straight into ``out`` when one is given.  Every draw is
+    split-invariant along its leading axis: draws of n then m values equal
+    one draw of n + m.
     """
     if spec.noise_sigma == 0.0:
         return None
-    if spec.noise_kind == "gaussian":
-        scale = spec.noise_sigma / math.sqrt(batch)
+    scale = spec.noise_sigma / math.sqrt(batch)
 
-        def gaussian(gen, shape, out=None):
-            z = gen.standard_normal(shape, out=out)
-            z *= scale
-            return z
+    def draw(gen, shape, out=None):
+        z = gen.standard_normal(shape, out=out)
+        z *= scale
+        return z
 
-        return gaussian
-    a = spec.stable_alpha
-    scale = spec.noise_sigma / batch ** (1.0 - 1.0 / a)
-
-    def stable(gen, shape, out=None):
-        u = gen.random(shape + (2,))
-        v = np.pi * (u[..., 0] - 0.5)
-        w = -np.log1p(-u[..., 1])
-        z = scale * (np.sin(a * v) / np.cos(v) ** (1.0 / a)
-                     * (np.cos((1.0 - a) * v) / w) ** ((1.0 - a) / a))
-        if out is None:
-            return z
-        out[...] = z
-        return out
-
-    return stable
+    return draw
 
 
-def _check_settings(etas, alphas, update: str, init: str, inits: tuple[str, ...]) -> None:
+def _check_settings(etas, alphas, update: str, init: str) -> None:
     """Reject step sizes, momenta, updates and inits that a run cannot take."""
     for eta in etas:
         _require(math.isfinite(eta) and eta > 0, "eta must be finite and > 0, got {}", eta)
     for alpha in alphas:
         _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
     _require(update in ("lmo", "sgd"), "update must be one of ('lmo', 'sgd'), got {!r}", update)
-    _require(init in inits, "init must be one of {}, got {!r}", inits, init)
+    _require(init in ("matched", "zero"), "init must be one of ('matched', 'zero'), got {!r}",
+             init)
 
 
 @dataclass(frozen=True)
@@ -237,8 +213,8 @@ class LmoConfig:
     """One simulator run: geometry, hyperparameters, horizon, seeding.
 
     ``init`` picks the momentum start: "matched" draws a batch-sized
-    stochastic gradient at x0 (so its error shrinks like 1/sqrt(b)),
-    "zero" starts empty, "custom" uses init_value (flattened, row-major).
+    stochastic gradient at x0 (so its error shrinks like 1/sqrt(b)), and
+    "zero" starts empty.
     ``update="sgd"`` replaces the normalized step by a plain gradient step
     and is the comparison baseline.
     """
@@ -250,17 +226,13 @@ class LmoConfig:
     steps: int
     seed: int
     init: str = "matched"
-    init_value: tuple[float, ...] | None = None
     update: str = "lmo"
 
     def __post_init__(self) -> None:
-        _check_settings((self.eta,), (self.alpha,), self.update, self.init,
-                        ("matched", "zero", "custom"))
+        _check_settings((self.eta,), (self.alpha,), self.update, self.init)
         _require(isinstance(self.batch, int) and self.batch >= 1,
                  "batch must be an integer >= 1, got {!r}", self.batch)
         _require(self.steps >= 1, "steps must be >= 1, got {}", self.steps)
-        if self.init == "custom":
-            _require(self.init_value is not None, "custom init needs init_value")
 
 
 @dataclass(eq=False)
@@ -331,7 +303,6 @@ def _run_batch(
     steps,
     seed_seqs,
     init: str,
-    init_value=None,
     record: bool = False,
 ):
     """Simulate groups of runs in lockstep, sharing noise across the step-size axis.
@@ -379,10 +350,8 @@ def _run_batch(
             for j, noise in enumerate(noises):
                 for i, gen in enumerate(gens[j]):
                     m[j, :, i] += noise(gen, var_shape)
-    elif init == "zero":
-        m = np.zeros(shape)
     else:
-        m = np.broadcast_to(np.asarray(init_value, dtype=float).reshape(var_shape), shape).copy()
+        m = np.zeros(shape)
 
     # every draw is split-invariant, so the chunk shrinks to bound the buffer
     chunk = max(1, min(512, _NOISE_VALUES // (n_groups * r * obj.x0.size)))
@@ -446,7 +415,6 @@ def run(spec: ObjectiveSpec, cfg: LmoConfig) -> SimRun:
         [cfg.steps],
         [[np.random.SeedSequence(cfg.seed)]],
         cfg.init,
-        cfg.init_value,
         record=True,
     )
     return SimRun(
@@ -524,7 +492,7 @@ def sweep_sim(
     for name, grid in (("b_grid", b_vals), ("t_grid", budgets)):
         _require(np.isfinite(grid).all(), "{} must be finite, got {}", name, grid.tolist())
     etas, alphas = np.sort(etas), np.sort(alphas)
-    _check_settings(etas, alphas, update, init, ("matched", "zero"))
+    _check_settings(etas, alphas, update, init)
     obj = _Objective(spec)
     batches = sorted(integer_batch(b) for b in b_vals)
     if budgets.min() < batches[0]:

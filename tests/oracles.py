@@ -168,7 +168,7 @@ def _reference_dual_norms(g, norm, var_ndim):
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_group(obj, norm, update, etas, alpha, batch, steps, seed_seqs, init,
-                    init_value=None, record=False, chunk=512):
+                    record=False, chunk=512):
     """One (budget, batch, momentum) group, run on its own with its own step loop.
 
     The noise of each generator is drawn in 512-step chunks and stacked, as
@@ -195,9 +195,6 @@ def reference_group(obj, norm, update, etas, alpha, batch, steps, seed_seqs, ini
         m = np.broadcast_to(g0 + n0, (h, r) + var_shape).copy()
     elif init == "zero":
         m = np.zeros((h, r) + var_shape)
-    else:
-        m0 = np.asarray(init_value, dtype=float).reshape(var_shape)
-        m = np.broadcast_to(m0, (h, r) + var_shape).copy()
 
     best = np.full((h, r), np.inf)
     aborted = np.zeros((h, r), dtype=bool)

@@ -258,9 +258,13 @@ def test_json_floats_round_trip_exactly(capsys):
         (["simulate", "--t", "64", "--b", "8", "--dim", "2"], {"replicates": True},
          "'replicates'"),
         (["simulate", "--t", "64", "--replicates", "1", "--dim", "2"], {"b": [8, False]}, "'b'"),
+        (["plan"], {"out": True, "regime": "joint", "t": 1e6}, "'out'"),
+        (["plan"], {"out": [1, 2], "regime": "joint", "t": 1e6}, "'out'"),
     ],
 )
-def test_bad_input_is_one_json_line_and_exit_2(capsys, tmp_path, argv, config, named):
+def test_bad_input_is_one_json_line_and_exit_2(capsys, monkeypatch, tmp_path, argv, config,
+                                               named):
+    monkeypatch.chdir(tmp_path)  # a relative --out would land here
     if config is not None:
         cfg = tmp_path / "run.json"
         if isinstance(config, bytes):
@@ -274,6 +278,7 @@ def test_bad_input_is_one_json_line_and_exit_2(capsys, tmp_path, argv, config, n
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert doc["exit_code"] == 2 and named in doc["error"]
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["run.json"])
 
 
 def test_integral_config_numbers_keep_working(capsys, tmp_path):

@@ -106,7 +106,7 @@ MESSAGES = [
     (lambda: _config(update="adam"), DomainError,
      "update must be one of ('lmo', 'sgd'), got 'adam'"),
     (lambda: _config(init="ones"), DomainError,
-     "init must be one of ('matched', 'zero', 'custom'), got 'ones'"),
+     "init must be one of ('matched', 'zero'), got 'ones'"),
     (lambda: _config(batch=2.5), DomainError, "batch must be an integer >= 1, got 2.5"),
     (lambda: closed_form.momentum_cubic(proxy.BoundConstants(1e300, 1e300, 1.0), 1e30),
      NumericalError, "momentum cubic coefficient a3 = inf leaves the float range at t=1e+30 "
