@@ -386,12 +386,17 @@ def _cmd_verify(v: dict) -> None:
             "capped-b": grid.Constraint.cap_b,
         }[kind](v["value"])
     _require(v["threads"] >= 1, "threads must be >= 1, got {}", v["threads"])
+    widen = "widen the fit window with --fit-decades or add budgets with --t-points"
+    grid._swept_axes(spec, constraint)  # an empty batch cap is exit 3 before a short window
+    most = grid._most_fit_points(spec.t_axis(), v["fit_decades"])
+    if most < grid._MIN_FIT_POINTS:
+        raise DomainError(f"need at least {grid._MIN_FIT_POINTS} in-window points, got {most}; "
+                          f"{widen}")
     result = grid.sweep(c, spec, constraint, v["objective"])
     try:
         fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
     except DomainError as exc:
-        raise DomainError(f"{exc}; widen the fit window with --fit-decades or add budgets "
-                          "with --t-points") from None
+        raise DomainError(f"{exc}; {widen}") from None
     burn_in = grid.detect_burn_in(result) if constraint.fixed_alpha is not None else None
     meta = {"constraint": constraint.tag, "objective": v["objective"], "burn_in_t": burn_in}
     _emit_table(v, "sweep/v1", meta, "records", result.records,

@@ -174,6 +174,24 @@ class SweepResult:
         return np.array([getattr(r, name) for r in self.records])
 
 
+def _swept_axes(spec: GridSpec, constraint: Constraint) -> tuple[np.ndarray, ...]:
+    """The (b, eta, alpha) axes a sweep searches, ascending, cut to the batch cap.
+
+    A pinned axis is its one value.  Raises ``InfeasibleError`` when no grid
+    batch size satisfies the cap.
+    """
+    pins = (getattr(constraint, field) for _, field, _ in _AXES)
+    b, eta, alpha = (
+        _log_axis(*getattr(spec, attr), spec.points_per_axis) if pin is None else np.array([pin])
+        for pin, (_, _, attr) in zip(pins, _AXES)
+    )
+    if constraint.b_cap is not None:
+        b = b[b <= constraint.b_cap]
+        if b.size == 0:
+            raise InfeasibleError(f"no grid batch size satisfies the cap {constraint.b_cap}")
+    return b, eta, alpha
+
+
 # Cells per pruning block.  Whole b rows are pruned a block at a time, so a
 # pinned sweep's short rows do not pay numpy's per-call cost row by row.
 _PRUNE_BLOCK = 4096
@@ -250,14 +268,17 @@ def _prune(u_terms: tuple, v_terms: tuple, shape: tuple[int, ...]):
 # of u, and binary-searches only the few cells the table leaves, so it keeps
 # exactly the cells a binary search of every cell keeps.  Cells that overflow
 # are +inf and never win the argmin; a NaN cell (0 * inf at the float limits)
-# is reported by best_at.  Each budget's argmin runs over the survivors of
-# _prune alone, and is exact: u and v are >= 0, and dividing by t > 0 and
-# adding are monotone under rounding, so a dominating cell's value is <= the
-# dominated cell's at every budget; it lies in an earlier b row, so it comes
-# first in flat order, where argmin keeps the first minimum, and it is
-# feasible whenever the dominated cell is, since the feasible cells are a
-# prefix of b rows.  NaN compares false, so NaN cells are never dropped and
-# raise at the same budget as without the prune.
+# is reported at the budget whose argmin meets it.  Each budget's argmin runs
+# over the survivors of _prune alone, and is exact: u and v are >= 0, and
+# dividing by t > 0 and adding are monotone under rounding, so a dominating
+# cell's value is <= the dominated cell's at every budget; it lies in an
+# earlier b row, so it comes first in flat order, where argmin keeps the first
+# minimum, and it is feasible whenever the dominated cell is, since the
+# feasible cells are a prefix of b rows.  NaN compares false, so NaN cells are
+# never dropped and raise at the same budget as without the prune.  The budget
+# loop works on Python scalars, so each record holds Python floats taken from
+# the axes' tolist().  ``kept`` stays an array, indexed once per budget: a
+# list of up to ~19k survivors would cost more memory than the loop saves.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def sweep(
     c: BoundConstants,
@@ -277,57 +298,48 @@ def sweep(
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    pins = [getattr(constraint, field) for _, field, _ in _AXES]
-    b, eta, alpha = (
-        _log_axis(*getattr(spec, attr), spec.points_per_axis) if pin is None else np.array([pin])
-        for pin, (_, _, attr) in zip(pins, _AXES)
-    )
-    if constraint.b_cap is not None:
-        b = b[b <= constraint.b_cap]
-        if b.size == 0:
-            raise InfeasibleError(f"no grid batch size satisfies the cap {constraint.b_cap}")
+    b, eta, alpha = _swept_axes(spec, constraint)
     alpha_desc = alpha[::-1].copy()
 
     descent, burn, floor, smooth = token_terms(
         c, eta[None, :, None], alpha_desc[None, None, :], b[:, None, None],
         objective == "bound_tokens",
     )
-    shape = (b.size, eta.size, alpha.size)
-    u, v, kept, offsets = _prune((descent, burn), (floor, smooth), shape)
-    free = [(k, _AXES[k][0]) for k, pin in enumerate(pins) if pin is None]
-
-    def best_at(t: float) -> SweepRecord | None:
-        m = int(np.searchsorted(b, t, side="right"))
+    u, v, kept, offsets = _prune((descent, burn), (floor, smooth), (b.size, eta.size, alpha.size))
+    free = [(k, name) for k, (name, field, _) in enumerate(_AXES)
+            if getattr(constraint, field) is None]
+    ts = spec.t_axis()
+    b_at, eta_at, alpha_at = b.tolist(), eta.tolist(), alpha_desc.tolist()
+    offsets = offsets.tolist()
+    plane, n_alpha = eta.size * alpha.size, alpha.size
+    buf = np.empty(u.size)
+    records = []
+    for t, m in zip(ts.tolist(), np.searchsorted(b, ts, side="right").tolist()):
         if m == 0:
-            return None
+            continue
         n = offsets[m]
-        values = u[:n] / t + v[:n]
-        j = int(np.argmin(values))
+        values = np.divide(u[:n], t, out=buf[:n])
+        values += v[:n]
+        j = int(values.argmin())
         risk = float(values[j])
         if math.isnan(risk):  # argmin stops at the first NaN
             raise NumericalError(f"the objective is NaN on some grid cells at budget {t}")
-        i_b, i_e, i_a = np.unravel_index(kept[j], shape)
+        i_b, i_ea = divmod(int(kept[j]), plane)
+        i_e, i_a = divmod(i_ea, n_alpha)
         # positions in ascending order on each axis; alpha is stored descending
-        at, last = (i_b, i_e, alpha.size - 1 - i_a), (m - 1, eta.size - 1, alpha.size - 1)
+        at, last = (i_b, i_e, n_alpha - 1 - i_a), (m - 1, eta.size - 1, n_alpha - 1)
         edges = []
         for k, name in free:
             if at[k] == 0:
                 edges.append(f"{name}-lo")
             if at[k] == last[k]:
                 edges.append(f"{name}-hi")
-        return SweepRecord(
-            t=float(t),
-            eta=float(eta[i_e]),
-            alpha=float(alpha_desc[i_a]),
-            b=float(b[i_b]),
-            risk=risk,
-            at_edge=tuple(edges),
-        )
-
-    records = tuple(r for r in map(best_at, spec.t_axis()) if r is not None)
+        records.append(SweepRecord(t=t, eta=eta_at[i_e], alpha=alpha_at[i_a], b=b_at[i_b],
+                                   risk=risk, at_edge=tuple(edges)))
     if not records:
         raise InfeasibleError("empty feasible set: every allowed batch exceeds every budget")
-    return SweepResult(records=records, constraint=constraint, objective=objective, spec=spec)
+    return SweepResult(records=tuple(records), constraint=constraint, objective=objective,
+                       spec=spec)
 
 
 @dataclass(frozen=True)
@@ -341,6 +353,10 @@ class FitResult:
     n_points: int
 
 
+# Fewest in-window points a power-law fit accepts.
+_MIN_FIT_POINTS = 5
+
+
 def fit_power_law(xs, ys, window: tuple[float, float] | None = None) -> FitResult:
     """Ordinary least squares through (ln x, ln y), restricted to a window."""
     xs = np.asarray(xs, dtype=float)
@@ -350,10 +366,14 @@ def fit_power_law(xs, ys, window: tuple[float, float] | None = None) -> FitResul
     if window is not None:
         mask = (xs >= window[0]) & (xs <= window[1])
         xs, ys = xs[mask], ys[mask]
-    if xs.size < 5:
-        raise DomainError(f"need at least 5 in-window points, got {xs.size}")
+    if xs.size < _MIN_FIT_POINTS:
+        raise DomainError(f"need at least {_MIN_FIT_POINTS} in-window points, got {xs.size}")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DomainError("power-law fits need strictly positive data")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DomainError("power-law fits need finite data")
+    if xs.min() == xs.max():
+        raise DomainError("power-law fits need at least two distinct x values")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
@@ -413,3 +433,14 @@ def fit_sweep_exponents(
         if getattr(result.constraint, field) is None:
             fits[name] = fit_power_law(ts, [getattr(r, name) for r in clean], window)
     return fits
+
+
+def _most_fit_points(ts: np.ndarray, decades: float) -> int:
+    """The most of the ascending budgets ``ts`` that one default fit window holds.
+
+    ``fit_sweep_exponents``' default window is the top ``decades`` decades
+    below its largest clean budget, one of ``ts``, so no fit of a sweep over
+    these budgets sees more points.
+    """
+    return int(np.max(np.searchsorted(ts, ts, side="right")
+                      - np.searchsorted(ts, ts / 10.0**decades, side="left")))

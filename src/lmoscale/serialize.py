@@ -6,15 +6,21 @@ produce byte-identical files.  Every file carries a schema version string
 in its header (a ``# schema=...`` comment line for CSV, a ``"schema"``
 field for JSON).  JSON renders a dataclass as an object of its fields in
 order and an enum as its value; CSV writes a tuple cell ``|``-joined.
+
+The JSON writer emits the same bytes as ``json.dumps`` would for each
+string, None and bool under its defaults (ASCII only, ``\\uXXXX`` escapes),
+taking the string escaper straight from ``json.encoder``.  Floats, the
+most common values, are tested first, and each dataclass's quoted keys and
+separators are built once per class.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError
 
@@ -39,17 +45,29 @@ def _fields(record) -> dict:
     return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+@functools.cache
+def _field_keys(cls) -> tuple[tuple[str, str], ...]:
+    """Each field's name and the text before its value: separator, quoted key, colon."""
+    return tuple((name, f"{', ' if i else ''}{encode_basestring_ascii(name)}: ")
+                 for i, name in enumerate(_field_names(cls)))
+
+
 def _json_fragments(obj, out: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+    # Floats, the most common values, are tested first.  No float is None, a
+    # bool or an int, so every value takes the branch it took with floats third.
+    if isinstance(obj, float):
         if not math.isfinite(obj):
             raise DomainError(f"cannot serialize non-finite float {obj!r} to JSON")
-        out.append(fmt_float(obj))
+        out.append(f"{obj:.16e}")
+    elif obj is None or obj is True or obj is False:
+        out.append(_LITERALS[obj])
+    elif isinstance(obj, int):
+        out.append(str(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(obj):
@@ -57,7 +75,7 @@ def _json_fragments(obj, out: list[str]) -> None:
                 raise DomainError(f"JSON object keys must be strings, got {key!r}")
             if i:
                 out.append(", ")
-            out.append(json.dumps(key))
+            out.append(encode_basestring_ascii(key))
             out.append(": ")
             _json_fragments(obj[key], out)
         out.append("}")
@@ -71,7 +89,11 @@ def _json_fragments(obj, out: list[str]) -> None:
     elif isinstance(obj, Enum):
         _json_fragments(obj.value, out)
     elif dataclasses.is_dataclass(obj):
-        _json_fragments(_fields(obj), out)
+        out.append("{")
+        for name, key in _field_keys(type(obj)):
+            out.append(key)
+            _json_fragments(getattr(obj, name), out)
+        out.append("}")
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__} to JSON")
 

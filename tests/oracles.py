@@ -7,12 +7,20 @@ one (budget, batch, momentum) group at a time, and a CLI parser that holds
 every command's options.  None of them share code with the package's own
 solvers; the simulator reference takes only the objective, the noise
 sampler and the polar factor from the package, and the parser reference
-only the option table and the parser class.
+only the option table and the parser class.  The JSON writer reference is
+the writer as first written, an ``isinstance`` chain over a dict of each
+dataclass's fields.
 """
 
+import dataclasses
+import functools
+import json
 import math
+from enum import Enum
 
 import numpy as np
+
+from lmoscale.errors import DomainError
 
 from lmoscale.cli import _SPECS, _Parser
 from lmoscale.sim import (
@@ -267,3 +275,68 @@ def reference_parser():
             metavar = "{" + ",".join(map(str, opt.choices)) + "}" if opt.choices else None
             sub.add_argument(f"--{opt.name}", dest=opt.dest, metavar=metavar, help=opt.help)
     return parser
+
+
+# --------------------------------------------------------------------------
+# JSON writer reference: ``lmoscale.serialize.dumps_json`` as first written.
+
+
+def _reference_fmt_float(x: float) -> str:
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(x)  # inf / -inf / nan; json cannot carry these anyway
+    return f"{x:.16e}"
+
+
+@functools.cache
+def _reference_field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _reference_fields(record) -> dict:
+    """A dataclass instance's fields in order, one level deep."""
+    return {name: getattr(record, name) for name in _reference_field_names(type(record))}
+
+
+def _reference_json_fragments(obj, out: list[str]) -> None:
+    if obj is None or obj is True or obj is False:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DomainError(f"cannot serialize non-finite float {obj!r} to JSON")
+        out.append(_reference_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(obj):
+            if not isinstance(key, str):
+                raise DomainError(f"JSON object keys must be strings, got {key!r}")
+            if i:
+                out.append(", ")
+            out.append(json.dumps(key))
+            out.append(": ")
+            _reference_json_fragments(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(", ")
+            _reference_json_fragments(item, out)
+        out.append("]")
+    elif isinstance(obj, Enum):
+        _reference_json_fragments(obj.value, out)
+    elif dataclasses.is_dataclass(obj):
+        _reference_json_fragments(_reference_fields(obj), out)
+    else:
+        raise DomainError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def reference_dumps_json(obj) -> str:
+    """Serialize with full-precision floats; insertion order is preserved."""
+    out: list[str] = []
+    _reference_json_fragments(obj, out)
+    out.append("\n")
+    return "".join(out)

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from lmoscale import grid
 from lmoscale.cli import main, records_from_csv
 from lmoscale.errors import DomainError
 from lmoscale.serialize import dumps_json, read_csv
@@ -214,6 +215,20 @@ def test_verify_with_too_few_fit_points_names_the_options_that_fix_it(capsys):
     assert "--fit-decades" in doc["error"] and "--t-points" in doc["error"]
     for fix in (["--fit-decades", "6"], ["--t-points", "100"]):
         assert run_cli(capsys, "verify", "--points", "20", *fix)[0] == 0
+
+
+def test_verify_rejects_a_short_fit_window_before_it_sweeps(capsys, monkeypatch):
+    # 20 budgets over the default 20 decades: 2 fit in any 2-decade window
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("verify swept a grid whose fit window is too short")
+
+    monkeypatch.setattr(grid, "sweep", no_sweep)
+    code, out, err = run_cli(capsys, "verify", "--t-points", "20")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == (
+        "need at least 5 in-window points, got 2; widen the fit window with --fit-decades "
+        "or add budgets with --t-points")
 
 
 def test_bad_flag_is_invalid(capsys):

@@ -1,5 +1,6 @@
 """Grid sweep engine: argmins, determinism, fits, burn-in detection."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -174,6 +175,25 @@ def test_fit_power_law_window_and_errors():
         fit_power_law([1, 2, 3, 4, 5], [1, 2, 3, 4, -5])
 
 
+@pytest.mark.parametrize("xs, ys, message", [
+    ([1, 2, 3, 4, 5], [1, 2, math.inf, 4, 5], "power-law fits need finite data"),
+    ([1, 2, 3, 4, 5], [1, 2, math.nan, 4, 5], "power-law fits need finite data"),
+    ([1, 2, 3, 4, math.inf], [1, 2, 3, 4, 5], "power-law fits need finite data"),
+    ([10] * 5, [1, 2, 3, 4, 5], "power-law fits need at least two distinct x values"),
+], ids=["inf-y", "nan-y", "inf-x", "one-x"])
+def test_fit_power_law_rejects_degenerate_data(xs, ys, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        fit_power_law(xs, ys)
+
+
+def test_fit_power_law_checks_only_in_window_data():
+    xs = [1e-3, 1, 2, 3, 4, 5, 1e9]
+    fit = fit_power_law(xs, [math.nan, 1, 2, 3, 4, 5, math.inf], window=(1, 5))
+    assert fit.exponent == pytest.approx(1.0, abs=1e-12) and fit.n_points == 5
+    with pytest.raises(DomainError, match="^power-law fits need strictly positive data$"):
+        fit_power_law([1, 2, 3, 4, 5], [1, 2, math.inf, 4, -5])
+
+
 def test_fit_recovers_closed_form_exponents_exactly():
     ts = np.geomspace(1e10, 1e20, 24)
     bs = [optimal_fixed_momentum_tokens(UNIT, 1.0, t).b_star for t in ts]
@@ -341,8 +361,12 @@ def _axis(spec, attr):
     return np.logspace(math.log10(lo), math.log10(hi), spec.points_per_axis)
 
 
-def _expected_records(b, eta, alpha_desc, u, v, t_axis):
-    """Per-budget (t, eta, alpha, b, risk) from the brute-force argmin, or the NaN budget."""
+def _expected_records(b, eta, alpha_desc, u, v, t_axis, free=("b", "eta", "alpha")):
+    """Per-budget (t, eta, alpha, b, risk, at_edge) from the brute-force argmin, or the NaN budget.
+
+    ``free`` names the unpinned axes in (b, eta, alpha) order; b's last
+    position is the largest batch feasible at the budget.
+    """
     rows = []
     for t in t_axis:
         m = int(np.sum(b <= t))
@@ -352,8 +376,17 @@ def _expected_records(b, eta, alpha_desc, u, v, t_axis):
         if math.isnan(value):
             return rows, t
         i_b, i_e, i_a = np.unravel_index(flat, u.shape)
-        rows.append((t, eta[i_e], alpha_desc[i_a], b[i_b], value))
+        # (ascending position, last position) per axis; alpha_desc runs descending
+        at = {"b": (i_b, m - 1), "eta": (i_e, eta.size - 1),
+              "alpha": (alpha_desc.size - 1 - i_a, alpha_desc.size - 1)}
+        edges = tuple(f"{name}-{end}" for name in free
+                      for end, hit in (("lo", at[name][0] == 0), ("hi", at[name][0] == at[name][1]))
+                      if hit)
+        rows.append((t, eta[i_e], alpha_desc[i_a], b[i_b], value, edges))
     return rows, None
+
+
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(grid.SweepRecord) if f.type in ("float", float)]
 
 
 def _check_sweep(expected, nan_at, run):
@@ -361,8 +394,10 @@ def _check_sweep(expected, nan_at, run):
         with pytest.raises(NumericalError, match=f"at budget {nan_at}$"):
             run()
         return
-    got = [(r.t, r.eta, r.alpha, r.b, r.risk) for r in run().records]
-    assert got == expected
+    records = run().records
+    for r in records:
+        assert all(type(getattr(r, name)) is float for name in _FLOAT_FIELDS), r
+    assert [(r.t, r.eta, r.alpha, r.b, r.risk, r.at_edge) for r in records] == expected
 
 
 _CELL = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
@@ -416,7 +451,8 @@ def test_pruned_sweep_matches_brute_force_on_token_terms(draw, objective, block)
             c, eta[None, :, None], alpha_desc[None, None, :], b[:, None, None],
             objective == "bound_tokens")
         u, v = descent + burn, floor + smooth
-    expected, nan_at = _expected_records(b, eta, alpha_desc, u, v, spec.t_axis())
+    free = tuple(name for name, field, _ in grid._AXES if getattr(constraint, field) is None)
+    expected, nan_at = _expected_records(b, eta, alpha_desc, u, v, spec.t_axis(), free)
     if not expected and nan_at is None:
         return  # no feasible budget or an empty cap: the sweep raises InfeasibleError
     with mock.patch.object(grid, "_PRUNE_BLOCK", block):
