@@ -8,13 +8,14 @@ desk-scale simulator, and computes budget-transfer plans and
 iso-performance contours.
 
 Public names come from each module's ``__all__`` and load on first use
-(PEP 562); only ``contours``, ``grid`` and ``sim`` import numpy, searched last.
+(PEP 562); only ``grid`` and ``sim`` import numpy, searched last.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
+# searched in this order for a name; grid and sim, which import numpy, come last
 _MODULES = ("errors", "proxy", "schedules", "closed_form", "sgd", "transfer",
             "contours", "grid", "sim")
 

@@ -46,6 +46,10 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+# Most step counts a contour samples: 10^5 take about 1 s and 100 MB on a
+# 2-vCPU host, the document included.
+MAX_K_POINTS = 10**5
+
 
 def _float_list(text) -> tuple[float, ...]:
     if isinstance(text, (list, tuple)):
@@ -117,7 +121,7 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
         Opt("alpha", float, None, required=True),
         Opt("target", float, None, required=True, help="performance level to contour"),
         Opt("k-lo", float, 1.0), Opt("k-hi", float, 1e9),
-        Opt("k-points", int, 50),
+        Opt("k-points", int, 50, help=f"step counts sampled, at most {MAX_K_POINTS}"),
         Opt("eta-floor", float, None, help="lower bound of the step-size search"),
         _FORMAT,
     ],
@@ -433,6 +437,8 @@ def _cmd_contour(v: dict) -> None:
 
     cc = contours.ContourConstants(_resolve_constants(v), v["alpha"])
     _require(v["k_points"] >= 1, "k-points must be >= 1, got {}", v["k_points"])
+    _require(v["k_points"] <= MAX_K_POINTS, "--k-points must be <= {}, got {}", MAX_K_POINTS,
+             v["k_points"])
     _require(v["k_lo"] > 0 and v["k_hi"] > 0, "k-lo and k-hi must be > 0")
     k_grid = np.logspace(np.log10(v["k_lo"]), np.log10(v["k_hi"]), v["k_points"])
     meta = _fields(contours.level_set(cc, v["target"], k_grid, v["eta_floor"]))

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleError, _require
 from .proxy import BoundConstants, smoothness_weight
 
@@ -127,6 +125,7 @@ def level_set(
     k at or below the iteration minimum where target <= D, or a batch past
     the float range) are skipped; an entirely empty contour raises.
 
+    ``k_grid`` is any iterable of step counts, each read with ``float``.
     ``k0`` is the geometric mean of the solved step counts, the
     representative scale of the shifted-hyperbola approximation
     (c sqrt(K) - c_det)(c sqrt(b) - c_floor - c_burn/K0) ~ const;
@@ -135,8 +134,7 @@ def level_set(
     """
     _require(target > 0, "target must be > 0, got {}", target)
     points: list[LevelPoint] = []
-    for k in np.asarray(k_grid, dtype=float):
-        k = float(k)
+    for k in map(float, k_grid):
         if k < 1:
             continue
         det = _det_part(cc, k, eta_floor)

@@ -36,6 +36,7 @@ __all__ = [
     "fit_power_law",
     "detect_burn_in",
     "fit_sweep_exponents",
+    "MAX_SWEEP_WORK",
 ]
 
 OBJECTIVES = ("risk_tokens", "bound_tokens")
@@ -174,12 +175,31 @@ class SweepResult:
         return np.array([getattr(r, name) for r in self.records])
 
 
+# Largest sweep accepted, in cells plus budgets x cells: the cube's cells are
+# summed once, and each budget's argmin reads at most every cell.  The
+# slowest constraint at the limit, fixed-b at 1000 points per axis, takes
+# about 2 s on a 2-vCPU host; the default free sweep is 1.01e8.
+MAX_SWEEP_WORK = 10**9
+
+
+def _sweep_work(spec: GridSpec, constraint: Constraint) -> int:
+    """Cells plus budgets x cells of a sweep, ignoring the batch cap."""
+    cells = math.prod(1 if getattr(constraint, field) is not None else spec.points_per_axis
+                      for _, field, _ in _AXES)
+    return cells * (1 + (spec.t_points or spec.points_per_axis))
+
+
 def _swept_axes(spec: GridSpec, constraint: Constraint) -> tuple[np.ndarray, ...]:
     """The (b, eta, alpha) axes a sweep searches, ascending, cut to the batch cap.
 
-    A pinned axis is its one value.  Raises ``InfeasibleError`` when no grid
-    batch size satisfies the cap.
+    A pinned axis is its one value.  Raises ``DomainError``, before any axis
+    is built, when the sweep's work exceeds ``MAX_SWEEP_WORK``, and
+    ``InfeasibleError`` when no grid batch size satisfies the cap.
     """
+    work = _sweep_work(spec, constraint)
+    _require(work <= MAX_SWEEP_WORK,
+             "sweep work, cells x (1 + budgets), is {:.3g}, above the limit {:.0e}; "
+             "lower --points or --t-points", work, MAX_SWEEP_WORK)
     pins = (getattr(constraint, field) for _, field, _ in _AXES)
     b, eta, alpha = (
         _log_axis(*getattr(spec, attr), spec.points_per_axis) if pin is None else np.array([pin])
@@ -290,6 +310,7 @@ def sweep(
 
     Budgets whose feasible set is empty (every allowed batch exceeds the
     budget) are skipped; if no budget is feasible at all the sweep raises.
+    A sweep whose work exceeds ``MAX_SWEEP_WORK`` raises before it starts.
     Each axis of ``_AXES`` is its pinned value or its GridSpec range.  The
     argmin index is taken in (b asc, eta asc, alpha desc) order, which
     realizes the documented tie-breaking; ``at_edge`` names, in that order,
@@ -427,12 +448,24 @@ def fit_sweep_exponents(
     ts = np.array([r.t for r in clean])
     if window is None:
         hi = float(ts.max())
-        window = (hi / 10.0**decades, hi)
+        window = (hi / _decades_factor(decades), hi)
     fits = {"risk": fit_power_law(ts, [r.risk for r in clean], window)}
     for name, field, _ in sorted(_AXES, key=lambda axis: axis[0] != "eta"):
         if getattr(result.constraint, field) is None:
             fits[name] = fit_power_law(ts, [getattr(r, name) for r in clean], window)
     return fits
+
+
+def _decades_factor(decades: float) -> float:
+    """10**decades, or inf past the float range.
+
+    A default fit window's lower edge is hi / 10**decades, so a window
+    wider than the float range reaches down to 0.0 and holds every budget.
+    """
+    try:
+        return 10.0**decades
+    except OverflowError:
+        return math.inf
 
 
 def _most_fit_points(ts: np.ndarray, decades: float) -> int:
@@ -443,4 +476,4 @@ def _most_fit_points(ts: np.ndarray, decades: float) -> int:
     these budgets sees more points.
     """
     return int(np.max(np.searchsorted(ts, ts, side="right")
-                      - np.searchsorted(ts, ts / 10.0**decades, side="left")))
+                      - np.searchsorted(ts, ts / _decades_factor(decades), side="left")))

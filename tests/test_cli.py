@@ -1,17 +1,20 @@
 """Command-line surface: outputs, round trips, config handling, exit codes."""
 
+import importlib.util
 import json
 import math
+import sys
 import threading
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from lmoscale import grid
-from lmoscale.cli import main, records_from_csv
-from lmoscale.errors import DomainError
+from lmoscale.cli import MAX_K_POINTS, main, records_from_csv
+from lmoscale.errors import DomainError, InfeasibleError
 from lmoscale.serialize import dumps_json, read_csv
 
 
@@ -229,6 +232,99 @@ def test_verify_rejects_a_short_fit_window_before_it_sweeps(capsys, monkeypatch)
     assert json.loads(line)["error"] == (
         "need at least 5 in-window points, got 2; widen the fit window with --fit-decades "
         "or add budgets with --t-points")
+
+
+@pytest.mark.parametrize("decades", ["300", "400", "1e300"])
+def test_verify_with_a_fit_window_past_the_float_range(capsys, decades):
+    # 8 budgets over 20 decades: every budget is in the window, 4 of them off the grid edges
+    code, out, err = run_cli(capsys, "verify", "--points", "8", "--fit-decades", decades)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("need at least 5 in-window points, got 4;")
+    code, out, err = run_cli(capsys, "verify", "--fit-decades", decades)
+    assert code == 0 and err == ""
+    fits = json.loads(out)["fits"]
+    assert {fit["window"][0] for fit in fits.values()} == {1e22 / 10.0**300 if decades == "300"
+                                                           else 0.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--points", "3000"],
+    ["--t-points", "1000000"],
+    ["--constraint", "fixed-b", "--value", "8", "--points", "1000"],
+])
+def test_verify_past_the_work_limit_is_invalid_before_any_axis(capsys, monkeypatch, argv):
+    monkeypatch.setattr(np, "logspace", mock.Mock(side_effect=AssertionError("axis built")))
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert f"above the limit {grid.MAX_SWEEP_WORK:.0e}" in error
+    assert error.endswith("lower --points or --t-points")
+
+
+def test_contour_k_points_past_the_limit_is_invalid_before_the_grid(capsys, monkeypatch):
+    monkeypatch.setattr(np, "logspace", mock.Mock(side_effect=AssertionError("grid built")))
+    code, out, err = run_cli(capsys, "contour", "--alpha", "0.5", "--target", "0.05",
+                             "--k-points", str(MAX_K_POINTS + 1))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"--k-points must be <= {MAX_K_POINTS}, "
+                                        f"got {MAX_K_POINTS + 1}", "exit_code": 2}
+
+
+def test_contour_at_the_k_points_limit_is_solved(capsys, monkeypatch):
+    from lmoscale import contours
+
+    sizes = []
+
+    def count(cc, target, k_grid, eta_floor=None):
+        sizes.append(len(k_grid))
+        raise InfeasibleError("counted")
+
+    monkeypatch.setattr(contours, "level_set", count)
+    code, _, _ = run_cli(capsys, "contour", "--alpha", "0.5", "--target", "0.05",
+                         "--k-points", str(MAX_K_POINTS))
+    assert (code, sizes) == (3, [MAX_K_POINTS])
+
+
+class _Reached(Exception):
+    """Raised in place of a sweep or a contour solve once the command's checks have passed."""
+
+
+def _benchmark_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_benchmark_request_exceeds_a_work_limit(capsys, monkeypatch):
+    from lmoscale import contours
+
+    workloads = _benchmark_workloads(monkeypatch)
+    seen = {"verify": [], "contour": []}
+
+    def swept_axes(spec, constraint):
+        seen["verify"].append(grid._sweep_work(spec, constraint))
+        raise _Reached
+
+    def level_set(cc, target, k_grid, eta_floor=None):
+        seen["contour"].append(len(k_grid))
+        raise _Reached
+
+    monkeypatch.setattr(grid, "_swept_axes", swept_axes)
+    monkeypatch.setattr(contours, "level_set", level_set)
+    for name in workloads.WORKLOADS:
+        for scale in ("full", "tiny"):
+            for seed in range(3):
+                for block in workloads.generate(name, seed, scale):
+                    for req in block:
+                        if req.kind == "cli" and req.argv[0] in seen:
+                            with pytest.raises(_Reached):
+                                main(req.argv)
+    assert capsys.readouterr() == ("", "")
+    assert 0 < max(seen["verify"]) <= grid.MAX_SWEEP_WORK
+    assert 0 < max(seen["contour"]) <= MAX_K_POINTS
 
 
 def test_bad_flag_is_invalid(capsys):

@@ -254,6 +254,55 @@ def test_fit_sweep_exponents_excludes_edges():
     assert fits["risk"].exponent == pytest.approx(-0.25, abs=0.02)
 
 
+def test_a_fit_window_wider_than_the_float_range_holds_every_budget():
+    res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
+    hi = max(r.t for r in res.records if not r.at_edge)
+    everything = fit_sweep_exponents(res, window=(0.0, hi))
+    for decades in (308.3, 400.0, 1e300):  # 10.0**decades overflows
+        fits = fit_sweep_exponents(res, decades=decades)
+        assert fits == everything
+        assert all(f.window == (0.0, hi) for f in fits.values())
+        ts = res.spec.t_axis()
+        assert grid._most_fit_points(ts, decades) == ts.size
+
+
+@pytest.mark.parametrize("decades", [2.0, 20.0, 307.5, 308.0, 308.25])
+def test_a_fit_window_within_the_float_range_keeps_its_edge(decades):
+    res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
+    hi = max(r.t for r in res.records if not r.at_edge)
+    assert fit_sweep_exponents(res, decades=decades)["risk"].window == (hi / 10.0**decades, hi)
+
+
+def test_sweep_work_is_cells_plus_budgets_times_cells():
+    assert grid._sweep_work(GridSpec(), Constraint.free()) == 100**3 * 101
+    assert grid._sweep_work(GridSpec(), Constraint.cap_b(10.0)) == 100**3 * 101  # cap ignored
+    assert grid._sweep_work(GridSpec(t_points=7), Constraint.fix_alpha(0.1)) == 100**2 * 8
+    spec = GridSpec(points_per_axis=5)
+    assert grid._sweep_work(spec, Constraint(fixed_b=2.0, fixed_eta=1.0)) == 5 * 6
+
+
+def test_sweeps_up_to_the_work_limit_are_accepted():
+    at_limit = GridSpec(t_points=999)  # 10^6 cells x (1 + 999 budgets)
+    assert grid._sweep_work(at_limit, Constraint.free()) == grid.MAX_SWEEP_WORK
+    assert [axis.size for axis in grid._swept_axes(at_limit, Constraint.free())] == [100] * 3
+    with pytest.raises(DomainError, match=r"is 1e\+09, above the limit 1e\+09"):
+        grid._swept_axes(GridSpec(t_points=1000), Constraint.free())
+
+
+@pytest.mark.parametrize("spec, constraint", [
+    (GridSpec(points_per_axis=3000), Constraint.free()),
+    (GridSpec(points_per_axis=1000), Constraint.fix_alpha(0.1)),
+    (GridSpec(points_per_axis=2, t_points=10**9), Constraint.fix_b(1.0)),
+])
+def test_a_sweep_past_the_work_limit_is_rejected_before_any_axis(spec, constraint, monkeypatch):
+    def no_axis(*args):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(grid, "_log_axis", no_axis)
+    with pytest.raises(DomainError, match="lower --points or --t-points$"):
+        sweep(UNIT, spec, constraint)
+
+
 def test_constraint_tags():
     assert Constraint.free().tag == "free"
     assert Constraint.fix_alpha(0.5).tag == "fixed-alpha"

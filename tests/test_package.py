@@ -1,5 +1,6 @@
 """The package surface: lazily resolved exports, and which modules each command loads."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lmoscale
@@ -53,7 +55,7 @@ EXPORTS = {
     ],
 }
 
-NUMPY_MODULES = ("contours", "grid", "sim")
+NUMPY_MODULES = ("grid", "sim")
 
 CLOSED_FORM_COMMANDS = [
     ["plan", "--regime", "joint", "--t", "1e6"],
@@ -105,6 +107,38 @@ def test_closed_form_commands_and_names_load_no_numpy(tmp_path):
     report = json.loads(res.stdout)
     assert report["codes"] == [0] * len(CLOSED_FORM_COMMANDS)
     assert report["numpy"] == [False] * (len(CLOSED_FORM_COMMANDS) + 2)
+
+
+CONTOUR_CALLS = (
+    "cc = lm.ContourConstants(lm.BoundConstants(1.0, 1.0, 1.0), 0.5)\n"
+    "values = [cc.c_det, cc.c_burn, cc.c_floor, cc.k_min(2.0), cc.b_min(2.0),\n"
+    "          lm.tuned_bound(cc, 4.0, 100.0), lm.tuned_bound(cc, 4.0, 100.0, 0.1)]\n"
+    "for floor in (None, 0.1):\n"
+    "    ls = lm.level_set(cc, 2.0, [10.0, 100.0, 1000.0], floor)\n"
+    "    values += [ls.k_min, ls.k0, *(x for p in ls.points for x in (p.k, p.b))]\n"
+)
+
+
+def test_contour_names_and_calls_load_no_numpy():
+    code = ("import json, sys\nimport lmoscale as lm\n" + CONTOUR_CALLS
+            + "print(json.dumps({'values': values, 'numpy': 'numpy' in sys.modules}))\n")
+    res = _fresh_python(code)
+    assert res.returncode == 0, res.stderr
+    here: dict = {"lm": lmoscale}
+    exec(CONTOUR_CALLS, here)
+    assert json.loads(res.stdout) == {"values": here["values"], "numpy": False}
+
+
+@pytest.mark.parametrize("eta_floor", [None, 1e-3])
+@pytest.mark.parametrize("k_lo, k_hi, n", [(1.0, 1e9, 50), (100.0, 1e6, 5), (3.0, 7e4, 17)])
+def test_level_set_of_a_list_equals_that_of_its_logspace_array(k_lo, k_hi, n, eta_floor):
+    cc = lmoscale.ContourConstants(lmoscale.BoundConstants(1.0, 1.0, 1.0), 0.5)
+    k_grid = np.logspace(np.log10(k_lo), np.log10(k_hi), n)
+    from_array = lmoscale.level_set(cc, 0.05, k_grid, eta_floor)
+    from_list = lmoscale.level_set(cc, 0.05, k_grid.tolist(), eta_floor)
+    for name in (f.name for f in dataclasses.fields(from_array)):
+        assert getattr(from_list, name) == getattr(from_array, name), name
+    assert all(type(p.k) is float for p in from_array.points)
 
 
 @pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=[argv[0] for argv in NUMPY_COMMANDS])
