@@ -390,17 +390,14 @@ def _cmd_verify(v: dict) -> None:
             "capped-b": grid.Constraint.cap_b,
         }[kind](v["value"])
     _require(v["threads"] >= 1, "threads must be >= 1, got {}", v["threads"])
-    widen = "widen the fit window with --fit-decades or add budgets with --t-points"
     grid._swept_axes(spec, constraint)  # an empty batch cap is exit 3 before a short window
-    most = grid._most_fit_points(spec.t_axis(), v["fit_decades"])
-    if most < grid._MIN_FIT_POINTS:
-        raise DomainError(f"need at least {grid._MIN_FIT_POINTS} in-window points, got {most}; "
-                          f"{widen}")
-    result = grid.sweep(c, spec, constraint, v["objective"])
     try:
+        grid._check_fit_window(spec.t_axis(), v["fit_decades"])
+        result = grid.sweep(c, spec, constraint, v["objective"])
         fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
     except DomainError as exc:
-        raise DomainError(f"{exc}; {widen}") from None
+        raise DomainError(f"{exc}; widen the fit window with --fit-decades or add budgets with "
+                          "--t-points") from None
     burn_in = grid.detect_burn_in(result) if constraint.fixed_alpha is not None else None
     meta = {"constraint": constraint.tag, "objective": v["objective"], "burn_in_t": burn_in}
     _emit_table(v, "sweep/v1", meta, "records", result.records,
@@ -483,6 +480,9 @@ def _cmd_simulate(v: dict) -> None:
     if v["kind"] == "noisy-quadratic":
         _require(v["dim"] >= 1, "dim must be >= 1, got {}", v["dim"])
         _require(v["spectrum_lo"] > 0 and v["spectrum_hi"] > 0, "spectrum bounds must be > 0")
+        # the sweep's checks and bounds, before its --dim-long spectrum is built
+        sim._sweep_plan(v["dim"], v["eta"], v["alpha"], v["b"], v["t"], v["replicates"],
+                        v["update"], v["init"])
         spectrum = tuple(np.geomspace(v["spectrum_lo"], v["spectrum_hi"], v["dim"]))
         spec = sim.ObjectiveSpec(
             kind="noisy-quadratic", noise_sigma=v["noise_sigma"], spectrum=spectrum,

@@ -374,8 +374,9 @@ class FitResult:
     n_points: int
 
 
-# Fewest in-window points a power-law fit accepts.
-_MIN_FIT_POINTS = 5
+def _require_fit_points(n: int) -> None:
+    """Reject fewer in-window points than a power-law fit accepts."""
+    _require(n >= 5, "need at least 5 in-window points, got {}", n)
 
 
 def fit_power_law(xs, ys, window: tuple[float, float] | None = None) -> FitResult:
@@ -387,8 +388,7 @@ def fit_power_law(xs, ys, window: tuple[float, float] | None = None) -> FitResul
     if window is not None:
         mask = (xs >= window[0]) & (xs <= window[1])
         xs, ys = xs[mask], ys[mask]
-    if xs.size < _MIN_FIT_POINTS:
-        raise DomainError(f"need at least {_MIN_FIT_POINTS} in-window points, got {xs.size}")
+    _require_fit_points(xs.size)
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DomainError("power-law fits need strictly positive data")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
@@ -429,26 +429,22 @@ def detect_burn_in(result: SweepResult) -> float | None:
     return float(ts[idx])
 
 
-def fit_sweep_exponents(
-    result: SweepResult,
-    window: tuple[float, float] | None = None,
-    decades: float = 2.0,
-) -> dict[str, FitResult]:
+def fit_sweep_exponents(result: SweepResult, decades: float = 2.0) -> dict[str, FitResult]:
     """Power-law fits of best risk/eta/b/alpha against the budget.
 
     Risk is fitted, then each free axis of ``_AXES`` in the order eta, b, alpha.
     Records whose argmin sits on a grid edge are excluded (they are clamped
     by the grid, not genuine optima; this also removes the small-budget
-    phase where the best batch is pinned at 1).  The default window keeps
-    the top ``decades`` decades of the remaining budgets.
+    phase where the best batch is pinned at 1).  The window keeps the top
+    ``decades`` decades of the remaining budgets, which must be >= 0; a fit
+    over an explicit window is ``fit_power_law``'s.
     """
     clean = [r for r in result.records if not r.at_edge]
     if not clean:
         raise InfeasibleError("no sweep records free of grid-edge clamping")
     ts = np.array([r.t for r in clean])
-    if window is None:
-        hi = float(ts.max())
-        window = (hi / _decades_factor(decades), hi)
+    hi = float(ts.max())
+    window = (hi / _decades_factor(decades), hi)
     fits = {"risk": fit_power_law(ts, [r.risk for r in clean], window)}
     for name, field, _ in sorted(_AXES, key=lambda axis: axis[0] != "eta"):
         if getattr(result.constraint, field) is None:
@@ -457,23 +453,25 @@ def fit_sweep_exponents(
 
 
 def _decades_factor(decades: float) -> float:
-    """10**decades, or inf past the float range.
+    """10**decades, or inf past the float range; ``decades`` must be >= 0.
 
-    A default fit window's lower edge is hi / 10**decades, so a window
-    wider than the float range reaches down to 0.0 and holds every budget.
+    A fit window's lower edge is hi / 10**decades, so a window wider than
+    the float range reaches down to 0.0 and holds every budget.
     """
+    _require(decades >= 0, "fit window decades must be >= 0, got {}", decades)
     try:
         return 10.0**decades
     except OverflowError:
         return math.inf
 
 
-def _most_fit_points(ts: np.ndarray, decades: float) -> int:
-    """The most of the ascending budgets ``ts`` that one default fit window holds.
+def _check_fit_window(ts: np.ndarray, decades: float) -> None:
+    """Raise ``fit_power_law``'s ``DomainError`` when no fit over budgets ``ts`` can succeed.
 
-    ``fit_sweep_exponents``' default window is the top ``decades`` decades
-    below its largest clean budget, one of ``ts``, so no fit of a sweep over
-    these budgets sees more points.
+    ``fit_sweep_exponents``' window is the top ``decades`` decades below its
+    largest clean budget, one of the ascending budgets ``ts``, so no fit of
+    a sweep over them sees more points than the fullest such window holds.
+    A sweep whose fits must fail is thus refused before it runs.
     """
-    return int(np.max(np.searchsorted(ts, ts, side="right")
-                      - np.searchsorted(ts, ts / _decades_factor(decades), side="left")))
+    lo = np.searchsorted(ts, ts / _decades_factor(decades), side="left")
+    _require_fit_points(int(np.max(np.searchsorted(ts, ts, side="right") - lo)))

@@ -43,9 +43,18 @@ __all__ = [
     "run",
     "sweep_sim",
     "MAX_STEPS",
+    "MAX_WORK",
+    "MAX_STATE",
 ]
 
 MAX_STEPS = 10**7  # steps per run that sweep_sim accepts
+# A sweep's work is the sum over its (budget, batch, momentum) groups of
+# steps x step sizes x replicates x variable size: about 2 minutes at the
+# limit on a 2-vCPU host.
+MAX_WORK = 10**10
+# Elements in each (groups, step sizes, replicates, *variable) state buffer:
+# about 8 MB each at the limit, and a sweep holds about eight of them.
+MAX_STATE = 10**6
 
 
 class NormKind(Enum):
@@ -433,7 +442,9 @@ class SimPoint:
     """Replicate-averaged metric at one sweep point.
 
     ``metric`` is the mean over replicates of each run's minimum dual
-    gradient norm; infinite when every replicate aborted.
+    gradient norm.  A run that diverges keeps the least norm it reached
+    before, so the metric is infinite only when a replicate never had a
+    finite dual norm, not whenever a run aborts.
     """
 
     t: float
@@ -453,6 +464,49 @@ class SimSweepResult:
     best: tuple[SimPoint, ...]
 
 
+def _sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int,
+                update: str, init: str):
+    """Checked grids and (budget, batch, momentum) groups of a sweep over ``size`` variables.
+
+    Returns (etas, alphas, batches, budgets, groups, steps): ascending step
+    sizes, momenta and integer batches, the budgets as given, each group's
+    (budget, batch, momentum) indices and its step count.  Builds nothing of
+    the variable's size, so a caller can bound a sweep before it builds one.
+    """
+    _require(replicates >= 1, "replicates must be >= 1, got {}", replicates)
+    etas, alphas, b_vals, budgets = grids = [
+        np.asarray(g, dtype=float) for g in (eta_grid, alpha_grid, b_grid, t_grid)]
+    for name, grid in zip(("eta_grid", "alpha_grid", "b_grid", "t_grid"), grids):
+        _require(grid.size > 0, "{} must not be empty", name)
+    for name, grid in (("b_grid", b_vals), ("t_grid", budgets)):
+        _require(np.isfinite(grid).all(), "{} must be finite, got {}", name, grid.tolist())
+    etas, alphas = np.sort(etas), np.sort(alphas)
+    _check_settings(etas, alphas, update, init)
+    batches = sorted(integer_batch(b) for b in b_vals)
+    if budgets.min() < batches[0]:
+        raise BudgetTooSmallError(
+            f"token budget {budgets.min()} is below every batch size; not even one step fits"
+        )
+    t_max, b_min = float(budgets.max()), batches[0]
+    _require(round(t_max / b_min) <= MAX_STEPS,
+             "t={} at b={} means {:.12g} steps per run, above the limit of {}",
+             t_max, b_min, t_max / b_min, MAX_STEPS)
+    groups = [(ti, bi, ai) for ti, t in enumerate(budgets) for bi, b in enumerate(batches)
+              if b <= t for ai in range(len(alphas))]
+    steps = [round(budgets[ti] / batches[bi]) for ti, bi, _ in groups]
+    work = sum(steps) * etas.size * replicates * size
+    _require(work <= MAX_WORK,
+             "sweep work, steps x step sizes x replicates x variable size summed over runs, is "
+             "{:.6g}, above the limit {:.0e}; lower --t, --replicates or --dim (--rows, --cols), "
+             "or give fewer --eta, --alpha or --b values", work, MAX_WORK)
+    state = len(groups) * etas.size * replicates * size
+    _require(state <= MAX_STATE,
+             "sweep state, runs x step sizes x replicates x variable size, is {:.6g} elements, "
+             "above the limit {:.0e}; lower --replicates or --dim (--rows, --cols), or give "
+             "fewer --t, --b, --alpha or --eta values", state, MAX_STATE)
+    return etas, alphas, batches, budgets, groups, steps
+
+
 def sweep_sim(
     spec: ObjectiveSpec,
     norm: NormKind,
@@ -469,11 +523,12 @@ def sweep_sim(
 
     Every grid must be non-empty and batches and budgets finite; step sizes
     must be finite and > 0, momenta in (0, 1] and ``init`` "matched" or
-    "zero".  Step counts are round(t / b), at most
-    ``MAX_STEPS``; a longer run is rejected before any step.  As in the grid
-    oracle, a batch larger than a budget is skipped at that budget (not even
-    one step fits), and a budget below every batch raises
-    ``BudgetTooSmallError``.  Runs at one (budget, batch, momentum) point
+    "zero".  Step counts are round(t / b), at most ``MAX_STEPS``; a longer
+    run, or a sweep whose work or state buffers exceed ``MAX_WORK`` or
+    ``MAX_STATE`` (see ``_sweep_plan``), is rejected before any step or
+    state-sized array.  As in the grid oracle, a batch larger than a budget
+    is skipped at that budget (not even one step fits), and a budget below
+    every batch raises ``BudgetTooSmallError``.  Runs at one (budget, batch, momentum) point
     share their noise streams across the step-size axis (common random
     numbers), with replicate generators derived from (seed, budget index,
     batch index, momentum index, replicate).  All groups advance together in
@@ -484,28 +539,10 @@ def sweep_sim(
     ties break toward the smallest batch, then the smallest step size,
     then the largest momentum complement.
     """
-    _require(replicates >= 1, "replicates must be >= 1, got {}", replicates)
-    etas, alphas, b_vals, budgets = grids = [
-        np.asarray(g, dtype=float) for g in (eta_grid, alpha_grid, b_grid, t_grid)]
-    for name, grid in zip(("eta_grid", "alpha_grid", "b_grid", "t_grid"), grids):
-        _require(grid.size > 0, "{} must not be empty", name)
-    for name, grid in (("b_grid", b_vals), ("t_grid", budgets)):
-        _require(np.isfinite(grid).all(), "{} must be finite, got {}", name, grid.tolist())
-    etas, alphas = np.sort(etas), np.sort(alphas)
-    _check_settings(etas, alphas, update, init)
+    size = len(spec.spectrum) if spec.kind == "noisy-quadratic" else math.prod(spec.dims)
+    etas, alphas, batches, budgets, groups, steps = _sweep_plan(
+        size, eta_grid, alpha_grid, b_grid, t_grid, replicates, update, init)
     obj = _Objective(spec)
-    batches = sorted(integer_batch(b) for b in b_vals)
-    if budgets.min() < batches[0]:
-        raise BudgetTooSmallError(
-            f"token budget {budgets.min()} is below every batch size; not even one step fits"
-        )
-    t_max, b_min = float(budgets.max()), batches[0]
-    _require(round(t_max / b_min) <= MAX_STEPS,
-             "t={} at b={} means {:.12g} steps per run, above the limit of {}",
-             t_max, b_min, t_max / b_min, MAX_STEPS)
-    groups = [(ti, bi, ai) for ti, t in enumerate(budgets) for bi, b in enumerate(batches)
-              if b <= t for ai in range(len(alphas))]
-    steps = [round(budgets[ti] / batches[bi]) for ti, bi, _ in groups]
     best, _, _, _ = _run_batch(
         obj, norm, update, etas, alphas[[ai for _, _, ai in groups]],
         [batches[bi] for _, bi, _ in groups], steps,

@@ -14,7 +14,7 @@ import pytest
 
 from lmoscale import grid
 from lmoscale.cli import MAX_K_POINTS, main, records_from_csv
-from lmoscale.errors import DomainError, InfeasibleError
+from lmoscale.errors import BudgetTooSmallError, DomainError, InfeasibleError
 from lmoscale.serialize import dumps_json, read_csv
 
 
@@ -234,6 +234,19 @@ def test_verify_rejects_a_short_fit_window_before_it_sweeps(capsys, monkeypatch)
         "or add budgets with --t-points")
 
 
+@pytest.mark.parametrize("decades", ["-400", "-1", "-0.5"])
+def test_verify_rejects_a_negative_fit_window_before_it_sweeps(capsys, monkeypatch, decades):
+    monkeypatch.setattr(grid, "sweep", mock.Mock(side_effect=AssertionError("swept")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's divide-by-zero warning was a second line
+        code, out, err = run_cli(capsys, "verify", "--points", "8", "--fit-decades", decades)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == (
+        f"fit window decades must be >= 0, got {float(decades)}; widen the fit window with "
+        "--fit-decades or add budgets with --t-points")
+
+
 @pytest.mark.parametrize("decades", ["300", "400", "1e300"])
 def test_verify_with_a_fit_window_past_the_float_range(capsys, decades):
     # 8 budgets over 20 decades: every budget is in the window, 4 of them off the grid edges
@@ -325,6 +338,64 @@ def test_no_benchmark_request_exceeds_a_work_limit(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "")
     assert 0 < max(seen["verify"]) <= grid.MAX_SWEEP_WORK
     assert 0 < max(seen["contour"]) <= MAX_K_POINTS
+
+
+def _simulate_load(argv):
+    """(work, state) of a simulate argv; ``sim._sweep_plan`` raises if either is over its limit."""
+    from lmoscale import sim
+    from lmoscale.cli import _SPECS
+
+    specs = {opt.name: opt for opt in _SPECS["simulate"]}
+    v = {name: opt.default for name, opt in specs.items()}
+    v.update((flag[2:], specs[flag[2:]].type(value)) for flag, value in zip(argv[1::2], argv[2::2])
+             if flag[2:] in specs)
+    size = v["dim"] if v["kind"] == "noisy-quadratic" else v["rows"] * v["cols"]
+    etas, _, _, _, groups, steps = sim._sweep_plan(size, v["eta"], v["alpha"], v["b"], v["t"],
+                                                   v["replicates"], v["update"], v["init"])
+    runs = etas.size * v["replicates"] * size
+    return sum(steps) * runs, len(groups) * runs
+
+
+def test_no_simulate_input_exceeds_a_simulator_limit(monkeypatch):
+    import itertools
+
+    import test_cli_contract
+    from lmoscale import sim
+
+    workloads = _benchmark_workloads(monkeypatch)
+    loads = {"perfbench": [], "golden": [], "contract": []}
+    for name in ("simulate-diagonal", "simulate-spectral"):
+        for scale in ("full", "tiny"):
+            for seed in [*range(40), *range(1800, 1810), *range(2000, 2010), *range(2200, 2210)]:
+                for block in workloads.generate(name, seed, scale):
+                    loads["perfbench"] += [_simulate_load(req.argv) for req in block]
+    for case in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text()):
+        if case["argv"][0] == "simulate":
+            loads["golden"].append(_simulate_load(case["argv"]))
+    always = test_cli_contract.COMMANDS["simulate"][0]
+    for kind in ("noisy-quadratic", "matrix-least-squares"):
+        for values in itertools.product(*always.values()):
+            argv = ["simulate", "--kind", kind]
+            for name, value in zip(always, values):
+                argv += [f"--{name}", value]
+            try:
+                loads["contract"].append(_simulate_load(argv))
+            except BudgetTooSmallError:
+                pass
+    # criterion 11's three sweeps (test_acceptance), 50 coordinates and 32 replicates each
+    sign = ",".join(str(10.0**e) for e in np.arange(-4.0, -1.9, 0.25))
+    sgd = ",".join(str(10.0**e) for e in np.arange(-3.0, 0.01, 0.25))
+    loads["criterion 11"] = [
+        _simulate_load(["simulate", "--dim", "50", "--replicates", "32", "--eta", eta,
+                        "--alpha", alpha, "--b", b, "--t", t])
+        for eta, alpha, b, t in ((sign, "0.1", "32", "65536,1048576"),
+                                 (sign, "0.1", "32,128,512", "1048576"),
+                                 (sgd, "1", "32,128,512", "1048576"))]
+    assert max(loads["criterion 11"]) == (894_566_400, 62_400)
+    for source, seen in loads.items():
+        assert seen, source
+        assert max(work for work, _ in seen) <= sim.MAX_WORK, source
+        assert max(state for _, state in seen) <= sim.MAX_STATE, source
 
 
 def test_bad_flag_is_invalid(capsys):
@@ -531,6 +602,29 @@ def test_simulate_rejects_a_budget_beyond_the_step_limit(capsys):
                            "--replicates", "1", "--eta", "0.1", "--alpha", "1")
     assert code == 2
     assert "steps per run" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv, limit", [
+    # 10^7 steps x 64 replicates x 10^5 coordinates: days of sign descent
+    (["--norm", "max", "--dim", "100000", "--b", "1", "--t", "1e7", "--eta", "1e-3",
+      "--alpha", "0.1", "--replicates", "64"], "sweep work"),
+    # one step, but (1, 5, 1000, 10^6) float64 state buffers of 40 GB each
+    (["--dim", "1000000", "--replicates", "1000", "--b", "32", "--t", "32"], "sweep state"),
+    (["--kind", "matrix-least-squares", "--rows", "1000", "--cols", "1000", "--b", "32",
+      "--t", "32"], "sweep state"),
+])
+def test_simulate_past_the_work_or_state_limit_is_invalid_before_the_spectrum(
+        capsys, monkeypatch, argv, limit):
+    from lmoscale import sim
+
+    monkeypatch.setattr(np, "geomspace", mock.Mock(side_effect=AssertionError("spectrum built")))
+    monkeypatch.setattr(sim, "_Objective", mock.Mock(side_effect=AssertionError("data built")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"].startswith(limit)
 
 
 def test_fixed_momentum_plan_below_the_batch_is_infeasible(capsys):

@@ -247,8 +247,9 @@ def test_detect_burn_in_sentinel():
 
 def test_fit_sweep_exponents_excludes_edges():
     res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
-    fits = fit_sweep_exponents(res, window=(1e12, 1e22))
+    fits = fit_sweep_exponents(res, decades=10.0)
     assert set(fits) == {"risk", "eta", "b"}
+    assert all(f.window == (1e12, 1e22) for f in fits.values())
     assert fits["b"].exponent == pytest.approx(0.5, abs=0.05)
     assert fits["eta"].exponent == pytest.approx(-0.25, abs=0.05)
     assert fits["risk"].exponent == pytest.approx(-0.25, abs=0.02)
@@ -256,14 +257,17 @@ def test_fit_sweep_exponents_excludes_edges():
 
 def test_a_fit_window_wider_than_the_float_range_holds_every_budget():
     res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
-    hi = max(r.t for r in res.records if not r.at_edge)
-    everything = fit_sweep_exponents(res, window=(0.0, hi))
+    clean = [r for r in res.records if not r.at_edge]
+    hi = max(r.t for r in clean)
+    everything = fit_power_law([r.t for r in clean], [r.risk for r in clean], (0.0, hi))
+    ts = np.logspace(-300.0, 300.0, 5)  # every budget fits only a window past 600 decades
     for decades in (308.3, 400.0, 1e300):  # 10.0**decades overflows
         fits = fit_sweep_exponents(res, decades=decades)
-        assert fits == everything
-        assert all(f.window == (0.0, hi) for f in fits.values())
-        ts = res.spec.t_axis()
-        assert grid._most_fit_points(ts, decades) == ts.size
+        assert fits["risk"] == everything
+        assert all(f.window == (0.0, hi) and f.n_points == len(clean) for f in fits.values())
+        grid._check_fit_window(ts, decades)
+    with pytest.raises(DomainError, match="need at least 5 in-window points, got 3"):
+        grid._check_fit_window(ts, 300.0)
 
 
 @pytest.mark.parametrize("decades", [2.0, 20.0, 307.5, 308.0, 308.25])
@@ -271,6 +275,17 @@ def test_a_fit_window_within_the_float_range_keeps_its_edge(decades):
     res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
     hi = max(r.t for r in res.records if not r.at_edge)
     assert fit_sweep_exponents(res, decades=decades)["risk"].window == (hi / 10.0**decades, hi)
+
+
+@pytest.mark.parametrize("decades", [-400.0, -1.0, -5e-324, math.nan])
+def test_a_negative_or_nan_fit_window_is_rejected(decades):
+    res = sweep(UNIT, GridSpec(points_per_axis=8))
+    message = f"fit window decades must be >= 0, got {decades}"
+    with pytest.raises(DomainError, match=message):
+        fit_sweep_exponents(res, decades=decades)
+    with pytest.raises(DomainError, match=message):
+        grid._check_fit_window(res.spec.t_axis(), decades)
+    assert grid._decades_factor(0.0) == grid._decades_factor(-0.0) == 1.0
 
 
 def test_sweep_work_is_cells_plus_budgets_times_cells():

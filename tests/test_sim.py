@@ -448,6 +448,45 @@ class TestSweep:
                       replicates=1, seed=0)
         assert str(MAX_STEPS) in str(info.value)
 
+    @pytest.mark.parametrize("t, replicates, message", [
+        (1e4 + 1, 10**5, "sweep work, steps x step sizes x replicates x variable size summed "
+                         "over runs, is 1.0001e+10, above the limit 1e+10; lower --t"),
+        (1.0, 10**5 + 1, "sweep state, runs x step sizes x replicates x variable size, is "
+                         "1.00001e+06 elements, above the limit 1e+06; lower --replicates"),
+        (1e4, 10**5 + 1, "sweep work"),  # both over: work is checked first
+        (1e8, 100, "t=100000000.0 at b=1 means 100000000 steps per run"),  # and steps before it
+    ])
+    def test_sweeps_past_the_work_or_state_limit_are_rejected_before_any_array(
+            self, monkeypatch, t, replicates, message):
+        def nothing_built(*args):
+            raise AssertionError("an objective or a state array was built")
+
+        monkeypatch.setattr(sim, "_Objective", nothing_built)
+        monkeypatch.setattr(sim, "_run_batch", nothing_built)
+        spec = ObjectiveSpec(spectrum=(1.0,) * 10)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            sweep_sim(spec, NormKind.MAX, (0.01,), (1.0,), (1,), (t,), replicates=replicates,
+                      seed=0)
+
+    def test_a_sweep_at_both_limits_is_accepted(self):
+        # 10^4 steps x 1 step size x 10^5 replicates x 10 variables, in one run
+        assert 10**4 * 10**5 * 10 == sim.MAX_WORK and 10**5 * 10 == sim.MAX_STATE
+        plan = sim._sweep_plan(10, (0.01,), (1.0,), (1,), (1e4,), 10**5, "lmo", "matched")
+        assert plan[-1] == [10**4]
+
+    def test_a_diverged_run_keeps_the_least_norm_it_reached(self):
+        quad = ObjectiveSpec(spectrum=(1.0,))  # noiseless 0.5 x^2 from x = 1
+        res = sweep_sim(quad, NormKind.MAX, (1e8,), (1.0,), (1,), (4000.0,), replicates=2,
+                        seed=0, update="sgd")
+        # the first step lands at 1 - 1e8; later ones overflow and abort the run
+        assert res.points[0].metric == 99999999.0
+        assert run(quad, LmoConfig(NormKind.MAX, 1e8, 1.0, 1, 4000, 0, update="sgd")).aborted
+        # here even the first step overflows, so no norm was ever finite
+        lsq = ObjectiveSpec(kind="matrix-least-squares", dims=(3, 3))
+        res = sweep_sim(lsq, NormKind.SPECTRAL, (1e308,), (1.0,), (1,), (4.0,), replicates=2,
+                        seed=0)
+        assert res.points[0].metric == math.inf
+
     def test_best_has_lowest_metric_per_budget(self):
         res = sweep_sim(QUAD, NormKind.EUCLIDEAN, (0.01, 0.05), (1.0,), (1, 4),
                         (1000.0,), replicates=2, seed=1)
