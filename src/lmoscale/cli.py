@@ -476,13 +476,12 @@ def _cmd_simulate(v: dict) -> None:
 
     from . import sim
 
-    _require(v["seed"] >= 0 and v["data_seed"] >= 0, "seed and data-seed must be >= 0")
     if v["kind"] == "noisy-quadratic":
         _require(v["dim"] >= 1, "dim must be >= 1, got {}", v["dim"])
         _require(v["spectrum_lo"] > 0 and v["spectrum_hi"] > 0, "spectrum bounds must be > 0")
         # the sweep's checks and bounds, before its --dim-long spectrum is built
         sim._sweep_plan(v["dim"], v["eta"], v["alpha"], v["b"], v["t"], v["replicates"],
-                        v["update"], v["init"])
+                        v["seed"], v["update"], v["init"])
         spectrum = tuple(np.geomspace(v["spectrum_lo"], v["spectrum_hi"], v["dim"]))
         spec = sim.ObjectiveSpec(
             kind="noisy-quadratic", noise_sigma=v["noise_sigma"], spectrum=spectrum,

@@ -7,15 +7,15 @@ and Gaussian gradient noise, to confirm the proxy's qualitative predictions.
 A plain gradient-step mode (``update="sgd"``) serves as the baseline.
 
 Everything is deterministic given the seed: replicate streams derive from
-(master seed, grid-point index, replicate index), and assembly never
-depends on execution order.  A sweep runs all of its (budget, batch,
-momentum) groups in one lockstep step loop over preallocated buffers, one
-running prefix of groups at a time; each replicate generator keeps its own
-stream and draw order, and every noise draw is split-invariant (n then m
-values equal n + m), so the outputs depend neither on which groups run
-together nor on how the draws are chunked.  Batch sizes are integers here,
-unlike in the proxy; ``integer_batch`` rounds proxy-derived values at this
-boundary.
+(seed, budget index, batch index, momentum index, replicate) and are shared
+across the step-size axis, and assembly never depends on execution order.
+A sweep runs all of its (budget, batch, momentum) groups in one lockstep
+step loop over preallocated buffers, one running prefix of groups at a
+time; each replicate generator keeps its own stream and draw order, and
+every noise draw is split-invariant (n then m values equal n + m), so the
+outputs depend neither on which groups run together nor on how the draws
+are chunked.  Batch sizes are integers here, unlike in the proxy;
+``integer_batch`` rounds proxy-derived values at this boundary.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ MAX_STEPS = 10**7  # steps per run that sweep_sim accepts
 # limit on a 2-vCPU host.
 MAX_WORK = 10**10
 # Elements in each (groups, step sizes, replicates, *variable) state buffer:
-# about 8 MB each at the limit, and a sweep holds about eight of them.
+# about 8 MB each at the limit, and a sweep holds about eight of them.  A
+# matrix-least-squares sweep's (2 rows, rows) data matrix has the same limit.
 MAX_STATE = 10**6
 
 
@@ -71,6 +72,12 @@ def integer_batch(b: float) -> int:
 def momentum_update(m: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
     """One momentum step: keep (1 - alpha) of the buffer, blend in alpha of g."""
     return (1.0 - alpha) * m + alpha * g
+
+
+def _require_int(value, name: str, least: int) -> None:
+    """Reject anything but an integer >= least; a float of integral value is rejected too."""
+    _require(isinstance(value, (int, np.integer)) and value >= least,
+             "{} must be an integer >= {}, got {!r}", name, least, value)
 
 
 def _var_ndim(v: np.ndarray, norm: NormKind) -> int:
@@ -136,27 +143,28 @@ class ObjectiveSpec:
 
     def __post_init__(self) -> None:
         _require(self.noise_sigma >= 0, "noise_sigma must be >= 0, got {}", self.noise_sigma)
+        _require_int(self.data_seed, "data_seed", 0)
         if self.kind == "noisy-quadratic":
             _require(self.spectrum is not None and len(self.spectrum) > 0,
                      "noisy-quadratic needs a spectrum")
             _require(all(s > 0 for s in self.spectrum), "spectrum entries must be > 0")
         elif self.kind == "matrix-least-squares":
-            _require(self.dims is not None and len(self.dims) == 2
-                     and all(d >= 1 for d in self.dims),
+            _require(self.dims is not None and len(self.dims) == 2,
                      "matrix-least-squares needs dims=(rows, cols)")
+            for name, d in zip(("rows", "cols"), self.dims):
+                _require_int(d, name, 1)
         else:
             raise DomainError(f"unknown objective kind {self.kind!r}")
 
 
 class _Objective:
-    """Built objective: broadcastable gradient, scalar value, known constants."""
+    """Built objective: starting point, broadcastable gradient and scalar value."""
 
     def __init__(self, spec: ObjectiveSpec):
         self.spec = spec
         if spec.kind == "noisy-quadratic":
             self.lam = np.asarray(spec.spectrum, dtype=float)
             self.x0 = np.full(self.lam.shape, spec.x0_scale)
-            self.smoothness = float(self.lam.max())
         else:
             rows, cols = spec.dims
             rng = np.random.default_rng(spec.data_seed)
@@ -164,8 +172,6 @@ class _Objective:
             x_true = rng.standard_normal((rows, cols))
             self.y = self.a @ x_true
             self.x0 = np.zeros((rows, cols))
-            self.smoothness = float(np.linalg.svd(self.a, compute_uv=False).max() ** 2)
-        self.delta0 = self.value(self.x0)
 
     @property
     def var_axes(self) -> tuple[int, ...]:
@@ -239,9 +245,9 @@ class LmoConfig:
 
     def __post_init__(self) -> None:
         _check_settings((self.eta,), (self.alpha,), self.update, self.init)
-        _require(isinstance(self.batch, int) and self.batch >= 1,
-                 "batch must be an integer >= 1, got {!r}", self.batch)
-        _require(self.steps >= 1, "steps must be >= 1, got {}", self.steps)
+        _require_int(self.batch, "batch", 1)
+        _require_int(self.steps, "steps", 1)
+        _require_int(self.seed, "seed", 0)
 
 
 @dataclass(eq=False)
@@ -252,7 +258,8 @@ class SimRun:
     k + 1; ``running_min`` is its running minimum, the per-run estimate of
     the quantity the bound controls (a lower-biased estimate, since the
     bound controls a minimum of expectations, not an expectation of
-    minima).
+    minima).  A NaN norm is recorded as inf, and ``aborted`` says whether
+    any step's norm was inf.
     """
 
     grad_norms: np.ndarray
@@ -300,7 +307,7 @@ def _batched_dual_norms(g: np.ndarray, norm: NormKind, var_ndim: int, work=None,
 _NOISE_VALUES = 2**19  # noise values one _run_batch call buffers (4 MiB)
 
 
-# a diverged run overflows; it is caught by its non-finite dual norm below
+# a diverged run overflows, and its dual norm turns non-finite
 @np.errstate(over="ignore", invalid="ignore")
 def _run_batch(
     obj: _Objective,
@@ -330,9 +337,9 @@ def _run_batch(
     Draws are split-invariant, so a group's floats depend neither on the
     chunking nor on the groups it runs with.
 
-    Returns (best (G, H, R), aborted (G, H, R), trace (steps,) or None,
-    final iterates (G, H, R, *var)) in the given group order; the trace is
-    recorded only for a single run (G = H = R = 1).
+    Returns (best (G, H, R), trace (steps,) or None, final iterates (G, H,
+    R, *var)) in the given group order; the trace is recorded only for a
+    single run (G = H = R = 1).
     """
     var_shape = obj.x0.shape
     var_ndim = _var_ndim(obj.x0, norm)
@@ -369,7 +376,6 @@ def _run_batch(
     work = np.empty(shape)
     norms = np.empty((n_groups, h, r))
     best = np.full((n_groups, h, r), np.inf)
-    worst = np.zeros((n_groups, h, r))  # running max: a NaN or inf norm sticks, marking an abort
     trace = np.empty(steps[0]) if record else None
     done, k = 0, n_groups
     while done < steps[0]:
@@ -384,7 +390,7 @@ def _run_batch(
         # one segment: groups [0, k) step on to the first group end or chunk end
         end = min(steps[k - 1], base + chunk)
         xk, mk, gk, wk = x[:k], m[:k], g_true[:k], work[:k]
-        nk, bk, wrk = norms[:k], best[:k], worst[:k]
+        nk, bk = norms[:k], best[:k]
         alpha_k, keep_k, eta_k = alpha[:k], keep[:k], eta[:k]
         lam_k = None if lam is None else lam[:k]
         for i in range(done - base, end - base):
@@ -401,20 +407,19 @@ def _run_batch(
             obj.grad(xk, out=gk, lam=lam_k)
             dual = _batched_dual_norms(gk, norm, var_ndim, wk, nk)
             np.fmin(bk, dual, out=bk)  # a NaN norm counts as inf
-            np.maximum(wrk, dual, out=wrk)
             if record:
                 trace[base + i] = dual[0, 0, 0]
         done = end
     if record:
         trace[np.isnan(trace)] = np.inf
     back = np.argsort(order)
-    return best[back], ~np.isfinite(worst[back]), trace, x[back]
+    return best[back], trace, x[back]
 
 
 def run(spec: ObjectiveSpec, cfg: LmoConfig) -> SimRun:
     """One seeded run; bit-identical output for identical (spec, cfg)."""
     obj = _Objective(spec)
-    best, aborted, trace, x = _run_batch(
+    best, trace, x = _run_batch(
         obj,
         cfg.norm,
         cfg.update,
@@ -432,7 +437,7 @@ def run(spec: ObjectiveSpec, cfg: LmoConfig) -> SimRun:
         min_grad_norm=float(best[0, 0, 0]),
         final_value=obj.value(x[0, 0, 0]),
         final_grad_norm=float(trace[-1]),
-        aborted=bool(aborted[0, 0, 0]),
+        aborted=bool(np.isinf(trace).any()),
         config=cfg,
     )
 
@@ -464,7 +469,7 @@ class SimSweepResult:
     best: tuple[SimPoint, ...]
 
 
-def _sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int,
+def _sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int, seed: int,
                 update: str, init: str):
     """Checked grids and (budget, batch, momentum) groups of a sweep over ``size`` variables.
 
@@ -473,7 +478,8 @@ def _sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int
     (budget, batch, momentum) indices and its step count.  Builds nothing of
     the variable's size, so a caller can bound a sweep before it builds one.
     """
-    _require(replicates >= 1, "replicates must be >= 1, got {}", replicates)
+    _require_int(replicates, "replicates", 1)
+    _require_int(seed, "seed", 0)
     etas, alphas, b_vals, budgets = grids = [
         np.asarray(g, dtype=float) for g in (eta_grid, alpha_grid, b_grid, t_grid)]
     for name, grid in zip(("eta_grid", "alpha_grid", "b_grid", "t_grid"), grids):
@@ -522,13 +528,14 @@ def sweep_sim(
     """Empirical sweep: argmin of the replicate-averaged metric per budget.
 
     Every grid must be non-empty and batches and budgets finite; step sizes
-    must be finite and > 0, momenta in (0, 1] and ``init`` "matched" or
-    "zero".  Step counts are round(t / b), at most ``MAX_STEPS``; a longer
-    run, or a sweep whose work or state buffers exceed ``MAX_WORK`` or
-    ``MAX_STATE`` (see ``_sweep_plan``), is rejected before any step or
-    state-sized array.  As in the grid oracle, a batch larger than a budget
-    is skipped at that budget (not even one step fits), and a budget below
-    every batch raises ``BudgetTooSmallError``.  Runs at one (budget, batch, momentum) point
+    must be finite and > 0, momenta in (0, 1], ``replicates`` and ``seed``
+    integers >= 1 and >= 0, and ``init`` "matched" or "zero".  Step counts
+    are round(t / b), at most ``MAX_STEPS``; a longer run, or a sweep whose
+    work, state buffers or matrix-least-squares data exceed ``MAX_WORK`` or
+    ``MAX_STATE``, is rejected before any step or state-sized array.  As in
+    the grid oracle, a batch larger than a budget is skipped at that budget
+    (not even one step fits), and a budget below every batch raises
+    ``BudgetTooSmallError``.  Runs at one (budget, batch, momentum) point
     share their noise streams across the step-size axis (common random
     numbers), with replicate generators derived from (seed, budget index,
     batch index, momentum index, replicate).  All groups advance together in
@@ -541,9 +548,14 @@ def sweep_sim(
     """
     size = len(spec.spectrum) if spec.kind == "noisy-quadratic" else math.prod(spec.dims)
     etas, alphas, batches, budgets, groups, steps = _sweep_plan(
-        size, eta_grid, alpha_grid, b_grid, t_grid, replicates, update, init)
+        size, eta_grid, alpha_grid, b_grid, t_grid, replicates, seed, update, init)
+    if spec.kind == "matrix-least-squares":
+        data = 2 * spec.dims[0] ** 2
+        _require(data <= MAX_STATE,
+                 "matrix-least-squares data, 2 x rows^2, is {:.6g} elements, above the limit "
+                 "{:.0e}; lower --rows", data, MAX_STATE)
     obj = _Objective(spec)
-    best, _, _, _ = _run_batch(
+    best, _, _ = _run_batch(
         obj, norm, update, etas, alphas[[ai for _, _, ai in groups]],
         [batches[bi] for _, bi, _ in groups], steps,
         [np.random.SeedSequence([seed, *group]).spawn(replicates) for group in groups], init,

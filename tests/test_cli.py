@@ -341,7 +341,8 @@ def test_no_benchmark_request_exceeds_a_work_limit(capsys, monkeypatch):
 
 
 def _simulate_load(argv):
-    """(work, state) of a simulate argv; ``sim._sweep_plan`` raises if either is over its limit."""
+    """(work, state, data) of a simulate argv; ``sim._sweep_plan`` raises if work or state is
+    over its limit, and data counts the elements of a matrix-least-squares data matrix."""
     from lmoscale import sim
     from lmoscale.cli import _SPECS
 
@@ -351,9 +352,11 @@ def _simulate_load(argv):
              if flag[2:] in specs)
     size = v["dim"] if v["kind"] == "noisy-quadratic" else v["rows"] * v["cols"]
     etas, _, _, _, groups, steps = sim._sweep_plan(size, v["eta"], v["alpha"], v["b"], v["t"],
-                                                   v["replicates"], v["update"], v["init"])
+                                                   v["replicates"], v["seed"], v["update"],
+                                                   v["init"])
     runs = etas.size * v["replicates"] * size
-    return sum(steps) * runs, len(groups) * runs
+    data = 2 * v["rows"] ** 2 if v["kind"] == "matrix-least-squares" else 0
+    return sum(steps) * runs, len(groups) * runs, data
 
 
 def test_no_simulate_input_exceeds_a_simulator_limit(monkeypatch):
@@ -391,11 +394,14 @@ def test_no_simulate_input_exceeds_a_simulator_limit(monkeypatch):
         for eta, alpha, b, t in ((sign, "0.1", "32", "65536,1048576"),
                                  (sign, "0.1", "32,128,512", "1048576"),
                                  (sgd, "1", "32,128,512", "1048576"))]
-    assert max(loads["criterion 11"]) == (894_566_400, 62_400)
+    assert max(loads["criterion 11"]) == (894_566_400, 62_400, 0)
     for source, seen in loads.items():
         assert seen, source
-        assert max(work for work, _ in seen) <= sim.MAX_WORK, source
-        assert max(state for _, state in seen) <= sim.MAX_STATE, source
+        assert max(work for work, _, _ in seen) <= sim.MAX_WORK, source
+        assert max(state for _, state, _ in seen) <= sim.MAX_STATE, source
+        assert max(data for *_, data in seen) <= sim.MAX_STATE, source
+    for source in ("perfbench", "contract"):  # both have matrix-least-squares inputs
+        assert max(data for *_, data in loads[source]) > 0, source
 
 
 def test_bad_flag_is_invalid(capsys):
@@ -612,6 +618,9 @@ def test_simulate_rejects_a_budget_beyond_the_step_limit(capsys):
     (["--dim", "1000000", "--replicates", "1000", "--b", "32", "--t", "32"], "sweep state"),
     (["--kind", "matrix-least-squares", "--rows", "1000", "--cols", "1000", "--b", "32",
       "--t", "32"], "sweep state"),
+    # one step on 2000 state elements, but a (4000, 2000) data matrix
+    (["--kind", "matrix-least-squares", "--norm", "spectral", "--rows", "2000", "--cols", "1",
+      "--replicates", "1", "--eta", "0.01", "--b", "1", "--t", "1"], "matrix-least-squares data"),
 ])
 def test_simulate_past_the_work_or_state_limit_is_invalid_before_the_spectrum(
         capsys, monkeypatch, argv, limit):

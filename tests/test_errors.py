@@ -70,9 +70,14 @@ def _config(**kw):
                             "steps": 10, "seed": 0, **kw})
 
 
-def _sweep(etas, t):
-    spec = sim.ObjectiveSpec(kind="noisy-quadratic", noise_sigma=0.1, spectrum=(1.0, 2.0))
-    sim.sweep_sim(spec, sim.NormKind.EUCLIDEAN, etas, [0.5], [3.0], [t], replicates=1, seed=0)
+def _sweep(etas, t, spec=None, **kw):
+    spec = spec or sim.ObjectiveSpec(kind="noisy-quadratic", noise_sigma=0.1, spectrum=(1.0, 2.0))
+    sim.sweep_sim(spec, sim.NormKind.EUCLIDEAN, etas, [0.5], [3.0], [t],
+                  **{"replicates": 1, "seed": 0, **kw})
+
+
+def _matrix_spec(dims, **kw):
+    return sim.ObjectiveSpec(kind="matrix-least-squares", dims=dims, **kw)
 
 
 UNIT = proxy.BoundConstants(1.0, 1.0, 1.0)
@@ -108,6 +113,19 @@ MESSAGES = [
     (lambda: _config(init="ones"), DomainError,
      "init must be one of ('matched', 'zero'), got 'ones'"),
     (lambda: _config(batch=2.5), DomainError, "batch must be an integer >= 1, got 2.5"),
+    (lambda: _config(steps=2.5), DomainError, "steps must be an integer >= 1, got 2.5"),
+    (lambda: _config(seed=-1), DomainError, "seed must be an integer >= 0, got -1"),
+    (lambda: _sweep([0.1], 30.0, seed=-1), DomainError, "seed must be an integer >= 0, got -1"),
+    (lambda: _sweep([0.1], 30.0, seed=1.5), DomainError, "seed must be an integer >= 0, got 1.5"),
+    (lambda: _sweep([0.1], 30.0, replicates=2.5), DomainError,
+     "replicates must be an integer >= 1, got 2.5"),
+    (lambda: _matrix_spec((3, 2), data_seed=-1), DomainError,
+     "data_seed must be an integer >= 0, got -1"),
+    (lambda: _matrix_spec((2.5, 2)), DomainError, "rows must be an integer >= 1, got 2.5"),
+    (lambda: _matrix_spec((2.0, 2)), DomainError, "rows must be an integer >= 1, got 2.0"),
+    (lambda: _sweep([0.1], 30.0, _matrix_spec((2000, 1))), DomainError,
+     "matrix-least-squares data, 2 x rows^2, is 8e+06 elements, above the limit 1e+06; "
+     "lower --rows"),
     (lambda: closed_form.momentum_cubic(proxy.BoundConstants(1e300, 1e300, 1.0), 1e30),
      NumericalError, "momentum cubic coefficient a3 = inf leaves the float range at t=1e+30 "
      "(delta0=1e+300, L=1e+300, rho*sigma=1.0)"),
