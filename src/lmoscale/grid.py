@@ -10,10 +10,14 @@ the one table of the searched axes; the sweep, its edge labels, the fits,
 the constraint tags, the range checks and the log-step bound all read it.
 
 The objective is u / T + v with u, v >= 0 fixed per cell, so before the
-budget loop the sweep drops every cell that a cell in an earlier block of
-batch rows weakly dominates (u and v both no larger): that cell is never
-worse at any budget, comes first in argmin order, and is feasible whenever
-the dropped one is.  The records are exactly those of a scan of every cell.
+budget loop the sweep drops cells that an earlier cell in flat order, in
+the same or an earlier batch row, weakly dominates (u and v both no
+larger): in the first block of batch rows, an earlier cell of the same
+alpha line; in later blocks, a cell of a staircase of earlier blocks'
+survivors, which is rebuilt only once it has doubled and so may lack the
+latest ones.  The dominating cell is never worse at any budget, comes
+first in argmin order, and is feasible whenever the dropped one is.  The
+records are exactly those of a scan of every cell.
 """
 
 from __future__ import annotations
@@ -213,20 +217,34 @@ def _swept_axes(spec: GridSpec, constraint: Constraint) -> tuple[np.ndarray, ...
 
 
 # Cells per pruning block.  Whole b rows are pruned a block at a time, so a
-# pinned sweep's short rows do not pay numpy's per-call cost row by row.
+# pinned sweep's short rows do not pay numpy's per-call cost row by row.  A
+# block is screened against a staircase of earlier blocks' survivors, which
+# may lack the latest blocks but holds no cell of its own; the first block,
+# with no earlier block, is screened cell by cell against the earlier cells
+# of its own alpha line instead.  Either way a cell is dropped only when an
+# earlier cell of the same or an earlier b row dominates it.
 _PRUNE_BLOCK = 4096
 
 
 def _prune(u_terms: tuple, v_terms: tuple, shape: tuple[int, ...]):
-    """The cells of the cubes u, v that no cell of an earlier block dominates.
+    """The cells of the cubes u, v left after dropping cells an earlier cell dominates.
 
     u and v are the sums of the two arrays in ``u_terms`` and in ``v_terms``,
-    which broadcast to ``shape`` (b rows first).  Each block's rows are summed
-    when the block is pruned, so neither cube is ever built whole.  Cell j
-    dominates cell i when u_j <= u_i and v_j <= v_i.  Blocks are runs of
-    whole b rows holding at least ``_PRUNE_BLOCK`` cells.  Returns the
-    survivors' u, v and flat index, in flat order, and ``offsets`` with
-    ``offsets[m]`` the number of survivors in the first m rows.
+    which broadcast to ``shape`` (b rows first, at least two axes).  Each
+    block's rows are summed when the block is pruned, so neither cube is
+    ever built whole.  Cell j dominates cell i when u_j <= u_i and
+    v_j <= v_i.  Blocks are runs of whole b rows holding at least
+    ``_PRUNE_BLOCK`` cells.  A cell of the first block is dropped when its u
+    is >= every earlier u of its line along the last axis and its v is >=
+    their least v, so the earlier cell of least v dominates it.  A cell of a
+    later block is dropped when a cell of the staircase dominates it; the
+    staircase is rebuilt from the survivors only once as many are pending
+    as it holds, so it may lack the latest blocks, but every cell it holds
+    lies in an earlier block.  Either way the dominating cell comes earlier
+    in flat order, in the same or an earlier b row, and no NaN cell is
+    dropped.  Returns the survivors' u, v and flat index, in flat order, and
+    ``offsets`` with ``offsets[m]`` the number of survivors in the first m
+    rows.
     """
     rows, width = shape[0], math.prod(shape[1:])
     step = -(-_PRUNE_BLOCK // width)
@@ -236,42 +254,65 @@ def _prune(u_terms: tuple, v_terms: tuple, shape: tuple[int, ...]):
         r1 = r0 + step
         return (u0[r0:r1] + u1[r0:r1]).ravel(), (v0[r0:r1] + v1[r0:r1]).ravel()
 
+    # A first-block cell whose u is >= the running maximum of the earlier u's
+    # of its line and whose v is >= the running minimum of their v's is
+    # dominated by the earlier cell of least v.  NaN propagates through both
+    # accumulates and compares false, so a NaN cell and every later cell of
+    # its line are kept.
     bu, bv = block(0)
-    parts = [(bu, bv, np.arange(bu.size))]
+    lu = bu.reshape(-1, shape[-1])
+    lv = bv.reshape(lu.shape)
+    drop = np.zeros(lu.shape, dtype=bool)
+    np.greater_equal(lu[:, 1:], np.maximum.accumulate(lu, axis=1)[:, :-1], out=drop[:, 1:])
+    drop[:, 1:] &= lv[:, 1:] >= np.minimum.accumulate(lv, axis=1)[:, :-1]
+    flat = np.flatnonzero(~drop)
+    parts = [(bu[flat], bv[flat], flat)]
     su = sv = np.empty(0)
+    built = pending = 0
     for r0 in range(step, rows, step):
-        # The staircase of the earlier blocks' survivors, NaN left out: u
-        # ascending, v strictly descending, so the v at the last u <= a cell's
-        # u is the least v of any earlier cell with u that small.  The old
-        # staircase is one sorted run, so a stable sort merges the new cells in.
-        ku, kv, _ = parts[-1]
-        fine = ~(np.isnan(ku) | np.isnan(kv))
-        cu, cv = np.concatenate((su, ku[fine])), np.concatenate((sv, kv[fine]))
-        order = np.argsort(cu, kind="stable")
-        cu, cv = cu[order], cv[order]
-        front = np.empty(cv.size, dtype=bool)
-        front[:1] = True
-        np.less(cv[1:], np.minimum.accumulate(cv)[:-1], out=front[1:])
-        su, sv = cu[front], cv[front]
-        # Sentinels with v NaN, which no comparison passes: every u >= 0 sorts
-        # after -inf, and searchsorted sorts a NaN u after the trailing NaN.
-        su_ext = np.concatenate(([-np.inf], su, [np.nan]))
-        sv_ext = np.concatenate(([np.nan], sv, [np.nan]))
+        # The staircase is rebuilt only once the survivors since its last
+        # rebuild are at least as many as it holds, so all rebuilds together
+        # sort at most twice as many cells as survive.  In between, blocks
+        # are screened against a staircase that lacks the latest survivors:
+        # it drops fewer cells, but each of its cells lies in an earlier block.
+        pending += parts[-1][2].size
+        if pending >= su.size:
+            # The staircase of the survivors so far, NaN left out: u
+            # ascending, v strictly descending, so the v at the last u <= a
+            # cell's u is the least v of any staircase cell with u that
+            # small.  The old staircase is one sorted run, so a stable sort
+            # merges the new cells in.
+            ku, kv = (np.concatenate([part[k] for part in parts[built:]]) for k in (0, 1))
+            fine = ~(np.isnan(ku) | np.isnan(kv))
+            cu, cv = np.concatenate((su, ku[fine])), np.concatenate((sv, kv[fine]))
+            order = np.argsort(cu, kind="stable")
+            cu, cv = cu[order], cv[order]
+            front = np.empty(cv.size, dtype=bool)
+            front[:1] = True
+            np.less(cv[1:], np.minimum.accumulate(cv)[:-1], out=front[1:])
+            su, sv = cu[front], cv[front]
+            built, pending = len(parts), 0
+            # Sentinels with v NaN, which no comparison passes: every u >= 0
+            # sorts after -inf, and searchsorted sorts a NaN u after the
+            # trailing NaN.
+            su_ext = np.concatenate(([-np.inf], su, [np.nan]))
+            sv_ext = np.concatenate(([np.nan], sv, [np.nan]))
 
-        def least_v(x: np.ndarray) -> np.ndarray:
-            return sv_ext[np.searchsorted(su_ext, x, side="right") - 1]
+            def least_v(x: np.ndarray) -> np.ndarray:
+                return sv_ext[np.searchsorted(su_ext, x, side="right") - 1]
 
-        # A float >= 0 orders as its bit pattern, so a cell whose v is >= the
-        # staircase's v at the lower edge of its bucket (the top 14 bits of u)
-        # is dominated.  The table covers the staircase's buckets and has NaN
-        # at both ends, where the other cells read, so those go to the exact
-        # lookup with the rest: cells below the first u or with the sign bit
-        # set, and cells above the last, such as a NaN u, which as a sum is a
-        # quiet NaN, whose pattern lies above inf's.
-        bits = su_ext.view(np.int64)
-        lo, hi = (max(int(bits[i]) >> 50, 0) for i in (1, -2))
-        table = least_v((np.arange(lo - 1, max(lo, hi) + 2) << 50).view(np.float64))
-        table[-1] = np.nan
+            # A float >= 0 orders as its bit pattern, so a cell whose v is >=
+            # the staircase's v at the lower edge of its bucket (the top 14
+            # bits of u) is dominated.  The table covers the staircase's
+            # buckets and has NaN at both ends, where the other cells read,
+            # so those go to the exact lookup with the rest: cells below the
+            # first u or with the sign bit set, and cells above the last,
+            # such as a NaN u, which as a sum is a quiet NaN, whose pattern
+            # lies above inf's.
+            bits = su_ext.view(np.int64)
+            lo, hi = (max(int(bits[i]) >> 50, 0) for i in (1, -2))
+            table = least_v((np.arange(lo - 1, max(lo, hi) + 2) << 50).view(np.float64))
+            table[-1] = np.nan
         bu, bv = block(r0)
         bucket = bu.view(np.int64) >> 50
         bucket -= lo - 1
@@ -283,22 +324,28 @@ def _prune(u_terms: tuple, v_terms: tuple, shape: tuple[int, ...]):
 
 
 # value(t) = u / t + v on the (b, eta, alpha) cube, so _prune sums u and v
-# once for all budgets, a block of b rows at a time.  It drops most dominated
-# cells by one lookup in a table of staircase values indexed by the top bits
-# of u, and binary-searches only the few cells the table leaves, so it keeps
-# exactly the cells a binary search of every cell keeps.  Cells that overflow
-# are +inf and never win the argmin; a NaN cell (0 * inf at the float limits)
-# is reported at the budget whose argmin meets it.  Each budget's argmin runs
-# over the survivors of _prune alone, and is exact: u and v are >= 0, and
-# dividing by t > 0 and adding are monotone under rounding, so a dominating
-# cell's value is <= the dominated cell's at every budget; it lies in an
-# earlier b row, so it comes first in flat order, where argmin keeps the first
-# minimum, and it is feasible whenever the dominated cell is, since the
-# feasible cells are a prefix of b rows.  NaN compares false, so NaN cells are
-# never dropped and raise at the same budget as without the prune.  The budget
-# loop works on Python scalars, so each record holds Python floats taken from
-# the axes' tolist().  ``kept`` stays an array, indexed once per budget: a
-# list of up to ~19k survivors would cost more memory than the loop saves.
+# once for all budgets, a block of b rows at a time.  In the first block it
+# drops a cell that an earlier cell of its alpha line dominates, found by a
+# running maximum of u and minimum of v along the line.  In later blocks it
+# drops a cell that the staircase of earlier blocks' survivors dominates:
+# most by one lookup in a table of staircase values indexed by the top bits
+# of u, the few the table leaves by a binary search.  The staircase is
+# rebuilt only once as many survivors are pending as it holds; a stale one
+# drops fewer cells, never a cell no earlier cell dominates.  Cells that
+# overflow are +inf and never win the argmin; a NaN cell (0 * inf at the
+# float limits) is reported at the budget whose argmin meets it.  Each
+# budget's argmin runs over the survivors of _prune alone, and is exact: u
+# and v are >= 0, and dividing by t > 0 and adding are monotone under
+# rounding, so a dominating cell's value is <= the dominated cell's at every
+# budget; it comes earlier in flat order, where argmin keeps the first
+# minimum, and it lies in the same or an earlier b row, so it is feasible
+# whenever the dominated cell is, since the feasible cells are a prefix of b
+# rows.  NaN compares false and propagates through the line accumulates, so
+# NaN cells are never dropped and raise at the same budget as without the
+# prune.  The budget loop works on Python scalars, so each record holds
+# Python floats taken from the axes' tolist().  ``kept`` stays an array,
+# indexed once per budget: a list of up to ~21k survivors would cost more
+# memory than the loop saves.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def sweep(
     c: BoundConstants,

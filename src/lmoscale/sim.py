@@ -50,7 +50,12 @@ __all__ = [
 MAX_STEPS = 10**7  # steps per run that sweep_sim accepts
 # A sweep's work is the sum over its (budget, batch, momentum) groups of
 # steps x step sizes x replicates x variable size: about 2 minutes at the
-# limit on a 2-vCPU host.
+# limit on a 2-vCPU host.  A matrix-least-squares element-step also pays its
+# share of A^T (A X - Y), about 4 rows multiply-adds, so sweep_sim counts it
+# as 1 + rows / 25 element-steps.  Measured with --norm max against a
+# noisy quadratic of the same size on that host, it costs 6 times one at
+# 700 rows and 100 columns (1 + rows / 140), but 12 and 20 times at 300 and
+# 700 rows with 1 to 5 columns, where the products are matrix-vector ones.
 MAX_WORK = 10**10
 # Elements in each (groups, step sizes, replicates, *variable) state buffer:
 # about 8 MB each at the limit, and a sweep holds about eight of them.  A
@@ -470,13 +475,15 @@ class SimSweepResult:
 
 
 def _sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int, seed: int,
-                update: str, init: str):
+                update: str, init: str, rows: int = 0):
     """Checked grids and (budget, batch, momentum) groups of a sweep over ``size`` variables.
 
     Returns (etas, alphas, batches, budgets, groups, steps): ascending step
     sizes, momenta and integer batches, the budgets as given, each group's
-    (budget, batch, momentum) indices and its step count.  Builds nothing of
-    the variable's size, so a caller can bound a sweep before it builds one.
+    (budget, batch, momentum) indices and its step count.  ``rows`` is a
+    matrix-least-squares sweep's row count, which weights its work (see
+    ``MAX_WORK``), and 0 for a noisy quadratic.  Builds nothing of the
+    variable's size, so a caller can bound a sweep before it builds one.
     """
     _require_int(replicates, "replicates", 1)
     _require_int(seed, "seed", 0)
@@ -500,11 +507,12 @@ def _sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int
     groups = [(ti, bi, ai) for ti, t in enumerate(budgets) for bi, b in enumerate(batches)
               if b <= t for ai in range(len(alphas))]
     steps = [round(budgets[ti] / batches[bi]) for ti, bi, _ in groups]
-    work = sum(steps) * etas.size * replicates * size
+    work = sum(steps) * etas.size * replicates * size * (25 + rows) // 25
     _require(work <= MAX_WORK,
              "sweep work, steps x step sizes x replicates x variable size summed over runs, is "
              "{:.6g}, above the limit {:.0e}; lower --t, --replicates or --dim (--rows, --cols), "
-             "or give fewer --eta, --alpha or --b values", work, MAX_WORK)
+             "or give fewer --eta, --alpha or --b values; a matrix-least-squares element-step "
+             "counts as 1 + rows / 25", work, MAX_WORK)
     state = len(groups) * etas.size * replicates * size
     _require(state <= MAX_STATE,
              "sweep state, runs x step sizes x replicates x variable size, is {:.6g} elements, "
@@ -547,13 +555,13 @@ def sweep_sim(
     then the largest momentum complement.
     """
     size = len(spec.spectrum) if spec.kind == "noisy-quadratic" else math.prod(spec.dims)
+    rows = spec.dims[0] if spec.kind == "matrix-least-squares" else 0
     etas, alphas, batches, budgets, groups, steps = _sweep_plan(
-        size, eta_grid, alpha_grid, b_grid, t_grid, replicates, seed, update, init)
-    if spec.kind == "matrix-least-squares":
-        data = 2 * spec.dims[0] ** 2
-        _require(data <= MAX_STATE,
-                 "matrix-least-squares data, 2 x rows^2, is {:.6g} elements, above the limit "
-                 "{:.0e}; lower --rows", data, MAX_STATE)
+        size, eta_grid, alpha_grid, b_grid, t_grid, replicates, seed, update, init, rows)
+    data = 2 * rows**2
+    _require(data <= MAX_STATE,
+             "matrix-least-squares data, 2 x rows^2, is {:.6g} elements, above the limit "
+             "{:.0e}; lower --rows", data, MAX_STATE)
     obj = _Objective(spec)
     best, _, _ = _run_batch(
         obj, norm, update, etas, alphas[[ai for _, _, ai in groups]],

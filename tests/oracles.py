@@ -1,10 +1,9 @@
 """Independent oracles used to cross-check closed forms, the simulator and the CLI parser.
 
 These stay deliberately dumb: golden-section line search, plain bisection,
-iterative local grid refinement, a cell-by-cell grid argmin, the grid
-prune with one binary search per cell, a simulator step loop that runs
-one (budget, batch, momentum) group at a time, and a CLI parser that holds
-every command's options.  None of them share code with the package's own
+iterative local grid refinement, a cell-by-cell grid argmin, a simulator
+step loop that runs one (budget, batch, momentum) group at a time, and a
+CLI parser that holds every command's options.  None of them share code with the package's own
 solvers; the simulator reference takes only the objective, the noise
 sampler and the polar factor from the package, and the parser reference
 only the option table and the parser class.  The JSON writer reference is
@@ -106,47 +105,6 @@ def first_argmin(u, v, t):
         if best is None or value < best[1]:
             best = (i, value)
     return best
-
-
-def reference_prune(u_terms, v_terms, shape, block_cells):
-    """The grid sweep's dominance prune as first written: one binary search per cell.
-
-    Same arguments and results as ``lmoscale.grid._prune``, with its block
-    size ``_PRUNE_BLOCK`` passed as ``block_cells``.
-    """
-    rows, width = shape[0], math.prod(shape[1:])
-    step = -(-block_cells // width)
-    (u0, u1), (v0, v1) = ([np.broadcast_to(x, shape) for x in pair] for pair in (u_terms, v_terms))
-
-    def block(r0: int) -> tuple[np.ndarray, np.ndarray]:
-        r1 = r0 + step
-        return (u0[r0:r1] + u1[r0:r1]).ravel(), (v0[r0:r1] + v1[r0:r1]).ravel()
-
-    bu, bv = block(0)
-    parts = [(bu, bv, np.arange(bu.size))]
-    su = sv = np.empty(0)
-    for r0 in range(step, rows, step):
-        # The staircase of the earlier blocks' survivors, NaN left out: u
-        # ascending, v strictly descending, so the v at the last u <= a cell's
-        # u is the least v of any earlier cell with u that small.
-        ku, kv, _ = parts[-1]
-        fine = ~(np.isnan(ku) | np.isnan(kv))
-        cu, cv = np.concatenate((su, ku[fine])), np.concatenate((sv, kv[fine]))
-        order = np.argsort(cu)
-        cu, cv = cu[order], cv[order]
-        front = np.empty(cv.size, dtype=bool)
-        front[:1] = True
-        np.less(cv[1:], np.minimum.accumulate(cv)[:-1], out=front[1:])
-        su, sv = cu[front], cv[front]
-        # Sentinels with v NaN, which no comparison passes: every u >= 0 sorts
-        # after -inf, and searchsorted sorts a NaN u after the trailing NaN.
-        bu, bv = block(r0)
-        k = np.searchsorted(np.concatenate(([-np.inf], su, [np.nan])), bu, side="right")
-        keep = ~(np.concatenate(([np.nan], sv, [np.nan]))[k - 1] <= bv)
-        flat = np.flatnonzero(keep)
-        parts.append((bu[flat], bv[flat], flat + r0 * width))
-    ku, kv, flat = (np.concatenate(col) for col in zip(*parts))
-    return ku, kv, flat, np.searchsorted(flat, np.arange(rows + 1) * width)
 
 
 # --------------------------------------------------------------------------

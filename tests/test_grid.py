@@ -29,7 +29,7 @@ from lmoscale import (
 )
 from lmoscale import grid
 from lmoscale.proxy import token_terms
-from oracles import bisect_root, first_argmin, reference_prune
+from oracles import bisect_root, first_argmin
 
 UNIT = BoundConstants.from_proxy_constants()
 
@@ -530,7 +530,8 @@ def test_prune_keeps_a_few_percent_of_the_default_free_cube():
         UNIT, eta[None, :, None], alpha[::-1][None, None, :], b[:, None, None], False)
     shape = (b.size, eta.size, alpha.size)
     u, v, flat, offsets = grid._prune((descent, burn), (floor, smooth), shape)
-    assert offsets[0] == 0 and offsets[1] == eta.size * alpha.size  # the first block is whole
+    # the first block, one b row, is pruned along its alpha lines
+    assert offsets[0] == 0 and offsets[1] < 0.4 * eta.size * alpha.size
     assert offsets[-1] == flat.size < 0.03 * b.size * eta.size * alpha.size
     assert np.all(np.diff(flat) > 0)
 
@@ -580,9 +581,21 @@ def _prune_inputs(draw):
 # a later cell (1, 1) below the staircase point (1.2, 1) in its bucket is kept
 @example(((np.array([1.2, 1e300, 1.0, 1e300]).reshape(2, 1, 2), 0.0),
           (np.array([1.0, 0.0, 1.0, 0.0]).reshape(2, 1, 2), 0.0), (2, 1, 2)), 1)
-def test_prune_matches_the_reference_prune(inputs, block):
+def test_prune_drops_only_cells_an_earlier_cell_dominates(inputs, block):
+    (u0, u1), (v0, v1), shape = inputs
     with np.errstate(all="ignore"), mock.patch.object(grid, "_PRUNE_BLOCK", block):
-        got = grid._prune(*inputs)
-        expected = reference_prune(*inputs, block)
-    for g, e in zip(got, expected):
-        np.testing.assert_array_equal(g, e)
+        ku, kv, flat, offsets = grid._prune(*inputs)
+        u, v = ((np.broadcast_to(a, shape) + b).ravel() for a, b in ((u0, u1), (v0, v1)))
+    rows, width = shape[0], math.prod(shape[1:])
+    assert np.all(np.diff(flat) > 0)
+    np.testing.assert_array_equal(ku, u[flat])
+    np.testing.assert_array_equal(kv, v[flat])
+    survivors_per_row = np.bincount(flat // width, minlength=rows)
+    assert offsets.tolist() == [0, *np.cumsum(survivors_per_row).tolist()]
+    cells = np.arange(u.size)
+    blocks = cells // width // -(-block // width)
+    lines = cells // shape[-1]
+    for i in np.setdiff1d(cells, flat).tolist():
+        assert not (math.isnan(u[i]) or math.isnan(v[i])), i
+        screened_by = (blocks < blocks[i]) | ((blocks[i] == 0) & (lines == lines[i]))
+        assert np.any((cells < i) & screened_by & (u <= u[i]) & (v <= v[i])), i

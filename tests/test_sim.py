@@ -476,6 +476,21 @@ class TestSweep:
             sweep_sim(spec, NormKind.MAX, (0.01,), (1.0,), (1,), (t,), replicates=replicates,
                       seed=0)
 
+    def test_least_squares_work_counts_the_products_per_row(self, monkeypatch):
+        def nothing_built(*args):
+            raise AssertionError("an objective or a state array was built")
+
+        monkeypatch.setattr(sim, "_Objective", nothing_built)
+        monkeypatch.setattr(sim, "_run_batch", nothing_built)
+        # 1.4e5 steps x 7e4 elements is 9.8e9 element-steps, each counted 1 + 700 / 25 times
+        spec = ObjectiveSpec(kind="matrix-least-squares", dims=(700, 100))
+        with pytest.raises(DomainError, match=r"is 2\.842e\+11, above the limit 1e\+10; .* "
+                                              r"counts as 1 \+ rows / 25$"):
+            sweep_sim(spec, NormKind.MAX, (0.01,), (1.0,), (1,), (1.4e5,), replicates=1, seed=0)
+        # a noisy quadratic of the same size is below the limit
+        plan = sim._sweep_plan(70000, (0.01,), (1.0,), (1,), (1.4e5,), 1, 0, "lmo", "matched")
+        assert plan[-1] == [140000]
+
     def test_a_sweep_at_both_limits_is_accepted(self):
         # 10^4 steps x 1 step size x 10^5 replicates x 10 variables, in one run
         assert 10**4 * 10**5 * 10 == sim.MAX_WORK and 10**5 * 10 == sim.MAX_STATE
