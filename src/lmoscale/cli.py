@@ -10,10 +10,13 @@ the default, and a value the flag would reject (a boolean for a number, a
 fraction for an int) is rejected too.  Every command takes ``--out``;
 ``--format`` belongs to the commands with a table (verify, contour,
 simulate), ``--seed`` to simulate and ``--threads`` to verify, which
-checks it (>= 1) and ignores it: the grid sweep runs in one thread.  Each
-command imports the lmoscale modules it runs when it runs, so start-up
-loads only this module, ``errors`` and ``serialize``, and only the table
-commands import numpy.
+checks it (>= 1) and ignores it: the grid sweep runs in one thread.
+Commands call public library names only: verify is one ``grid.verify``
+call (work limit and batch cap, then fit window, then sweep and fits),
+and simulate bounds a noisy quadratic by ``sim.sweep_plan`` before it
+builds the spectrum.  Each command imports the lmoscale modules it runs
+when it runs, so start-up loads only this module, ``errors`` and
+``serialize``, and only the table commands import numpy.
 
 A table document is (schema, meta, rows of a record dataclass), written as
 JSON or as a versioned CSV; ``records_from_csv`` reads any such CSV back
@@ -378,26 +381,12 @@ def _cmd_verify(v: dict) -> None:
     points = default.points_per_axis if v["points"] is None else v["points"]
     spec = grid.GridSpec(**ranges, points_per_axis=points, t_points=v["t_points"])
     kind = v["constraint"]
-    if kind == "free":
-        constraint = grid.Constraint.free()
-    elif v["value"] is None:
+    if kind != "free" and v["value"] is None:
         raise DomainError(f"constraint {kind!r} needs --value")
-    else:
-        constraint = {
-            "fixed-alpha": grid.Constraint.fix_alpha,
-            "fixed-b": grid.Constraint.fix_b,
-            "fixed-eta": grid.Constraint.fix_eta,
-            "capped-b": grid.Constraint.cap_b,
-        }[kind](v["value"])
+    field = "b_cap" if kind == "capped-b" else kind.replace("-", "_")
+    constraint = grid.Constraint(**({} if kind == "free" else {field: v["value"]}))
     _require(v["threads"] >= 1, "threads must be >= 1, got {}", v["threads"])
-    grid._swept_axes(spec, constraint)  # an empty batch cap is exit 3 before a short window
-    try:
-        grid._check_fit_window(spec.t_axis(), v["fit_decades"])
-        result = grid.sweep(c, spec, constraint, v["objective"])
-        fits = grid.fit_sweep_exponents(result, decades=v["fit_decades"])
-    except DomainError as exc:
-        raise DomainError(f"{exc}; widen the fit window with --fit-decades or add budgets with "
-                          "--t-points") from None
+    result, fits = grid.verify(c, spec, constraint, v["objective"], v["fit_decades"])
     burn_in = grid.detect_burn_in(result) if constraint.fixed_alpha is not None else None
     meta = {"constraint": constraint.tag, "objective": v["objective"], "burn_in_t": burn_in}
     _emit_table(v, "sweep/v1", meta, "records", result.records,
@@ -476,34 +465,20 @@ def _cmd_simulate(v: dict) -> None:
 
     from . import sim
 
+    shape = {"dims": (v["rows"], v["cols"])}
     if v["kind"] == "noisy-quadratic":
         _require(v["dim"] >= 1, "dim must be >= 1, got {}", v["dim"])
         _require(v["spectrum_lo"] > 0 and v["spectrum_hi"] > 0, "spectrum bounds must be > 0")
         # the sweep's checks and bounds, before its --dim-long spectrum is built
-        sim._sweep_plan(v["dim"], v["eta"], v["alpha"], v["b"], v["t"], v["replicates"],
-                        v["seed"], v["update"], v["init"])
-        spectrum = tuple(np.geomspace(v["spectrum_lo"], v["spectrum_hi"], v["dim"]))
-        spec = sim.ObjectiveSpec(
-            kind="noisy-quadratic", noise_sigma=v["noise_sigma"], spectrum=spectrum,
-            x0_scale=v["x0_scale"], data_seed=v["data_seed"],
-        )
-    else:
-        spec = sim.ObjectiveSpec(
-            kind="matrix-least-squares", noise_sigma=v["noise_sigma"],
-            dims=(v["rows"], v["cols"]), x0_scale=v["x0_scale"], data_seed=v["data_seed"],
-        )
-    result = sim.sweep_sim(
-        spec,
-        sim.NormKind(v["norm"]),
-        v["eta"],
-        v["alpha"],
-        v["b"],
-        v["t"],
-        replicates=v["replicates"],
-        seed=v["seed"],
-        update=v["update"],
-        init=v["init"],
-    )
+        sim.sweep_plan(v["dim"], v["eta"], v["alpha"], v["b"], v["t"], v["replicates"],
+                       v["seed"], v["update"], v["init"])
+        shape = {"spectrum": tuple(np.geomspace(v["spectrum_lo"], v["spectrum_hi"],
+                                                v["dim"]).tolist())}
+    spec = sim.ObjectiveSpec(kind=v["kind"], noise_sigma=v["noise_sigma"],
+                             x0_scale=v["x0_scale"], data_seed=v["data_seed"], **shape)
+    result = sim.sweep_sim(spec, sim.NormKind(v["norm"]), v["eta"], v["alpha"], v["b"], v["t"],
+                           replicates=v["replicates"], seed=v["seed"], update=v["update"],
+                           init=v["init"])
     meta = {"norm": v["norm"], "update": v["update"], "seed": v["seed"]}
     if v["format"] == "json":
         _emit(_json("sim-sweep/v1", {**meta, "best": result.best, "points": result.points}),

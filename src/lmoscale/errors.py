@@ -19,6 +19,21 @@ def _require(cond: bool, message: str, *args) -> None:
         raise DomainError(message.format(*args) if args else message)
 
 
+class _Count(int):
+    """An int whose ``{:.<digits>g}`` is a float's, read off the int even past the float range."""
+
+    def __format__(self, spec: str) -> str:
+        digits, exp = int(spec[1:-1]), len(str(self)) - 1  # spec is ".<digits>g"
+        if exp < digits:
+            return str(self)
+        scale = 10 ** (exp + 1 - digits)
+        q, r = divmod(int(self), scale)
+        q += 2 * r > scale or (2 * r == scale and q % 2)  # round half to even, as floats do
+        text = str(q)  # digits + 1 long when the rounding carries
+        tail = text[1:digits].rstrip("0")
+        return f"{text[0]}{'.' if tail else ''}{tail}e+{exp + len(text) - digits:02d}"
+
+
 class InfeasibleError(ValueError):
     """The request has no feasible solution (empty grid, unreachable level, ...)."""
 

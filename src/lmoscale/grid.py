@@ -8,16 +8,16 @@ of evaluation order; ties break toward the smallest batch, then the
 smallest step size, then the largest momentum complement.  ``_AXES`` is
 the one table of the searched axes; the sweep, its edge labels, the fits,
 the constraint tags, the range checks and the log-step bound all read it.
+``verify`` is a sweep and its fits, checked in this order before the sweep
+runs: the work limit (``DomainError``) and the batch cap
+(``InfeasibleError``), then the fit window; it builds each axis once.
 
 The objective is u / T + v with u, v >= 0 fixed per cell, so before the
 budget loop the sweep drops cells that an earlier cell in flat order, in
 the same or an earlier batch row, weakly dominates (u and v both no
-larger): in the first block of batch rows, an earlier cell of the same
-alpha line; in later blocks, a cell of a staircase of earlier blocks'
-survivors, which is rebuilt only once it has doubled and so may lack the
-latest ones.  The dominating cell is never worse at any budget, comes
-first in argmin order, and is feasible whenever the dropped one is.  The
-records are exactly those of a scan of every cell.
+larger; see ``_prune``).  The dominating cell is never worse at any
+budget, comes first in argmin order, and is feasible whenever the dropped
+one is, so the records are exactly those of a scan of every cell.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NumericalError, _require
+from .errors import DomainError, InfeasibleError, NumericalError, _Count, _require
 from .proxy import BoundConstants, token_terms
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "SweepResult",
     "FitResult",
     "sweep",
+    "verify",
     "fit_power_law",
     "detect_burn_in",
     "fit_sweep_exponents",
@@ -203,7 +204,7 @@ def _swept_axes(spec: GridSpec, constraint: Constraint) -> tuple[np.ndarray, ...
     work = _sweep_work(spec, constraint)
     _require(work <= MAX_SWEEP_WORK,
              "sweep work, cells x (1 + budgets), is {:.3g}, above the limit {:.0e}; "
-             "lower --points or --t-points", work, MAX_SWEEP_WORK)
+             "lower --points or --t-points", _Count(work), MAX_SWEEP_WORK)
     pins = (getattr(constraint, field) for _, field, _ in _AXES)
     b, eta, alpha = (
         _log_axis(*getattr(spec, attr), spec.points_per_axis) if pin is None else np.array([pin])
@@ -323,36 +324,8 @@ def _prune(u_terms: tuple, v_terms: tuple, shape: tuple[int, ...]):
     return ku, kv, flat, np.searchsorted(flat, np.arange(rows + 1) * width)
 
 
-# value(t) = u / t + v on the (b, eta, alpha) cube, so _prune sums u and v
-# once for all budgets, a block of b rows at a time.  In the first block it
-# drops a cell that an earlier cell of its alpha line dominates, found by a
-# running maximum of u and minimum of v along the line.  In later blocks it
-# drops a cell that the staircase of earlier blocks' survivors dominates:
-# most by one lookup in a table of staircase values indexed by the top bits
-# of u, the few the table leaves by a binary search.  The staircase is
-# rebuilt only once as many survivors are pending as it holds; a stale one
-# drops fewer cells, never a cell no earlier cell dominates.  Cells that
-# overflow are +inf and never win the argmin; a NaN cell (0 * inf at the
-# float limits) is reported at the budget whose argmin meets it.  Each
-# budget's argmin runs over the survivors of _prune alone, and is exact: u
-# and v are >= 0, and dividing by t > 0 and adding are monotone under
-# rounding, so a dominating cell's value is <= the dominated cell's at every
-# budget; it comes earlier in flat order, where argmin keeps the first
-# minimum, and it lies in the same or an earlier b row, so it is feasible
-# whenever the dominated cell is, since the feasible cells are a prefix of b
-# rows.  NaN compares false and propagates through the line accumulates, so
-# NaN cells are never dropped and raise at the same budget as without the
-# prune.  The budget loop works on Python scalars, so each record holds
-# Python floats taken from the axes' tolist().  ``kept`` stays an array,
-# indexed once per budget: a list of up to ~21k survivors would cost more
-# memory than the loop saves.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def sweep(
-    c: BoundConstants,
-    spec: GridSpec = GridSpec(),
-    constraint: Constraint = Constraint(),
-    objective: str = "risk_tokens",
-) -> SweepResult:
+def sweep(c: BoundConstants, spec: GridSpec = GridSpec(), constraint: Constraint = Constraint(),
+          objective: str = "risk_tokens") -> SweepResult:
     """Per-budget argmin of the objective over the constrained grid.
 
     Budgets whose feasible set is empty (every allowed batch exceeds the
@@ -364,9 +337,56 @@ def sweep(
     each free axis whose end the argmin sits on (b's upper end is the largest
     batch feasible at the budget).
     """
-    if objective not in OBJECTIVES:
-        raise DomainError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    b, eta, alpha = _swept_axes(spec, constraint)
+    _require(objective in OBJECTIVES, "objective must be one of {}, got {!r}", OBJECTIVES,
+             objective)
+    return _sweep(c, spec, constraint, objective, _swept_axes(spec, constraint), spec.t_axis())
+
+
+def verify(c: BoundConstants, spec: GridSpec = GridSpec(), constraint: Constraint = Constraint(),
+           objective: str = "risk_tokens",
+           decades: float = 2.0) -> tuple[SweepResult, dict[str, FitResult]]:
+    """``sweep`` and its ``fit_sweep_exponents(result, decades)``, each axis built once.
+
+    Checks run in this order, all before the sweep: the objective, the work
+    limit (``DomainError``) and the batch cap (``InfeasibleError``), then
+    that some ``decades``-decade window ending at a budget holds the 5 a
+    fit needs; that check's and the fits' ``DomainError`` name the options
+    to widen it.
+    """
+    _require(objective in OBJECTIVES, "objective must be one of {}, got {!r}", OBJECTIVES,
+             objective)
+    axes, ts = _swept_axes(spec, constraint), spec.t_axis()
+    try:
+        lo = np.searchsorted(ts, ts / _decades_factor(decades), side="left")
+        _require_fit_points(int(np.max(np.searchsorted(ts, ts, side="right") - lo)))
+        result = _sweep(c, spec, constraint, objective, axes, ts)
+        fits = fit_sweep_exponents(result, decades)
+    except DomainError as exc:
+        raise DomainError(f"{exc}; widen the fit window with --fit-decades or add budgets with "
+                          "--t-points") from None
+    return result, fits
+
+
+# ``sweep`` on checked (b, eta, alpha) axes and budgets ts.  value(t) = u / t +
+# v on the cube, so _prune sums u and v once for all budgets and drops the
+# cells an earlier cell dominates.  Cells that overflow are +inf and never win
+# the argmin; a NaN cell (0 * inf at the float limits) is reported at the
+# budget whose argmin meets it.  Each budget's argmin runs over the survivors of
+# _prune alone, and is exact: u and v are >= 0, and dividing by t > 0 and
+# adding are monotone under rounding, so a dominating cell's value is <= the
+# dominated cell's at every budget; it comes earlier in flat order, where
+# argmin keeps the first minimum, and it lies in the same or an earlier b row,
+# so it is feasible whenever the dominated cell is, since the feasible cells
+# are a prefix of b rows.  NaN compares false and propagates through the line
+# accumulates, so NaN cells are never dropped and raise at the same budget as
+# without the prune.  The budget loop works on Python scalars, so each record
+# holds Python floats taken from the axes' tolist().  ``kept`` stays an array,
+# indexed once per budget: a list of up to ~21k survivors would cost more
+# memory than the loop saves.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _sweep(c: BoundConstants, spec: GridSpec, constraint: Constraint, objective: str,
+           axes: tuple[np.ndarray, ...], ts: np.ndarray) -> SweepResult:
+    b, eta, alpha = axes
     alpha_desc = alpha[::-1].copy()
 
     descent, burn, floor, smooth = token_terms(
@@ -376,7 +396,6 @@ def sweep(
     u, v, kept, offsets = _prune((descent, burn), (floor, smooth), (b.size, eta.size, alpha.size))
     free = [(k, name) for k, (name, field, _) in enumerate(_AXES)
             if getattr(constraint, field) is None]
-    ts = spec.t_axis()
     b_at, eta_at, alpha_at = b.tolist(), eta.tolist(), alpha_desc.tolist()
     offsets = offsets.tolist()
     plane, n_alpha = eta.size * alpha.size, alpha.size
@@ -511,14 +530,3 @@ def _decades_factor(decades: float) -> float:
     except OverflowError:
         return math.inf
 
-
-def _check_fit_window(ts: np.ndarray, decades: float) -> None:
-    """Raise ``fit_power_law``'s ``DomainError`` when no fit over budgets ``ts`` can succeed.
-
-    ``fit_sweep_exponents``' window is the top ``decades`` decades below its
-    largest clean budget, one of the ascending budgets ``ts``, so no fit of
-    a sweep over them sees more points than the fullest such window holds.
-    A sweep whose fits must fail is thus refused before it runs.
-    """
-    lo = np.searchsorted(ts, ts / _decades_factor(decades), side="left")
-    _require_fit_points(int(np.max(np.searchsorted(ts, ts, side="right") - lo)))

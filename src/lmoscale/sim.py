@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, DomainError, _require
+from .errors import BudgetTooSmallError, DomainError, _Count, _require
 
 __all__ = [
     "NormKind",
@@ -41,6 +41,7 @@ __all__ = [
     "momentum_update",
     "integer_batch",
     "run",
+    "sweep_plan",
     "sweep_sim",
     "MAX_STEPS",
     "MAX_WORK",
@@ -152,7 +153,7 @@ class ObjectiveSpec:
         if self.kind == "noisy-quadratic":
             _require(self.spectrum is not None and len(self.spectrum) > 0,
                      "noisy-quadratic needs a spectrum")
-            _require(all(s > 0 for s in self.spectrum), "spectrum entries must be > 0")
+            _require(np.min(self.spectrum) > 0, "spectrum entries must be > 0")
         elif self.kind == "matrix-least-squares":
             _require(self.dims is not None and len(self.dims) == 2,
                      "matrix-least-squares needs dims=(rows, cols)")
@@ -474,16 +475,22 @@ class SimSweepResult:
     best: tuple[SimPoint, ...]
 
 
-def _sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int, seed: int,
-                update: str, init: str, rows: int = 0):
+def sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int, seed: int,
+               update: str, init: str, rows: int = 0):
     """Checked grids and (budget, batch, momentum) groups of a sweep over ``size`` variables.
 
-    Returns (etas, alphas, batches, budgets, groups, steps): ascending step
-    sizes, momenta and integer batches, the budgets as given, each group's
-    (budget, batch, momentum) indices and its step count.  ``rows`` is a
-    matrix-least-squares sweep's row count, which weights its work (see
-    ``MAX_WORK``), and 0 for a noisy quadratic.  Builds nothing of the
-    variable's size, so a caller can bound a sweep before it builds one.
+    Every grid must be non-empty and batches and budgets finite; step sizes
+    must be finite and > 0, momenta in (0, 1], ``replicates`` and ``seed``
+    integers >= 1 and >= 0, and ``init`` "matched" or "zero".  Step counts
+    are round(t / b), at most ``MAX_STEPS``, and a budget below every batch
+    raises ``BudgetTooSmallError``.  The work, state buffers and data, with
+    ``rows`` a matrix-least-squares sweep's row count and 0 for a noisy
+    quadratic, must stay within ``MAX_WORK`` and ``MAX_STATE``.  Nothing of
+    the variable's size is built, so ``sweep_sim`` and its callers bound a
+    sweep before they build its objective.  Returns (etas, alphas, batches,
+    budgets, groups, steps): ascending step sizes, momenta and integer
+    batches, the budgets as given, each group's (budget, batch, momentum)
+    indices and its step count.
     """
     _require_int(replicates, "replicates", 1)
     _require_int(seed, "seed", 0)
@@ -512,12 +519,15 @@ def _sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int
              "sweep work, steps x step sizes x replicates x variable size summed over runs, is "
              "{:.6g}, above the limit {:.0e}; lower --t, --replicates or --dim (--rows, --cols), "
              "or give fewer --eta, --alpha or --b values; a matrix-least-squares element-step "
-             "counts as 1 + rows / 25", work, MAX_WORK)
+             "counts as 1 + rows / 25", _Count(work), MAX_WORK)
     state = len(groups) * etas.size * replicates * size
     _require(state <= MAX_STATE,
              "sweep state, runs x step sizes x replicates x variable size, is {:.6g} elements, "
              "above the limit {:.0e}; lower --replicates or --dim (--rows, --cols), or give "
-             "fewer --t, --b, --alpha or --eta values", state, MAX_STATE)
+             "fewer --t, --b, --alpha or --eta values", _Count(state), MAX_STATE)
+    _require(2 * rows**2 <= MAX_STATE,
+             "matrix-least-squares data, 2 x rows^2, is {:.6g} elements, above the limit "
+             "{:.0e}; lower --rows", _Count(2 * rows**2), MAX_STATE)
     return etas, alphas, batches, budgets, groups, steps
 
 
@@ -535,33 +545,24 @@ def sweep_sim(
 ) -> SimSweepResult:
     """Empirical sweep: argmin of the replicate-averaged metric per budget.
 
-    Every grid must be non-empty and batches and budgets finite; step sizes
-    must be finite and > 0, momenta in (0, 1], ``replicates`` and ``seed``
-    integers >= 1 and >= 0, and ``init`` "matched" or "zero".  Step counts
-    are round(t / b), at most ``MAX_STEPS``; a longer run, or a sweep whose
-    work, state buffers or matrix-least-squares data exceed ``MAX_WORK`` or
-    ``MAX_STATE``, is rejected before any step or state-sized array.  As in
-    the grid oracle, a batch larger than a budget is skipped at that budget
-    (not even one step fits), and a budget below every batch raises
-    ``BudgetTooSmallError``.  Runs at one (budget, batch, momentum) point
-    share their noise streams across the step-size axis (common random
-    numbers), with replicate generators derived from (seed, budget index,
-    batch index, momentum index, replicate).  All groups advance together in
-    one lockstep step loop (see ``_run_batch``); each generator keeps its
-    own stream, so every metric equals that of the group run on its own.
-    Points are ordered by (budget, batch, momentum, step size).  The best
-    record of a budget is the argmin over the points at that budget value;
-    ties break toward the smallest batch, then the smallest step size,
-    then the largest momentum complement.
+    The arguments pass ``sweep_plan``'s checks and bounds before any step
+    or state-sized array.  As in the grid oracle, a batch larger than a
+    budget is skipped at that budget (not even one step fits).  Runs at one
+    (budget, batch, momentum) point share their noise streams across the
+    step-size axis (common random numbers), with replicate generators
+    derived from (seed, budget index, batch index, momentum index,
+    replicate).  All groups advance together in one lockstep step loop (see
+    ``_run_batch``); each generator keeps its own stream, so every metric
+    equals that of the group run on its own.  Points are ordered by
+    (budget, batch, momentum, step size).  The best record of a budget is
+    the argmin over the points at that budget value; ties break toward the
+    smallest batch, then the smallest step size, then the largest momentum
+    complement.
     """
     size = len(spec.spectrum) if spec.kind == "noisy-quadratic" else math.prod(spec.dims)
     rows = spec.dims[0] if spec.kind == "matrix-least-squares" else 0
-    etas, alphas, batches, budgets, groups, steps = _sweep_plan(
+    etas, alphas, batches, budgets, groups, steps = sweep_plan(
         size, eta_grid, alpha_grid, b_grid, t_grid, replicates, seed, update, init, rows)
-    data = 2 * rows**2
-    _require(data <= MAX_STATE,
-             "matrix-least-squares data, 2 x rows^2, is {:.6g} elements, above the limit "
-             "{:.0e}; lower --rows", data, MAX_STATE)
     obj = _Objective(spec)
     best, _, _ = _run_batch(
         obj, norm, update, etas, alphas[[ai for _, _, ai in groups]],

@@ -1,8 +1,10 @@
 """Command-line surface: outputs, round trips, config handling, exit codes."""
 
+import ast
 import importlib.util
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -341,7 +343,7 @@ def test_no_benchmark_request_exceeds_a_work_limit(capsys, monkeypatch):
 
 
 def _simulate_load(argv):
-    """(work, state, data) of a simulate argv; ``sim._sweep_plan`` raises if work or state is
+    """(work, state, data) of a simulate argv; ``sim.sweep_plan`` raises if work or state is
     over its limit, and data counts the elements of a matrix-least-squares data matrix."""
     from lmoscale import sim
     from lmoscale.cli import _SPECS
@@ -351,9 +353,9 @@ def _simulate_load(argv):
     v.update((flag[2:], specs[flag[2:]].type(value)) for flag, value in zip(argv[1::2], argv[2::2])
              if flag[2:] in specs)
     size = v["dim"] if v["kind"] == "noisy-quadratic" else v["rows"] * v["cols"]
-    etas, _, _, _, groups, steps = sim._sweep_plan(size, v["eta"], v["alpha"], v["b"], v["t"],
-                                                   v["replicates"], v["seed"], v["update"],
-                                                   v["init"])
+    etas, _, _, _, groups, steps = sim.sweep_plan(size, v["eta"], v["alpha"], v["b"], v["t"],
+                                                  v["replicates"], v["seed"], v["update"],
+                                                  v["init"])
     runs = etas.size * v["replicates"] * size
     data = 2 * v["rows"] ** 2 if v["kind"] == "matrix-least-squares" else 0
     return sum(steps) * runs, len(groups) * runs, data
@@ -634,6 +636,49 @@ def test_simulate_past_the_work_or_state_limit_is_invalid_before_the_spectrum(
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"].startswith(limit)
+
+
+_HUGE = str(10**400)  # an int past the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--replicates", _HUGE],
+    ["simulate", "--dim", _HUGE],
+    ["simulate", "--kind", "matrix-least-squares", "--rows", _HUGE],
+    ["simulate", "--kind", "matrix-least-squares", "--cols", _HUGE],
+    ["verify", "--points", _HUGE],
+    ["verify", "--t-points", _HUGE],
+])
+def test_a_count_past_the_float_range_is_invalid_and_names_its_limit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert re.match(r"sweep work, .* is \d(\.\d+)?e\+\d{3,}, above the limit 1e\+(09|10); lower",
+                    json.loads(line)["error"])
+
+
+def test_one_verify_request_builds_each_grid_axis_once(capsys, monkeypatch):
+    sizes = []
+    log_axis = grid._log_axis
+    monkeypatch.setattr(grid, "_log_axis",
+                        lambda lo, hi, n: sizes.append(n) or log_axis(lo, hi, n))
+    code, _, err = run_cli(capsys, "verify", "--points", "30", "--t-points", "40",
+                           "--fit-decades", "10")
+    assert (code, err, sizes) == (0, "", [30, 30, 30, 40])  # b, eta, alpha, then the budgets
+
+
+def test_the_cli_reads_no_private_name_of_a_library_module():
+    library = {"grid", "sim", "proxy", "closed_form", "schedules", "transfer", "contours", "sgd"}
+    path = Path(__file__).resolve().parents[1] / "src" / "lmoscale" / "cli.py"
+    private = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in library and node.attr.startswith("_")):
+            private.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.module in library:
+            private += [f"line {node.lineno}: from .{node.module} import {alias.name}"
+                        for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_fixed_momentum_plan_below_the_batch_is_infeasible(capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lmoscale import closed_form, contours, grid, proxy, sgd, sim, transfer
-from lmoscale.errors import DomainError, NumericalError, _require
+from lmoscale.errors import DomainError, NumericalError, _Count, _require
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lmoscale").glob("*.py"))
 
@@ -63,6 +63,18 @@ def test_templates_format_as_the_f_strings_did(template, value, expected):
     with pytest.raises(DomainError) as info:
         _require(False, template, value)
     assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("n", [0, 7, 999, 1000, 125500, 999999, 1000000, 9999995, 9999985,
+                               284200000000, 2**53, 10**9])
+def test_a_count_formats_as_its_float_does(n):
+    for digits in (3, 6):
+        assert format(_Count(n), f".{digits}g") == format(n, f".{digits}g")
+
+
+def test_a_count_past_the_float_range_formats():
+    # 9995 to 3 digits is a tie, which rounds to even and carries into the exponent
+    assert "{:.6g} {:.3g}".format(_Count(10**400), _Count(9995 * 10**500)) == "1e+400 1e+504"
 
 
 def _config(**kw):

@@ -255,19 +255,30 @@ def test_fit_sweep_exponents_excludes_edges():
     assert fits["risk"].exponent == pytest.approx(-0.25, abs=0.02)
 
 
-def test_a_fit_window_wider_than_the_float_range_holds_every_budget():
+class _Swept(Exception):
+    """Raised in place of the objective's terms once verify's checks have passed."""
+
+
+def _no_terms(*args):
+    raise _Swept
+
+
+def test_a_fit_window_wider_than_the_float_range_holds_every_budget(monkeypatch):
     res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
     clean = [r for r in res.records if not r.at_edge]
     hi = max(r.t for r in clean)
     everything = fit_power_law([r.t for r in clean], [r.risk for r in clean], (0.0, hi))
-    ts = np.logspace(-300.0, 300.0, 5)  # every budget fits only a window past 600 decades
+    monkeypatch.setattr(grid, "token_terms", _no_terms)
+    # budgets 10^-300, 10^-150, ..., 10^300: all five fit only a window past 600 decades
+    wide = GridSpec(t_range=(1e-300, 1e300), t_points=5, points_per_axis=2)
     for decades in (308.3, 400.0, 1e300):  # 10.0**decades overflows
         fits = fit_sweep_exponents(res, decades=decades)
         assert fits["risk"] == everything
         assert all(f.window == (0.0, hi) and f.n_points == len(clean) for f in fits.values())
-        grid._check_fit_window(ts, decades)
-    with pytest.raises(DomainError, match="need at least 5 in-window points, got 3"):
-        grid._check_fit_window(ts, 300.0)
+        with pytest.raises(_Swept):
+            grid.verify(UNIT, wide, decades=decades)
+    with pytest.raises(DomainError, match="need at least 5 in-window points, got 3; widen"):
+        grid.verify(UNIT, wide, decades=300.0)
 
 
 @pytest.mark.parametrize("decades", [2.0, 20.0, 307.5, 308.0, 308.25])
@@ -284,7 +295,7 @@ def test_a_negative_or_nan_fit_window_is_rejected(decades):
     with pytest.raises(DomainError, match=message):
         fit_sweep_exponents(res, decades=decades)
     with pytest.raises(DomainError, match=message):
-        grid._check_fit_window(res.spec.t_axis(), decades)
+        grid.verify(UNIT, res.spec, decades=decades)
     assert grid._decades_factor(0.0) == grid._decades_factor(-0.0) == 1.0
 
 
@@ -314,8 +325,30 @@ def test_a_sweep_past_the_work_limit_is_rejected_before_any_axis(spec, constrain
         raise AssertionError("an axis was built")
 
     monkeypatch.setattr(grid, "_log_axis", no_axis)
-    with pytest.raises(DomainError, match="lower --points or --t-points$"):
-        sweep(UNIT, spec, constraint)
+    for run in (sweep, grid.verify):  # verify adds no fit-window hint to this message
+        with pytest.raises(DomainError, match="lower --points or --t-points$"):
+            run(UNIT, spec, constraint)
+
+
+def test_verify_refuses_an_empty_cap_then_a_short_window_before_the_terms(monkeypatch):
+    monkeypatch.setattr(grid, "token_terms", _no_terms)
+    short = GridSpec(points_per_axis=8)  # the top 2 of 20 decades hold 1 of 8 budgets
+    with pytest.raises(InfeasibleError, match="no grid batch size satisfies the cap 50.0"):
+        grid.verify(UNIT, dataclasses.replace(short, b_range=(500.0, 5e4)), Constraint.cap_b(50.0))
+    with pytest.raises(DomainError, match="^need at least 5 in-window points, got 1; widen the "
+                                          "fit window with --fit-decades or add budgets with "
+                                          "--t-points$"):
+        grid.verify(UNIT, short)
+    with pytest.raises(_Swept):
+        grid.verify(UNIT, short, decades=20.0)
+
+
+@pytest.mark.parametrize("objective", grid.OBJECTIVES)
+def test_verify_is_a_sweep_and_its_fits(objective):
+    spec, constraint = GridSpec(points_per_axis=30), Constraint.fix_alpha(1e-3)
+    result, fits = grid.verify(UNIT, spec, constraint, objective, decades=10.0)
+    assert result == sweep(UNIT, spec, constraint, objective)
+    assert fits == fit_sweep_exponents(result, decades=10.0)
 
 
 def test_constraint_tags():

@@ -260,6 +260,16 @@ class TestObjectives:
         with pytest.raises(DomainError):
             ObjectiveSpec(kind="banana", spectrum=(1.0,))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_a_spectrum_entry_that_is_not_positive_is_rejected(self, bad):
+        with pytest.raises(DomainError, match="^spectrum entries must be > 0$"):
+            ObjectiveSpec(spectrum=(1.0, bad, 2.0))
+
+    def test_a_spectrum_of_floats_equals_one_of_numpy_scalars(self):
+        values = np.geomspace(0.05, 1.0, 7)
+        floats, scalars = (ObjectiveSpec(spectrum=tuple(s)) for s in (values.tolist(), values))
+        assert floats == scalars and hash(floats) == hash(scalars)
+
     def test_max_norm_runs_on_matrix_data_take_no_svd(self, monkeypatch):
         # sign directions and l1 dual norms need no SVD, and neither does the objective
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("an SVD was taken"))
@@ -488,13 +498,13 @@ class TestSweep:
                                               r"counts as 1 \+ rows / 25$"):
             sweep_sim(spec, NormKind.MAX, (0.01,), (1.0,), (1,), (1.4e5,), replicates=1, seed=0)
         # a noisy quadratic of the same size is below the limit
-        plan = sim._sweep_plan(70000, (0.01,), (1.0,), (1,), (1.4e5,), 1, 0, "lmo", "matched")
+        plan = sim.sweep_plan(70000, (0.01,), (1.0,), (1,), (1.4e5,), 1, 0, "lmo", "matched")
         assert plan[-1] == [140000]
 
     def test_a_sweep_at_both_limits_is_accepted(self):
         # 10^4 steps x 1 step size x 10^5 replicates x 10 variables, in one run
         assert 10**4 * 10**5 * 10 == sim.MAX_WORK and 10**5 * 10 == sim.MAX_STATE
-        plan = sim._sweep_plan(10, (0.01,), (1.0,), (1,), (1e4,), 10**5, 0, "lmo", "matched")
+        plan = sim.sweep_plan(10, (0.01,), (1.0,), (1,), (1e4,), 10**5, 0, "lmo", "matched")
         assert plan[-1] == [10**4]
 
     def test_a_diverged_run_keeps_the_least_norm_it_reached(self):
