@@ -87,6 +87,11 @@ _CONSTANTS = [
     Opt("norm-equiv", float, 1.0, help="dual-norm equivalence constant rho"),
 ]
 
+# simulate --kind -> its shape options and their defaults; the other kind's are rejected
+_SHAPES = {"noisy-quadratic": {"dim": 50, "spectrum_lo": 0.05, "spectrum_hi": 1.0},
+           "matrix-least-squares": {"rows": 8, "cols": 8}}
+
+
 _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended below)
     "plan": _CONSTANTS + [
         Opt("regime", str, None, required=True,
@@ -144,11 +149,11 @@ _SPECS: dict[str, list[Opt]] = {  # every command also takes --out (appended bel
         Opt("p", float, None, help="batch-growth exponent of the path (path mode)"),
     ],
     "simulate": [
-        Opt("kind", str, "noisy-quadratic",
-            choices=("noisy-quadratic", "matrix-least-squares")),
-        Opt("dim", int, 50, help="quadratic dimension"),
-        Opt("spectrum-lo", float, 0.05), Opt("spectrum-hi", float, 1.0),
-        Opt("rows", int, 8), Opt("cols", int, 8),
+        Opt("kind", str, "noisy-quadratic", choices=tuple(_SHAPES)),
+        # shape options: no default here, _SHAPES holds each kind's
+        Opt("dim", int, help="quadratic dimension"),
+        Opt("spectrum-lo", float), Opt("spectrum-hi", float),
+        Opt("rows", int), Opt("cols", int),
         Opt("noise-sigma", float, 1.0),
         Opt("x0-scale", float, 1.0),
         Opt("data-seed", int, 0),
@@ -465,6 +470,12 @@ def _cmd_simulate(v: dict) -> None:
 
     from . import sim
 
+    own = _SHAPES[v["kind"]]
+    for kind, options in _SHAPES.items():
+        for dest in options:
+            _require(v[dest] is None or dest in own, "--{} applies only to --kind {}, not {}",
+                     dest.replace("_", "-"), kind, v["kind"])
+    v = {**v, **{dest: default for dest, default in own.items() if v[dest] is None}}
     shape = {"dims": (v["rows"], v["cols"])}
     if v["kind"] == "noisy-quadratic":
         _require(v["dim"] >= 1, "dim must be >= 1, got {}", v["dim"])

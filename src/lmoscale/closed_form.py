@@ -333,7 +333,8 @@ class JointOptimum:
     |f(x)| / (a3 x^3 + a1 x + a0), a few 1e-16 at most.  ``asymptotic_alpha``
     is the two-term expansion, reported alongside the exact back-substituted
     optimum because the landscape in b is flat enough that hidden constants
-    matter.
+    matter.  With ``b_clamped`` set, the fields are not the optimum over b >= 1:
+    see ``optimal_joint``.
     """
 
     alpha_star: float
@@ -354,8 +355,11 @@ def optimal_joint(c: BoundConstants, t: float) -> JointOptimum:
     """Exact joint optimum: cubic root for alpha, then back-substitution.
 
     b*(alpha) never exceeds alpha^(3/2) * T, so K* = T / b* >= 1 holds
-    automatically; b* below 1 is clamped with a flag (small-budget phase
-    where the optimal batch size is 1).
+    automatically.  At small budgets b* falls below 1; then b = 1, K* = T and
+    ``b_clamped`` is set, but alpha stays the free-batch root and only eta is
+    re-tuned, to ``bound_eta_star(c, alpha, 1, t)``.  That point can lie well
+    above the optimum over b >= 1: at c1 = 2, c2 = 0.5, c3 = 1 and T = 1e6 it
+    reports 0.064661 at alpha 0.00274, where alpha 0.0040 at b = 1 gives 0.063481.
     """
     cubic = momentum_cubic(c, t)
     root, residual = solve_momentum_cubic(cubic)

@@ -125,26 +125,6 @@ class Constraint:
             _require(self.b_cap >= 1, "b_cap must be >= 1, got {}", self.b_cap)
             _require(self.fixed_b is None, "fixed_b and b_cap are mutually exclusive")
 
-    @classmethod
-    def free(cls) -> "Constraint":
-        return cls()
-
-    @classmethod
-    def fix_alpha(cls, alpha: float) -> "Constraint":
-        return cls(fixed_alpha=alpha)
-
-    @classmethod
-    def fix_b(cls, b: float) -> "Constraint":
-        return cls(fixed_b=b)
-
-    @classmethod
-    def fix_eta(cls, eta: float) -> "Constraint":
-        return cls(fixed_eta=eta)
-
-    @classmethod
-    def cap_b(cls, b_max: float) -> "Constraint":
-        return cls(b_cap=b_max)
-
     @property
     def tag(self) -> str:
         fixed = [name for name, field, _ in _AXES if getattr(self, field) is not None]

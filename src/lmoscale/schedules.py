@@ -166,10 +166,6 @@ class NoiseModel:
         if p is not None and abs(self.q - implied) > 1e-12:
             raise DomainError(f"heavy_tail_p={p} requires q = 1 - 1/p = {implied}, got {self.q}")
 
-    @classmethod
-    def heavy_tailed(cls, p: float) -> "NoiseModel":
-        return cls(heavy_tail_p=p)
-
 
 @dataclass(frozen=True)
 class NoiseSensitivity:

@@ -103,7 +103,7 @@ def test_criterion_02_closed_form_vs_oracle():
     start_time = time.perf_counter()
     ts = np.geomspace(1e10, 1e22, 20)
     spec = GridSpec(t_range=(1e10, 1e22), t_points=20)
-    slack = 1.0 + 4.0 * spec.max_log_step(Constraint.free())
+    slack = 1.0 + 4.0 * spec.max_log_step(Constraint())
     checked = 0
 
     def leading_fixed_batch(eta, alpha, b, k):
@@ -149,9 +149,9 @@ def test_criterion_02_closed_form_vs_oracle():
         return opt.risk_star, stat, anchor
 
     regimes.append(("thm1-fixed-b", Constraint(fixed_alpha=1.0, fixed_b=32.0), "risk_tokens", thm1_fixed))
-    regimes.append(("thm1-joint-b", Constraint.fix_alpha(1.0), "risk_tokens", thm1_joint))
-    regimes.append(("thm2", Constraint.fix_b(1072.0), "risk_tokens", thm2))
-    regimes.append(("thm3", Constraint.free(), "bound_tokens", thm3))
+    regimes.append(("thm1-joint-b", Constraint(fixed_alpha=1.0), "risk_tokens", thm1_joint))
+    regimes.append(("thm2", Constraint(fixed_b=1072.0), "risk_tokens", thm2))
+    regimes.append(("thm3", Constraint(), "bound_tokens", thm3))
 
     objective_fn = {
         "risk_tokens": lambda p, t: risk_tokens(UNIT, HyperParams(p["eta"], p.get("alpha", 1.0), p.get("b", 32.0)), t),
@@ -210,7 +210,7 @@ def test_criterion_02_closed_form_vs_oracle():
 
 
 def test_criterion_03_fixed_momentum_exponents():
-    result = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
+    result = sweep(UNIT, GridSpec(), Constraint(fixed_alpha=1e-3))
     fits = fit_sweep_exponents(result, decades=20.0)  # full post-burn-in window
     assert fits["b"].exponent == pytest.approx(0.5, abs=0.05)
     assert fits["eta"].exponent == pytest.approx(-0.25, abs=0.05)
@@ -221,7 +221,7 @@ def test_criterion_03_fixed_momentum_exponents():
 
 @pytest.mark.parametrize("batch", [1072.0, 32.0, 35111.0])
 def test_criterion_04_fixed_batch_exponents(batch):
-    result = sweep(UNIT, GridSpec(), Constraint.fix_b(batch))
+    result = sweep(UNIT, GridSpec(), Constraint(fixed_b=batch))
     fits = fit_sweep_exponents(result, decades=20.0)
     assert fits["alpha"].exponent == pytest.approx(-0.5, abs=0.05)
     assert fits["eta"].exponent == pytest.approx(-0.75, abs=0.05)
@@ -231,7 +231,7 @@ def test_criterion_04_fixed_batch_exponents(batch):
 
 
 def test_criterion_05_joint_tuning_exponents():
-    result = sweep(UNIT, GridSpec(), Constraint.free())
+    result = sweep(UNIT, GridSpec(), Constraint())
     fits = fit_sweep_exponents(result, decades=20.0)
     assert fits["alpha"].exponent == pytest.approx(-1.0 / 3.0, abs=0.07)
     assert fits["eta"].exponent == pytest.approx(-7.0 / 12.0, abs=0.07)

@@ -346,12 +346,13 @@ def _simulate_load(argv):
     """(work, state, data) of a simulate argv; ``sim.sweep_plan`` raises if work or state is
     over its limit, and data counts the elements of a matrix-least-squares data matrix."""
     from lmoscale import sim
-    from lmoscale.cli import _SPECS
+    from lmoscale.cli import _SHAPES, _SPECS
 
     specs = {opt.name: opt for opt in _SPECS["simulate"]}
     v = {name: opt.default for name, opt in specs.items()}
     v.update((flag[2:], specs[flag[2:]].type(value)) for flag, value in zip(argv[1::2], argv[2::2])
              if flag[2:] in specs)
+    v.update((dest, default) for dest, default in _SHAPES[v["kind"]].items() if v.get(dest) is None)
     size = v["dim"] if v["kind"] == "noisy-quadratic" else v["rows"] * v["cols"]
     etas, _, _, _, groups, steps = sim.sweep_plan(size, v["eta"], v["alpha"], v["b"], v["t"],
                                                   v["replicates"], v["seed"], v["update"],
@@ -377,8 +378,8 @@ def test_no_simulate_input_exceeds_a_simulator_limit(monkeypatch):
     for case in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text()):
         if case["argv"][0] == "simulate":
             loads["golden"].append(_simulate_load(case["argv"]))
-    always = test_cli_contract.COMMANDS["simulate"][0]
-    for kind in ("noisy-quadratic", "matrix-least-squares"):
+    for kind, (shape, _) in test_cli_contract.SIMULATE_KINDS.items():
+        always = {**test_cli_contract.COMMANDS["simulate"][0], **shape}
         for values in itertools.product(*always.values()):
             argv = ["simulate", "--kind", kind]
             for name, value in zip(always, values):
@@ -655,6 +656,39 @@ def test_a_count_past_the_float_range_is_invalid_and_names_its_limit(capsys, arg
     (line,) = err.splitlines()
     assert re.match(r"sweep work, .* is \d(\.\d+)?e\+\d{3,}, above the limit 1e\+(09|10); lower",
                     json.loads(line)["error"])
+
+
+@pytest.mark.parametrize("argv, option, kind", [
+    (["--rows", "1" + "0" * 400], "rows", "matrix-least-squares"),
+    (["--cols", "3"], "cols", "matrix-least-squares"),
+    (["--kind", "matrix-least-squares", "--dim", "4"], "dim", "noisy-quadratic"),
+    (["--kind", "matrix-least-squares", "--spectrum-lo", "0.1"], "spectrum-lo",
+     "noisy-quadratic"),
+])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_simulate_rejects_a_shape_option_of_the_other_kind(capsys, tmp_path, argv, option, kind,
+                                                            by_config):
+    if by_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(zip((flag[2:] for flag in argv[::2]), argv[1::2]))))
+        argv = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    other = "noisy-quadratic" if kind == "matrix-least-squares" else "matrix-least-squares"
+    assert json.loads(line)["error"] == f"--{option} applies only to --kind {kind}, not {other}"
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("noisy-quadratic", ["--dim", "50", "--spectrum-lo", "0.05", "--spectrum-hi", "1.0"]),
+    ("matrix-least-squares", ["--rows", "8", "--cols", "8"]),
+])
+def test_simulate_shape_options_default_per_kind(capsys, kind, shape):
+    argv = ["simulate", "--kind", kind, "--eta", "0.01", "--b", "4", "--t", "64",
+            "--replicates", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and err == ""
+    assert run_cli(capsys, *argv, *shape) == (code, out, err)
 
 
 def test_one_verify_request_builds_each_grid_axis_once(capsys, monkeypatch):

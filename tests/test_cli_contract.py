@@ -72,14 +72,19 @@ COMMANDS = {
          "b-hi": ("1e6", "1e15"), "t-lo": ("1e2", "1e6"), "t-hi": ("1e12", "1e22")},
     ),
     "simulate": (
-        {"dim": ("1", "3"), "rows": ("1", "3"), "cols": ("2", "3"), "replicates": ("1", "2"),
-         "t": ("8", "64", "4,64"), "b": ("1", "4", "1,8", "64"), "eta": ("0.01", "0.01,0.1"),
-         "alpha": ("1", "0.5,1")},
-        {"kind": ("noisy-quadratic", "matrix-least-squares"),
-         "norm": ("euclidean", "max", "spectral"), "update": ("lmo", "sgd"),
+        {"replicates": ("1", "2"), "t": ("8", "64", "4,64"), "b": ("1", "4", "1,8", "64"),
+         "eta": ("0.01", "0.01,0.1"), "alpha": ("1", "0.5,1")},
+        {"norm": ("euclidean", "max", "spectral"), "update": ("lmo", "sgd"),
          "init": ("matched", "zero"), "noise-sigma": ("0", "1"), "x0-scale": ("1", "0.1"),
-         "spectrum-lo": ("0.05", "1"), "spectrum-hi": ("1", "2"), "data-seed": ("0", "3")},
+         "data-seed": ("0", "3")},
     ),
+}
+# simulate --kind -> its shape options, (always passed, may be passed) as in COMMANDS; the
+# other kind's shape options are rejected, so each draw takes its own kind's only
+SIMULATE_KINDS = {
+    "noisy-quadratic": ({"dim": ("1", "3")}, {"spectrum-lo": ("0.05", "1"),
+                                              "spectrum-hi": ("1", "2")}),
+    "matrix-least-squares": ({"rows": ("1", "3"), "cols": ("2", "3")}, {}),
 }
 LIST_OPTIONS = {("simulate", name) for name in ("t", "b", "eta", "alpha")} | {("compare-sgd", "b")}
 INT_OPTIONS = {"points", "t-points", "k-points", "dim", "rows", "cols", "replicates", "seed",
@@ -105,6 +110,11 @@ def invocations(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     always, optional = COMMANDS[command]
     optional = {**optional, **COMMON.get(command, {})}
+    if command == "simulate":  # the default kind may go unnamed
+        kind = draw(st.sampled_from(sorted(SIMULATE_KINDS)))
+        shape, more = SIMULATE_KINDS[kind]
+        always, optional = {**always, **shape}, {**optional, **more}
+        (optional if kind == "noisy-quadratic" else always)["kind"] = (kind,)
     names = list(always) + draw(
         st.lists(st.sampled_from(sorted(optional)), max_size=4, unique=True)
     )

@@ -88,6 +88,13 @@ def _sweep(etas, t, spec=None, **kw):
                   **{"replicates": 1, "seed": 0, **kw})
 
 
+def _simulate(*argv):
+    from lmoscale import cli
+
+    args = cli._build_parser("simulate").parse_args(["simulate", *argv])
+    cli._cmd_simulate(cli._merge_config("simulate", args))
+
+
 def _matrix_spec(dims, **kw):
     return sim.ObjectiveSpec(kind="matrix-least-squares", dims=dims, **kw)
 
@@ -138,6 +145,10 @@ MESSAGES = [
     (lambda: _sweep([0.1], 30.0, _matrix_spec((2000, 1))), DomainError,
      "matrix-least-squares data, 2 x rows^2, is 8e+06 elements, above the limit 1e+06; "
      "lower --rows"),
+    (lambda: _simulate("--rows", "5"), DomainError,
+     "--rows applies only to --kind matrix-least-squares, not noisy-quadratic"),
+    (lambda: _simulate("--kind", "matrix-least-squares", "--dim", "4"), DomainError,
+     "--dim applies only to --kind noisy-quadratic, not matrix-least-squares"),
     (lambda: closed_form.momentum_cubic(proxy.BoundConstants(1e300, 1e300, 1.0), 1e30),
      NumericalError, "momentum cubic coefficient a3 = inf leaves the float range at t=1e+30 "
      "(delta0=1e+300, L=1e+300, rho*sigma=1.0)"),

@@ -69,7 +69,7 @@ def test_kernel_matches_scalar_evaluators():
 
 def test_sweep_lands_one_grid_step_from_closed_form():
     spec = GridSpec(t_range=(1e8, 1e8), t_points=1)
-    rec = sweep(UNIT, spec, Constraint.fix_alpha(1.0)).records[0]
+    rec = sweep(UNIT, spec, Constraint(fixed_alpha=1.0)).records[0]
     opt = optimal_fixed_momentum_tokens(UNIT, 1.0, 1e8)
     eta_step = math.log(1e4 / 1e-15) / 99
     b_step = math.log(1e15 / 1.0) / 99
@@ -80,7 +80,7 @@ def test_sweep_lands_one_grid_step_from_closed_form():
 
 def test_fixed_batch_sweep_dominates_closed_form():
     spec = GridSpec(t_range=(1e12, 1e12), t_points=1)
-    rec = sweep(UNIT, spec, Constraint.fix_b(1.0)).records[0]
+    rec = sweep(UNIT, spec, Constraint(fixed_b=1.0)).records[0]
     assert rec.b == 1.0
     opt = optimal_fixed_batch(UNIT, 1.0, Budget.tokens(1e12))
     assert rec.risk >= opt.risk_star
@@ -90,24 +90,24 @@ def test_fixed_batch_sweep_dominates_closed_form():
 def test_small_budget_prefers_batch_one():
     # burn-in phase: heavy momentum keeps the best batch pinned at 1
     spec = GridSpec(t_range=(1e3, 1e3), t_points=1)
-    rec = sweep(UNIT, spec, Constraint.fix_alpha(1e-3)).records[0]
+    rec = sweep(UNIT, spec, Constraint(fixed_alpha=1e-3)).records[0]
     assert rec.b == 1.0
     assert "b-lo" in rec.at_edge
     # jointly tuned momentum leaves burn-in earlier; push the budget lower
-    rec = sweep(UNIT, GridSpec(t_range=(1e2, 1e2), t_points=1), Constraint.free()).records[0]
+    rec = sweep(UNIT, GridSpec(t_range=(1e2, 1e2), t_points=1), Constraint()).records[0]
     assert rec.b == 1.0
     assert "b-lo" in rec.at_edge
 
 
 def test_sweep_is_deterministic():
     spec = GridSpec(t_range=(1e4, 1e12), t_points=9, points_per_axis=25)
-    a = sweep(UNIT, spec, Constraint.fix_alpha(0.01))
-    b = sweep(UNIT, spec, Constraint.fix_alpha(0.01))
+    a = sweep(UNIT, spec, Constraint(fixed_alpha=0.01))
+    b = sweep(UNIT, spec, Constraint(fixed_alpha=0.01))
     assert a == b
 
 
 def test_best_risk_monotone_in_budget():
-    for constraint in (Constraint.free(), Constraint.fix_alpha(1e-3)):
+    for constraint in (Constraint(), Constraint(fixed_alpha=1e-3)):
         res = sweep(UNIT, GridSpec(points_per_axis=40, t_points=40), constraint)
         risks = res.column("risk")
         assert np.all(np.diff(risks) <= 0)
@@ -115,7 +115,7 @@ def test_best_risk_monotone_in_budget():
 
 def test_infeasible_budgets_are_skipped():
     spec = GridSpec(t_range=(1e2, 1e6), t_points=20)
-    res = sweep(UNIT, spec, Constraint.fix_b(35111.0))
+    res = sweep(UNIT, spec, Constraint(fixed_b=35111.0))
     assert all(r.t >= 35111.0 for r in res.records)
     assert len(res.records) < 20
 
@@ -123,7 +123,7 @@ def test_infeasible_budgets_are_skipped():
 def test_entirely_infeasible_sweep_raises():
     spec = GridSpec(t_range=(1e2, 1e3), t_points=4)
     with pytest.raises(InfeasibleError):
-        sweep(UNIT, spec, Constraint.fix_b(1e6))
+        sweep(UNIT, spec, Constraint(fixed_b=1e6))
 
 
 def test_composite_constraint_reduces_to_eta_line():
@@ -139,10 +139,10 @@ def test_composite_constraint_reduces_to_eta_line():
 
 def test_capped_batch_constraint():
     spec = GridSpec(t_range=(1e18, 1e18), t_points=1)
-    rec = sweep(UNIT, spec, Constraint.cap_b(1e4)).records[0]
+    rec = sweep(UNIT, spec, Constraint(b_cap=1e4)).records[0]
     assert rec.b <= 1e4
     with pytest.raises(InfeasibleError):
-        sweep(UNIT, GridSpec(b_range=(10.0, 1e15)), Constraint.cap_b(2.0))
+        sweep(UNIT, GridSpec(b_range=(10.0, 1e15)), Constraint(b_cap=2.0))
 
 
 def test_noiseless_argmin_corners():
@@ -150,7 +150,7 @@ def test_noiseless_argmin_corners():
     # batch and the largest momentum complement at a pinned step size
     c = BoundConstants(delta0=1.0, smoothness=1.0, noise_scale=0.0)
     spec = GridSpec(t_range=(1e8, 1e8), t_points=1, points_per_axis=11)
-    rec = sweep(c, spec, Constraint.fix_eta(1e-4)).records[0]
+    rec = sweep(c, spec, Constraint(fixed_eta=1e-4)).records[0]
     assert rec.b == 1.0
     assert rec.alpha == 1.0
 
@@ -205,7 +205,7 @@ def test_fit_recovers_closed_form_exponents_exactly():
 
 
 def test_fixed_momentum_batch_exponent_on_verification_grid():
-    res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
+    res = sweep(UNIT, GridSpec(), Constraint(fixed_alpha=1e-3))
     clean = [r for r in res.records if not r.at_edge]
     fit = fit_power_law(
         [r.t for r in clean], [r.b for r in clean], window=(1e12, 1e22)
@@ -216,14 +216,14 @@ def test_fixed_momentum_batch_exponent_on_verification_grid():
 def test_detect_burn_in_momentum_off():
     # with momentum off the joint batch optimum crosses 1 at T = 8
     spec = GridSpec(t_range=(1.0, 1e4), t_points=40, b_range=(1.0, 1e3))
-    res = sweep(UNIT, spec, Constraint.fix_alpha(1.0))
+    res = sweep(UNIT, spec, Constraint(fixed_alpha=1.0))
     threshold = detect_burn_in(res)
     assert threshold is not None
     assert 8.0 / 2.0 <= threshold <= 8.0 * 4.0
 
 
 def test_detect_burn_in_heavy_momentum():
-    res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
+    res = sweep(UNIT, GridSpec(), Constraint(fixed_alpha=1e-3))
     threshold = detect_burn_in(res)
     # oracle: solve for the budget where the tuned batch optimum crosses 1,
     # c2_eff = 2 sqrt(c1 c3_eff / T) + c2 / (alpha T)
@@ -241,12 +241,12 @@ def test_detect_burn_in_heavy_momentum():
 
 def test_detect_burn_in_sentinel():
     spec = GridSpec(t_range=(1.0, 4.0), t_points=5)
-    res = sweep(UNIT, spec, Constraint.fix_alpha(1.0))
+    res = sweep(UNIT, spec, Constraint(fixed_alpha=1.0))
     assert detect_burn_in(res) is None
 
 
 def test_fit_sweep_exponents_excludes_edges():
-    res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
+    res = sweep(UNIT, GridSpec(), Constraint(fixed_alpha=1e-3))
     fits = fit_sweep_exponents(res, decades=10.0)
     assert set(fits) == {"risk", "eta", "b"}
     assert all(f.window == (1e12, 1e22) for f in fits.values())
@@ -264,7 +264,7 @@ def _no_terms(*args):
 
 
 def test_a_fit_window_wider_than_the_float_range_holds_every_budget(monkeypatch):
-    res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
+    res = sweep(UNIT, GridSpec(), Constraint(fixed_alpha=1e-3))
     clean = [r for r in res.records if not r.at_edge]
     hi = max(r.t for r in clean)
     everything = fit_power_law([r.t for r in clean], [r.risk for r in clean], (0.0, hi))
@@ -283,7 +283,7 @@ def test_a_fit_window_wider_than_the_float_range_holds_every_budget(monkeypatch)
 
 @pytest.mark.parametrize("decades", [2.0, 20.0, 307.5, 308.0, 308.25])
 def test_a_fit_window_within_the_float_range_keeps_its_edge(decades):
-    res = sweep(UNIT, GridSpec(), Constraint.fix_alpha(1e-3))
+    res = sweep(UNIT, GridSpec(), Constraint(fixed_alpha=1e-3))
     hi = max(r.t for r in res.records if not r.at_edge)
     assert fit_sweep_exponents(res, decades=decades)["risk"].window == (hi / 10.0**decades, hi)
 
@@ -300,25 +300,25 @@ def test_a_negative_or_nan_fit_window_is_rejected(decades):
 
 
 def test_sweep_work_is_cells_plus_budgets_times_cells():
-    assert grid._sweep_work(GridSpec(), Constraint.free()) == 100**3 * 101
-    assert grid._sweep_work(GridSpec(), Constraint.cap_b(10.0)) == 100**3 * 101  # cap ignored
-    assert grid._sweep_work(GridSpec(t_points=7), Constraint.fix_alpha(0.1)) == 100**2 * 8
+    assert grid._sweep_work(GridSpec(), Constraint()) == 100**3 * 101
+    assert grid._sweep_work(GridSpec(), Constraint(b_cap=10.0)) == 100**3 * 101  # cap ignored
+    assert grid._sweep_work(GridSpec(t_points=7), Constraint(fixed_alpha=0.1)) == 100**2 * 8
     spec = GridSpec(points_per_axis=5)
     assert grid._sweep_work(spec, Constraint(fixed_b=2.0, fixed_eta=1.0)) == 5 * 6
 
 
 def test_sweeps_up_to_the_work_limit_are_accepted():
     at_limit = GridSpec(t_points=999)  # 10^6 cells x (1 + 999 budgets)
-    assert grid._sweep_work(at_limit, Constraint.free()) == grid.MAX_SWEEP_WORK
-    assert [axis.size for axis in grid._swept_axes(at_limit, Constraint.free())] == [100] * 3
+    assert grid._sweep_work(at_limit, Constraint()) == grid.MAX_SWEEP_WORK
+    assert [axis.size for axis in grid._swept_axes(at_limit, Constraint())] == [100] * 3
     with pytest.raises(DomainError, match=r"is 1e\+09, above the limit 1e\+09"):
-        grid._swept_axes(GridSpec(t_points=1000), Constraint.free())
+        grid._swept_axes(GridSpec(t_points=1000), Constraint())
 
 
 @pytest.mark.parametrize("spec, constraint", [
-    (GridSpec(points_per_axis=3000), Constraint.free()),
-    (GridSpec(points_per_axis=1000), Constraint.fix_alpha(0.1)),
-    (GridSpec(points_per_axis=2, t_points=10**9), Constraint.fix_b(1.0)),
+    (GridSpec(points_per_axis=3000), Constraint()),
+    (GridSpec(points_per_axis=1000), Constraint(fixed_alpha=0.1)),
+    (GridSpec(points_per_axis=2, t_points=10**9), Constraint(fixed_b=1.0)),
 ])
 def test_a_sweep_past_the_work_limit_is_rejected_before_any_axis(spec, constraint, monkeypatch):
     def no_axis(*args):
@@ -334,7 +334,7 @@ def test_verify_refuses_an_empty_cap_then_a_short_window_before_the_terms(monkey
     monkeypatch.setattr(grid, "token_terms", _no_terms)
     short = GridSpec(points_per_axis=8)  # the top 2 of 20 decades hold 1 of 8 budgets
     with pytest.raises(InfeasibleError, match="no grid batch size satisfies the cap 50.0"):
-        grid.verify(UNIT, dataclasses.replace(short, b_range=(500.0, 5e4)), Constraint.cap_b(50.0))
+        grid.verify(UNIT, dataclasses.replace(short, b_range=(500.0, 5e4)), Constraint(b_cap=50.0))
     with pytest.raises(DomainError, match="^need at least 5 in-window points, got 1; widen the "
                                           "fit window with --fit-decades or add budgets with "
                                           "--t-points$"):
@@ -345,18 +345,18 @@ def test_verify_refuses_an_empty_cap_then_a_short_window_before_the_terms(monkey
 
 @pytest.mark.parametrize("objective", grid.OBJECTIVES)
 def test_verify_is_a_sweep_and_its_fits(objective):
-    spec, constraint = GridSpec(points_per_axis=30), Constraint.fix_alpha(1e-3)
+    spec, constraint = GridSpec(points_per_axis=30), Constraint(fixed_alpha=1e-3)
     result, fits = grid.verify(UNIT, spec, constraint, objective, decades=10.0)
     assert result == sweep(UNIT, spec, constraint, objective)
     assert fits == fit_sweep_exponents(result, decades=10.0)
 
 
 def test_constraint_tags():
-    assert Constraint.free().tag == "free"
-    assert Constraint.fix_alpha(0.5).tag == "fixed-alpha"
-    assert Constraint.fix_b(2.0).tag == "fixed-b"
-    assert Constraint.fix_eta(0.1).tag == "fixed-eta"
-    assert Constraint.cap_b(10.0).tag == "capped-b"
+    assert Constraint().tag == "free"
+    assert Constraint(fixed_alpha=0.5).tag == "fixed-alpha"
+    assert Constraint(fixed_b=2.0).tag == "fixed-b"
+    assert Constraint(fixed_eta=0.1).tag == "fixed-eta"
+    assert Constraint(b_cap=10.0).tag == "capped-b"
     assert Constraint(fixed_alpha=1.0, fixed_b=1.0).tag == "composite"
     with pytest.raises(DomainError):
         Constraint(fixed_b=2.0, b_cap=4.0)

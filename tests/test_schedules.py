@@ -155,20 +155,20 @@ def test_noise_sensitivity_small_q_pushes_small_batches():
 
 
 def test_heavy_tail_model():
-    model = NoiseModel.heavy_tailed(4.0 / 3.0)
+    model = NoiseModel(heavy_tail_p=4.0 / 3.0)
     assert model.q == pytest.approx(0.25, abs=1e-15)
     s = noise_exponent_sensitivity(model, b=16.0, t=1e10)
     assert s.perf_b_exponent == pytest.approx(0.125, abs=1e-14)
     with pytest.raises(DomainError):
         NoiseModel(q=0.3, heavy_tail_p=1.5)  # 1 - 1/p = 1/3 != 0.3
     with pytest.raises(DomainError):
-        NoiseModel.heavy_tailed(2.5)
+        NoiseModel(heavy_tail_p=2.5)
 
 
 @pytest.mark.parametrize("p", [0, 1, 0.5, math.nan])
 def test_heavy_tail_index_is_checked_before_q_is_formed(p):
     with pytest.raises(DomainError, match=r"^heavy_tail_p must be in \(1, 2\], got "):
-        NoiseModel.heavy_tailed(p)
+        NoiseModel(heavy_tail_p=p)
 
 
 def test_perf_scale_point_evaluation():
