@@ -25,8 +25,9 @@ class of each schema's record, so a table loads only its own module.  The
 other documents are JSON built from the fields of the result dataclasses.
 Exit codes: 0 ok, 2 invalid input (argument errors, non-finite numbers,
 an unreadable config and an unwritable output file included), 3
-infeasible request, 4 numerical failure or memory exhaustion.  Every
-failure writes one JSON line to stderr.
+infeasible request, 4 numerical failure (a simulate metric that JSON
+cannot hold included) or memory exhaustion.  Every failure writes one
+JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -492,6 +493,11 @@ def _cmd_simulate(v: dict) -> None:
                            init=v["init"])
     meta = {"norm": v["norm"], "update": v["update"], "seed": v["seed"]}
     if v["format"] == "json":
+        bad = next((p for p in result.points if not math.isfinite(p.metric)), None)
+        if bad is not None:
+            raise NumericalError(f"simulate: metric {bad.metric} at t={bad.t}, b={bad.b}, "
+                                 f"alpha={bad.alpha}, eta={bad.eta}; JSON cannot hold it, "
+                                 "--format csv can")
         _emit(_json("sim-sweep/v1", {**meta, "best": result.best, "points": result.points}),
               v["out"])
         return

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetTooSmallError, DomainError, NumericalError, _require
+from .errors import DomainError, NumericalError, _require
 from .proxy import (SMOOTHNESS_WEIGHT, BoundConstants, Budget, eta_coefficients,
                     smoothness_weight, token_terms)
 from .schedules import PowerLawSchedule, TunedLaw, aggressive_ceiling
@@ -120,10 +120,7 @@ def optimal_fixed_momentum_tokens(
             )
     else:
         _require(b >= 1, "b must be >= 1, got {}", b)
-        if t < b:
-            raise BudgetTooSmallError(f"token budget {t} is below batch size {b}; "
-                                      "not even one step fits")
-    eta, risk = _at_steps(c, c2e, c3e, b, t / b)
+    eta, risk = _at_steps(c, c2e, c3e, b, Budget.tokens(t).steps_for(b))
     return FixedMomentumOptimum(eta_star=eta, risk_star=risk, regime=regime, b_star=b,
                                 clamped=clamped)
 
@@ -368,15 +365,12 @@ def optimal_joint(c: BoundConstants, t: float) -> JointOptimum:
     b_raw = batch_star_given_momentum(c, alpha, t)
     b_clamped = b_raw < 1.0
     b = max(b_raw, 1.0)
-    eta = bound_eta_star(c, alpha, b, t)
-    # bound_eta_minimized's risk, at the eta already found
-    descent, burn, floor, smooth = token_terms(c, eta, alpha, b, True)
     return JointOptimum(
         alpha_star=alpha,
         b_star=b,
-        eta_star=eta,
+        eta_star=bound_eta_star(c, alpha, b, t),
         k_star=t / b,
-        risk_star=(descent + burn) / t + floor + smooth,
+        risk_star=bound_eta_minimized(c, alpha, b, t),
         cubic=cubic,
         alpha_root=root,
         cubic_residual=residual,

@@ -171,11 +171,7 @@ def token_terms(c: BoundConstants, eta, alpha, b, exact: bool) -> tuple:
     Plain operators only, so eta, alpha and b may be floats or numpy
     arrays that broadcast against each other.
     """
-    # eta_coefficients inlined, so the scalar evaluators stay one call deep
-    if exact:
-        scale, plain, momentum = c.smoothness, SMOOTHNESS_WEIGHT, MOMENTUM_SMOOTHNESS_WEIGHT
-    else:
-        scale, plain, momentum = c.c3, 1.0, 1.0
+    scale, plain, momentum = eta_coefficients(c, exact)
     c2 = c.c2
     sqrt_b = b**0.5
     return (
@@ -196,14 +192,17 @@ def bound_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     return bound_tokens(c, h, h.batch * steps)
 
 
+def _token_value(c: BoundConstants, h: HyperParams, tokens: float, exact: bool) -> float:
+    """The bound (exact) or the folded proxy at a token budget."""
+    if tokens < h.batch:
+        raise BudgetTooSmallError(f"token budget {tokens} is below batch size {h.batch}")
+    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, exact)
+    return (descent + burn) / tokens + floor + smooth
+
+
 def bound_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
     """Exact five-term bound at a token budget (substitute K = T / b)."""
-    if tokens < h.batch:
-        raise BudgetTooSmallError(
-            f"token budget {tokens} is below batch size {h.batch}"
-        )
-    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, True)
-    return (descent + burn) / tokens + floor + smooth
+    return _token_value(c, h, tokens, True)
 
 
 def risk_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
@@ -214,12 +213,7 @@ def risk_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
 
 def risk_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
     """Compact proxy at a token budget; equals risk_steps at K = T / b."""
-    if tokens < h.batch:
-        raise BudgetTooSmallError(
-            f"token budget {tokens} is below batch size {h.batch}"
-        )
-    descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, False)
-    return (descent + burn) / tokens + floor + smooth
+    return _token_value(c, h, tokens, False)
 
 
 def risk_large_horizon(

@@ -207,9 +207,9 @@ def noise_exponent_sensitivity(model: NoiseModel, b: float, t: float) -> NoiseSe
     return NoiseSensitivity(
         q=model.q,
         alpha_b_exp=model.q,
-        alpha_k_exp=0.5,
+        alpha_k_exp=TunedLaw.TUNED_MOMENTUM.alpha_t,
         eta_b_exp=model.q / 2.0,
-        eta_k_exp=0.75,
+        eta_k_exp=TunedLaw.TUNED_MOMENTUM.eta_t,
         perf_b_exponent=exponent,
         interpretation=interpretation,
         perf_scale=t**-0.25 * b**exponent,

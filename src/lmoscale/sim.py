@@ -48,7 +48,7 @@ __all__ = [
     "MAX_STATE",
 ]
 
-MAX_STEPS = 10**7  # steps per run that sweep_sim accepts
+MAX_STEPS = 10**7  # steps per run that run and sweep_sim accept
 # A sweep's work is the sum over its (budget, batch, momentum) groups of
 # steps x step sizes x replicates x variable size: about 2 minutes at the
 # limit on a 2-vCPU host.  A matrix-least-squares element-step also pays its
@@ -135,9 +135,9 @@ class ObjectiveSpec:
     ``noisy-quadratic`` is 0.5 * sum(spectrum * x^2) started from
     x0_scale * ones; ``matrix-least-squares`` is 0.5 * ||A X - Y||_F^2 on a
     dims-shaped matrix variable with data drawn deterministically from
-    data_seed and started from zero.  Per-sample gradient noise has scale
-    noise_sigma; a mini-batch of size b averages it down to noise_sigma /
-    sqrt(b) per coordinate.
+    data_seed and started from zero.  The other kind's shape field must be
+    None.  Per-sample gradient noise has scale noise_sigma; a mini-batch of
+    size b averages it down to noise_sigma / sqrt(b) per coordinate.
     """
 
     kind: str = "noisy-quadratic"
@@ -154,7 +154,11 @@ class ObjectiveSpec:
             _require(self.spectrum is not None and len(self.spectrum) > 0,
                      "noisy-quadratic needs a spectrum")
             _require(np.min(self.spectrum) > 0, "spectrum entries must be > 0")
+            _require(self.dims is None,
+                     "dims applies only to kind matrix-least-squares, not noisy-quadratic")
         elif self.kind == "matrix-least-squares":
+            _require(self.spectrum is None,
+                     "spectrum applies only to kind noisy-quadratic, not matrix-least-squares")
             _require(self.dims is not None and len(self.dims) == 2,
                      "matrix-least-squares needs dims=(rows, cols)")
             for name, d in zip(("rows", "cols"), self.dims):
@@ -422,8 +426,23 @@ def _run_batch(
     return best[back], trace, x[back]
 
 
+def _variable(spec: ObjectiveSpec) -> tuple[int, int]:
+    """(size, rows) of the variable that ``sweep_plan`` bounds; rows is 0 for a noisy quadratic."""
+    if spec.kind == "noisy-quadratic":
+        return len(spec.spectrum), 0
+    return math.prod(spec.dims), spec.dims[0]
+
+
 def run(spec: ObjectiveSpec, cfg: LmoConfig) -> SimRun:
-    """One seeded run; bit-identical output for identical (spec, cfg)."""
+    """One seeded run; bit-identical output for identical (spec, cfg).
+
+    The run passes ``sweep_plan``'s checks and bounds, as one group and one
+    replicate at budget t = batch x steps, before its objective is built.
+    """
+    size, rows = _variable(spec)
+    # a product of Python ints is exact, where one of numpy integers can wrap
+    sweep_plan(size, [cfg.eta], [cfg.alpha], [cfg.batch], [int(cfg.batch) * int(cfg.steps)], 1,
+               cfg.seed, cfg.update, cfg.init, rows)
     obj = _Objective(spec)
     best, trace, x = _run_batch(
         obj,
@@ -559,8 +578,7 @@ def sweep_sim(
     smallest batch, then the smallest step size, then the largest momentum
     complement.
     """
-    size = len(spec.spectrum) if spec.kind == "noisy-quadratic" else math.prod(spec.dims)
-    rows = spec.dims[0] if spec.kind == "matrix-least-squares" else 0
+    size, rows = _variable(spec)
     etas, alphas, batches, budgets, groups, steps = sweep_plan(
         size, eta_grid, alpha_grid, b_grid, t_grid, replicates, seed, update, init, rows)
     obj = _Objective(spec)

@@ -451,6 +451,18 @@ def test_json_floats_round_trip_exactly(capsys):
         (["simulate", "--t", "64", "--replicates", "1", "--dim", "2"], {"b": [8, False]}, "'b'"),
         (["plan"], {"out": True, "regime": "joint", "t": 1e6}, "'out'"),
         (["plan"], {"out": [1, 2], "regime": "joint", "t": 1e6}, "'out'"),
+        (["plan"], [1, 2], "config file must hold a JSON object"),
+        # options that only make sense together
+        (["plan", "--regime", "joint", "--t", "1e6", "--delta0", "1"], None,
+         "delta0, smoothness and noise_scale must be given together"),
+        (["verify", "--constraint", "fixed-alpha"], None, "constraint 'fixed-alpha' needs --value"),
+        (["transfer", "--t0", "1", "--eta0", "0.1", "--t1", "10", "--b1", "4"], None,
+         "batch-change transfer needs --setting"),
+        (["transfer", "--t0", "1", "--eta0", "0.1", "--t1", "10"], None,
+         "transfer needs --regime (or --b1 with --setting)"),
+        (["analyze", "--mode", "noise"], None, "noise mode needs --q or --tail-p"),
+        (["analyze", "--mode", "path", "--kappa", "1", "--p", "0.5"], None,
+         "path mode needs --kappa, --lam and --p"),
     ],
 )
 def test_bad_input_is_one_json_line_and_exit_2(capsys, monkeypatch, tmp_path, argv, config,
@@ -604,6 +616,27 @@ def test_joint_plan_at_a_tiny_a3_reports_a_finite_residual(capsys, c1):
     assert code == 0 and err == ""
     residual = json.loads(out)["cubic_residual"]
     assert math.isfinite(residual) and 0.0 <= residual <= 1e-15
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_infinite_simulate_metric_is_exit_4_in_json_and_written_in_csv(capsys, tmp_path,
+                                                                           fmt):
+    # the step of 1e308 overflows at once, so no replicate ever has a finite norm
+    argv = ["simulate", "--update", "sgd", "--eta", "0.01,1e308", "--alpha", "1", "--b", "32",
+            "--t", "64", "--replicates", "1", "--format", fmt]
+    if fmt == "csv":
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "sim.csv"))
+        assert code == 0 and out == err == ""
+        rows = (tmp_path / "sim.csv.points.csv").read_text().splitlines()
+        assert [row.split(",")[5] == "inf" for row in rows[2:]] == [False, True]  # metric
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "simulate: metric inf at t=64.0, b=32, alpha=1.0, eta=1e+308; JSON cannot "
+                 "hold it, --format csv can", "exit_code": 4}
 
 
 def test_simulate_rejects_a_budget_beyond_the_step_limit(capsys):

@@ -159,6 +159,11 @@ class TestFixedBatch:
     def test_clamps_momentum_to_one(self):
         opt = optimal_fixed_batch(UNIT, 1e6, Budget.iterations(10.0))
         assert opt.clamped and opt.alpha_star == 1.0
+        # without noise the formula has no finite alpha at all
+        noiseless = BoundConstants(1.0, 1.0, 0.0)
+        opt = optimal_fixed_batch(noiseless, 4.0, Budget.iterations(1e8))
+        assert opt.clamped and opt.alpha_star == 1.0
+        assert opt.eta_star == pytest.approx(math.sqrt(1.0 / (4.0 * 1e8)), rel=1e-15)
 
     def test_dropped_terms_are_lower_order(self):
         ratios = []

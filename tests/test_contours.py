@@ -99,6 +99,12 @@ def test_level_set_k_below_minimum_is_skipped():
     assert [round(p.k) for p in ls.points] == [200, 100000]
 
 
+def test_level_set_skips_step_counts_below_one():
+    # at k = 0.5 the level would sit at b = 19.3, but a run takes at least one step
+    ls = level_set(CC, 8.0, [0.5, 1.0])
+    assert [p.k for p in ls.points] == [1.0]
+
+
 def test_unreachable_target_raises():
     with pytest.raises(InfeasibleError):
         level_set(CC, 0.5, [10.0, 50.0])  # every k below k_min = 88

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from lmoscale import closed_form, contours, grid, proxy, sgd, sim, transfer
-from lmoscale.errors import DomainError, NumericalError, _Count, _require
+from lmoscale import closed_form, contours, grid, proxy, schedules, sgd, sim, transfer
+from lmoscale.errors import BudgetTooSmallError, DomainError, NumericalError, _Count, _require
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lmoscale").glob("*.py"))
 
@@ -145,6 +145,10 @@ MESSAGES = [
     (lambda: _sweep([0.1], 30.0, _matrix_spec((2000, 1))), DomainError,
      "matrix-least-squares data, 2 x rows^2, is 8e+06 elements, above the limit 1e+06; "
      "lower --rows"),
+    (lambda: sim.ObjectiveSpec(kind="matrix-least-squares", spectrum=(1.0, 2.0), dims=(2, 3)),
+     DomainError, "spectrum applies only to kind noisy-quadratic, not matrix-least-squares"),
+    (lambda: sim.ObjectiveSpec(kind="noisy-quadratic", spectrum=(1.0,), dims=(8, 8)),
+     DomainError, "dims applies only to kind matrix-least-squares, not noisy-quadratic"),
     (lambda: _simulate("--rows", "5"), DomainError,
      "--rows applies only to --kind matrix-least-squares, not noisy-quadratic"),
     (lambda: _simulate("--kind", "matrix-least-squares", "--dim", "4"), DomainError,
@@ -167,6 +171,25 @@ MESSAGES = [
      "b must be >= 1, got 0.5"),
     (lambda: closed_form.optimal_fixed_batch(UNIT, 1.0, proxy.Budget.tokens(1e6), "bogus"),
      DomainError, "coefficients must be 'folded' or 'exact', got 'bogus'"),
+    (lambda: closed_form.optimal_fixed_momentum_tokens(UNIT, 1.0, 10.0, 1000.0),
+     BudgetTooSmallError, "token budget 10.0 is below batch size 1000.0; not even one step fits"),
+    (lambda: proxy.bound_tokens(UNIT, proxy.HyperParams(0.1, 0.5, 8.0), 4.0),
+     BudgetTooSmallError, "token budget 4.0 is below batch size 8.0"),
+    (lambda: proxy.risk_tokens(UNIT, proxy.HyperParams(0.1, 0.5, 8.0), 2.0),
+     BudgetTooSmallError, "token budget 2.0 is below batch size 8.0"),
+    (lambda: schedules.NoiseModel(), DomainError, "NoiseModel needs q or heavy_tail_p"),
+    (lambda: schedules.NoiseModel(q=1.5), DomainError, "q must be in (0, 1], got 1.5"),
+    (lambda: schedules.PathExponents(kappa=-1.0, lam=0.5, p=0.5), DomainError,
+     "kappa and lam must be >= 0, got -1.0, 0.5"),
+    (lambda: schedules.PathExponents(kappa=0.5, lam=0.5, p=1.5), DomainError,
+     "p must be in [0, 1], got 1.5"),
+    (lambda: transfer.extrapolate(transfer.TunedConfig(1.0, 1.0, 0.1, 0.5), 10.0, "A"),
+     DomainError, "unknown transfer regime 'A'"),
+    (lambda: transfer.extrapolate_with_batch_change(transfer.TunedConfig(1.0, 1.0, 0.1, 0.5),
+                                                    10.0, 4.0, "sgd"),
+     DomainError, "unknown batch-change setting 'sgd'"),
+    (lambda: grid.fit_power_law([1.0, 2.0], [1.0, 2.0, 3.0]), DomainError,
+     "xs and ys must match, got (2,) vs (3,)"),
 ]
 
 

@@ -154,6 +154,12 @@ def test_noise_sensitivity_small_q_pushes_small_batches():
     assert s.interpretation == "prefers-small-batch"
 
 
+def test_noise_sensitivity_large_q_rewards_large_batches():
+    s = noise_exponent_sensitivity(NoiseModel(q=0.75), b=64.0, t=1e12)
+    assert s.perf_b_exponent == -0.125
+    assert s.interpretation == "prefers-large-batch"
+
+
 def test_heavy_tail_model():
     model = NoiseModel(heavy_tail_p=4.0 / 3.0)
     assert model.q == pytest.approx(0.25, abs=1e-15)

@@ -501,6 +501,28 @@ class TestSweep:
         plan = sim.sweep_plan(70000, (0.01,), (1.0,), (1,), (1.4e5,), 1, 0, "lmo", "matched")
         assert plan[-1] == [140000]
 
+    @pytest.mark.parametrize("spec, batch, steps, message", [
+        (ObjectiveSpec(spectrum=(1.0,)), 1, 10**12,
+         "t=1000000000000.0 at b=1 means 1e+12 steps per run, above the limit of 10000000"),
+        (ObjectiveSpec(spectrum=(1.0,)), 8, 10**8, "t=800000000.0 at b=8 means 100000000 steps"),
+        (ObjectiveSpec(spectrum=(1.0,) * 2000), 1, 10**7, "sweep work, steps x step sizes x "
+         "replicates x variable size summed over runs, is 2e+10, above the limit 1e+10"),
+        (ObjectiveSpec(kind="matrix-least-squares", dims=(1000, 1001)), 1, 1,
+         "sweep state, runs x step sizes x replicates x variable size, is 1.001e+06 elements"),
+        (ObjectiveSpec(kind="matrix-least-squares", dims=(10**5, 1)), 1, 10,
+         "matrix-least-squares data, 2 x rows^2, is 2e+10 elements, above the limit 1e+06; "
+         "lower --rows"),
+    ])
+    def test_a_run_past_a_sweep_limit_is_rejected_before_its_objective(
+            self, monkeypatch, spec, batch, steps, message):
+        def nothing_built(*args, **kwargs):
+            raise AssertionError("an objective or a state array was built")
+
+        monkeypatch.setattr(sim, "_Objective", nothing_built)
+        monkeypatch.setattr(sim, "_run_batch", nothing_built)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            run(spec, LmoConfig(NormKind.MAX, 0.1, 1.0, batch, steps, 0))
+
     def test_a_sweep_at_both_limits_is_accepted(self):
         # 10^4 steps x 1 step size x 10^5 replicates x 10 variables, in one run
         assert 10**4 * 10**5 * 10 == sim.MAX_WORK and 10**5 * 10 == sim.MAX_STATE
