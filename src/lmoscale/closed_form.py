@@ -216,9 +216,8 @@ def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
     """Cubic whose positive root is the jointly optimal momentum complement."""
     _require(t >= 1, "t must be >= 1, got {}", t)
     _require(c.rho_sigma > 0, "joint tuning needs a positive noise scale")
-    rs2 = c.rho_sigma**2
-    coefficients = {"a3": SMOOTHNESS_WEIGHT**2 * c.delta0 * c.smoothness * t,
-                    "a1": SMOOTHNESS_WEIGHT * rs2, "a0": 2.0 * rs2}
+    big_a, a1, a0 = _cubic_terms(c)
+    coefficients = {"a3": big_a * t, "a1": a1, "a0": a0}
     for name, value in coefficients.items():
         if not 0.0 < value < math.inf:
             raise NumericalError(f"momentum cubic coefficient {name} = {value} leaves the float "
@@ -231,6 +230,12 @@ def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
             raise NumericalError(f"momentum cubic ratio {name}/a3 = {ratio} leaves the float "
                                  f"range {_cubic_inputs(c, t)}")
     return CubicCoefficients(**coefficients)
+
+
+def _cubic_terms(c: BoundConstants) -> tuple[float, float, float]:
+    """(A, a1, a0) = (3.5^2 delta0 L, 3.5 rho^2 sigma^2, 2 rho^2 sigma^2); the cubic's a3 is A t."""
+    rs2 = c.rho_sigma**2
+    return SMOOTHNESS_WEIGHT**2 * c.delta0 * c.smoothness, SMOOTHNESS_WEIGHT * rs2, 2.0 * rs2
 
 
 def _cubic_inputs(c: BoundConstants, t: float) -> str:
@@ -270,9 +275,7 @@ def solve_momentum_cubic(cubic: CubicCoefficients) -> tuple[float, float]:
 def asymptotic_momentum_terms(c: BoundConstants) -> tuple[float, float]:
     """(u0, u1) of the expansion alpha* = u0 T^(-1/3) + u1 T^(-2/3) + ..."""
     _require(c.rho_sigma > 0, "asymptotic momentum needs a positive noise scale")
-    big_a = SMOOTHNESS_WEIGHT**2 * c.delta0 * c.smoothness
-    big_b = SMOOTHNESS_WEIGHT * c.rho_sigma**2
-    big_c = 2.0 * c.rho_sigma**2
+    big_a, big_b, big_c = _cubic_terms(c)
     u0 = (big_c / big_a) ** (1.0 / 3.0)
     u1 = big_b / (3.0 * big_a ** (2.0 / 3.0) * big_c ** (1.0 / 3.0))
     return u0, u1

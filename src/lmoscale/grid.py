@@ -23,6 +23,7 @@ one is, so the records are exactly those of a scan of every cell.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,8 @@ class GridSpec:
 
     Defaults are the wide verification grid: eta in (1e-15, 1e4), b in
     (1, 1e15), alpha in (1e-10, 1), T in (1e2, 1e22), 100 points per axis.
-    ``t_points`` overrides the budget-axis count alone.
+    ``t_points`` overrides the budget-axis count alone.  Every range end
+    must be a finite float; an int past the float range is rejected.
     """
 
     eta_range: tuple[float, float] = (1e-15, 1e4)
@@ -72,6 +74,9 @@ class GridSpec:
     t_points: int | None = None
 
     def __post_init__(self) -> None:
+        for attr in [a for _, _, a in _AXES] + ["t_range"]:
+            _require(all(abs(end) <= sys.float_info.max for end in getattr(self, attr)),
+                     "{} ends must be finite floats", attr)
         for _, _, attr in _AXES:
             lo, hi = getattr(self, attr)
             _require(lo > 0, "{} lower bound must be > 0, got {}", attr, lo)

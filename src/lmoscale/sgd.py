@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import _require
-from .proxy import Budget, BudgetKind
+from .proxy import BoundConstants, Budget, BudgetKind, HyperParams
 
 __all__ = ["SgdInputs", "SgdTunedResult", "sgd_risk", "sgd_tuned"]
 
@@ -37,11 +37,9 @@ class SgdInputs:
     budget: Budget
 
     def __post_init__(self) -> None:
-        _require(self.delta0 > 0, "delta0 must be > 0, got {}", self.delta0)
-        _require(self.smoothness > 0, "smoothness must be > 0, got {}", self.smoothness)
-        _require(self.noise_scale >= 0, "noise_scale must be >= 0, got {}", self.noise_scale)
-        _require(self.eta > 0, "eta must be > 0, got {}", self.eta)
-        _require(self.batch >= 1, "batch must be >= 1, got {}", self.batch)
+        # validates the inputs with the proxy's checks and messages
+        BoundConstants(self.delta0, self.smoothness, self.noise_scale)
+        HyperParams(self.eta, 1.0, self.batch)
 
     @property
     def stability_cap(self) -> float:

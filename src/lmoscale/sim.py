@@ -183,10 +183,6 @@ class _Objective:
             self.y = self.a @ x_true
             self.x0 = np.zeros((rows, cols))
 
-    @property
-    def var_axes(self) -> tuple[int, ...]:
-        return tuple(range(-self.x0.ndim, 0))
-
     def grad(self, x: np.ndarray, out: np.ndarray | None = None,
              lam: np.ndarray | None = None) -> np.ndarray:
         """Gradient at x; a given ``lam`` is the quadratic's spectrum broadcast to x's shape."""
@@ -197,9 +193,9 @@ class _Objective:
     @np.errstate(over="ignore", invalid="ignore")
     def value(self, x: np.ndarray) -> float:
         if self.spec.kind == "noisy-quadratic":
-            return float(0.5 * np.sum(self.lam * x * x, axis=self.var_axes))
+            return float(0.5 * np.sum(self.lam * x * x))
         resid = self.a @ x - self.y
-        return float(0.5 * np.sum(resid * resid, axis=self.var_axes))
+        return float(0.5 * np.sum(resid * resid))
 
 
 def _noise_factory(spec: ObjectiveSpec, batch: int):
@@ -225,7 +221,7 @@ def _noise_factory(spec: ObjectiveSpec, batch: int):
 def _check_settings(etas, alphas, update: str, init: str) -> None:
     """Reject step sizes, momenta, updates and inits that a run cannot take."""
     for eta in etas:
-        _require(math.isfinite(eta) and eta > 0, "eta must be finite and > 0, got {}", eta)
+        _require(0 < eta < math.inf, "eta must be finite and > 0, got {}", eta)
     for alpha in alphas:
         _require(0 < alpha <= 1, "alpha must be in (0, 1], got {}", alpha)
     _require(update in ("lmo", "sgd"), "update must be one of ('lmo', 'sgd'), got {!r}", update)
@@ -498,9 +494,10 @@ def sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int,
                update: str, init: str, rows: int = 0):
     """Checked grids and (budget, batch, momentum) groups of a sweep over ``size`` variables.
 
-    Every grid must be non-empty and batches and budgets finite; step sizes
-    must be finite and > 0, momenta in (0, 1], ``replicates`` and ``seed``
-    integers >= 1 and >= 0, and ``init`` "matched" or "zero".  Step counts
+    Every grid must be non-empty and within the float range, and batches
+    and budgets finite; step sizes must be finite and > 0, momenta in
+    (0, 1], ``replicates`` and ``seed`` integers >= 1 and >= 0, and
+    ``init`` "matched" or "zero".  Step counts
     are round(t / b), at most ``MAX_STEPS``, and a budget below every batch
     raises ``BudgetTooSmallError``.  The work, state buffers and data, with
     ``rows`` a matrix-least-squares sweep's row count and 0 for a noisy
@@ -513,10 +510,15 @@ def sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int,
     """
     _require_int(replicates, "replicates", 1)
     _require_int(seed, "seed", 0)
-    etas, alphas, b_vals, budgets = grids = [
-        np.asarray(g, dtype=float) for g in (eta_grid, alpha_grid, b_grid, t_grid)]
-    for name, grid in zip(("eta_grid", "alpha_grid", "b_grid", "t_grid"), grids):
-        _require(grid.size > 0, "{} must not be empty", name)
+    grids = []
+    for name, grid in zip(("eta_grid", "alpha_grid", "b_grid", "t_grid"),
+                          (eta_grid, alpha_grid, b_grid, t_grid)):
+        try:
+            grids.append(np.asarray(grid, dtype=float))
+        except OverflowError:  # an int past the float range
+            raise DomainError(f"{name} holds a value past the float range") from None
+        _require(grids[-1].size > 0, "{} must not be empty", name)
+    etas, alphas, b_vals, budgets = grids
     for name, grid in (("b_grid", b_vals), ("t_grid", budgets)):
         _require(np.isfinite(grid).all(), "{} must be finite, got {}", name, grid.tolist())
     etas, alphas = np.sort(etas), np.sort(alphas)

@@ -364,6 +364,24 @@ class TestCubicSolverEdgeCases:
             root, residual = solve_momentum_cubic(momentum_cubic(c, t))
             assert root > 0 and residual < 1e-12
 
+    def test_cubic_and_asymptote_read_the_same_coefficients(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            c = BoundConstants(
+                delta0=10.0 ** rng.uniform(-3, 3),
+                smoothness=10.0 ** rng.uniform(-3, 3),
+                noise_scale=10.0 ** rng.uniform(-3, 3),
+                norm_equiv=10.0 ** rng.uniform(0, 2),
+            )
+            t = 10.0 ** rng.uniform(0, 20)
+            big_a = 3.5**2 * c.delta0 * c.smoothness
+            cubic = momentum_cubic(c, t)
+            assert cubic.a3 == big_a * t
+            assert cubic.a1 == 3.5 * c.rho_sigma**2 and cubic.a0 == 2.0 * c.rho_sigma**2
+            u0, u1 = asymptotic_momentum_terms(c)
+            assert u0 == (cubic.a0 / big_a) ** (1.0 / 3.0)
+            assert u1 == cubic.a1 / (3.0 * big_a ** (2.0 / 3.0) * cubic.a0 ** (1.0 / 3.0))
+
     def test_single_sign_change_structure(self):
         # negative at zero, decreasing up to the lone critical point (still
         # negative there), strictly increasing past it: exactly one root

@@ -632,3 +632,13 @@ def test_prune_drops_only_cells_an_earlier_cell_dominates(inputs, block):
         assert not (math.isnan(u[i]) or math.isnan(v[i])), i
         screened_by = (blocks < blocks[i]) | ((blocks[i] == 0) & (lines == lines[i]))
         assert np.any((cells < i) & screened_by & (u <= u[i]) & (v <= v[i])), i
+
+
+@pytest.mark.parametrize("attr, ends", [
+    ("t_range", (1e2, 10**400)), ("t_range", (1e2, math.inf)), ("t_range", (math.nan, 1e6)),
+    ("b_range", (1.0, 10**400)), ("eta_range", (1e-3, 10**400)), ("eta_range", (-math.inf, 1.0)),
+    ("alpha_range", (10**400, 1.0)),
+])
+def test_range_ends_past_the_float_range_are_rejected(attr, ends):
+    with pytest.raises(DomainError, match=f"^{attr} ends must be finite floats$"):
+        GridSpec(**{attr: ends})

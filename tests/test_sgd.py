@@ -7,6 +7,7 @@ from lmoscale import (
     BoundConstants,
     Budget,
     DomainError,
+    HyperParams,
     SgdInputs,
     optimal_fixed_momentum_tokens,
     sgd_risk,
@@ -98,3 +99,34 @@ def test_input_validation():
         SgdInputs(0.0, 1.0, 1.0, eta=1.0, batch=1.0, budget=Budget.iterations(10.0))
     with pytest.raises(DomainError):
         sgd_tuned(1.0, 1.0, 0.0, batch=1.0, budget=Budget.iterations(10.0))
+
+
+GOOD_SGD = dict(delta0=1.0, smoothness=1.0, noise_scale=1.0, eta=0.1, batch=4.0)
+
+
+@pytest.mark.parametrize("field, value, owner", [
+    ("delta0", 0.0, lambda v: BoundConstants(v, 1.0, 1.0)),
+    ("delta0", float("nan"), lambda v: BoundConstants(v, 1.0, 1.0)),
+    ("smoothness", -1.0, lambda v: BoundConstants(1.0, v, 1.0)),
+    ("noise_scale", -0.5, lambda v: BoundConstants(1.0, 1.0, v)),
+    ("eta", 0.0, lambda v: HyperParams(v, 1.0, 4.0)),
+    ("eta", -2.0, lambda v: HyperParams(v, 1.0, 4.0)),
+    ("batch", 0.5, lambda v: HyperParams(0.1, 1.0, v)),
+])
+def test_input_messages_are_the_proxy_types(field, value, owner):
+    with pytest.raises(DomainError) as expected:
+        owner(value)
+    with pytest.raises(DomainError) as info:
+        SgdInputs(**{**GOOD_SGD, field: value}, budget=Budget.iterations(10.0))
+    assert str(info.value) == str(expected.value) and f"{field} must be" in str(info.value)
+
+
+def test_inputs_are_checked_in_field_order():
+    with pytest.raises(DomainError, match="^delta0 must be > 0, got 0.0$"):
+        SgdInputs(0.0, -1.0, -1.0, eta=0.0, batch=0.0, budget=Budget.iterations(10.0))
+    with pytest.raises(DomainError, match="^noise_scale must be >= 0, got -1.0$"):
+        SgdInputs(1.0, 1.0, -1.0, eta=0.0, batch=0.0, budget=Budget.iterations(10.0))
+    with pytest.raises(DomainError, match="^eta must be > 0, got 0.0$"):
+        SgdInputs(1.0, 1.0, 0.0, eta=0.0, batch=0.0, budget=Budget.iterations(10.0))
+    with pytest.raises(DomainError, match="^batch must be >= 1, got 0.0$"):
+        SgdInputs(1.0, 1.0, 0.0, eta=0.1, batch=0.0, budget=Budget.iterations(10.0))

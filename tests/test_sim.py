@@ -455,6 +455,23 @@ class TestSweep:
         with pytest.raises(DomainError, match=re.escape(named)):
             sweep_sim(QUAD, NormKind.MAX, **{**grids, name: value}, replicates=1, seed=0)
 
+    @pytest.mark.parametrize("name", ["eta_grid", "alpha_grid", "b_grid", "t_grid"])
+    def test_an_int_past_the_float_range_is_rejected_naming_its_grid(self, name):
+        grids = dict(eta_grid=(0.01,), alpha_grid=(1.0,), b_grid=(8,), t_grid=(64.0,))
+        message = f"^{name} holds a value past the float range$"
+        with pytest.raises(DomainError, match=message):
+            sim.sweep_plan(1, *{**grids, name: (1, 10**400)}.values(), 1, 0, "lmo", "matched")
+        with pytest.raises(DomainError, match=message):
+            sweep_sim(QUAD, NormKind.MAX, **{**grids, name: [10**400]}, replicates=1, seed=0)
+
+    @pytest.mark.parametrize("field, name", [
+        ("eta", "eta_grid"), ("batch", "b_grid"), ("steps", "t_grid")])
+    def test_a_run_past_the_float_range_is_rejected_naming_its_grid(self, field, name):
+        cfg = LmoConfig(**{**dict(norm=NormKind.MAX, eta=0.1, alpha=1.0, batch=1, steps=1,
+                                  seed=0), field: 10**400})
+        with pytest.raises(DomainError, match=f"^{name} holds a value past the float range$"):
+            run(QUAD, cfg)
+
     def test_runs_beyond_the_step_limit_are_rejected_before_any_step(self, monkeypatch):
         def no_step(*args):
             raise AssertionError("a run started")
