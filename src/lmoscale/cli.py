@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import lmoscale
 
-from .errors import DomainError, InfeasibleError, NumericalError, _require
+from .errors import DomainError, InfeasibleError, NumericalError, _message, _require
 from .serialize import SCHEMA_PREFIX, _field_names, _fields, dumps_json, read_csv, write_csv
 
 __all__ = ["main", "records_from_csv"]
@@ -243,12 +243,10 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
                 raw = json.load(fh)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DomainError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DomainError("config file must hold a JSON object")
+        _require(isinstance(raw, dict), "config file must hold a JSON object")
         for key, value in raw.items():
             dest = key.replace("-", "_")
-            if dest not in spec:
-                raise DomainError(f"unknown config field {key!r} for command {command!r}")
+            _require(dest in spec, "unknown config field {!r} for command {!r}", key, command)
             if value is not None:  # null leaves the option at its default
                 given[dest] = value
     given.update((dest, getattr(args, dest)) for dest in spec if getattr(args, dest) is not None)
@@ -263,15 +261,14 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             raise DomainError(f"option {opt.name!r}: invalid value {value!r}") from exc
     for dest, opt in spec.items():
         value = values[dest]
-        if opt.choices and value is not None and value not in opt.choices:
-            raise DomainError(f"--{opt.name} must be one of {opt.choices}, got {value!r}")
-        if opt.type is float and value is not None and not math.isfinite(value):
-            raise DomainError(f"option {opt.name!r} must be finite, got {value!r}")
-        if opt.type is _float_list and not (value and all(math.isfinite(x) for x in value)):
-            raise DomainError(f"option {opt.name!r} needs one or more finite numbers, got {value!r}")
+        _require(not (opt.choices and value is not None and value not in opt.choices),
+                 "--{} must be one of {}, got {!r}", opt.name, opt.choices, value)
+        _require(not (opt.type is float and value is not None and not math.isfinite(value)),
+                 "option {!r} must be finite, got {!r}", opt.name, value)
+        _require(not (opt.type is _float_list and not (value and all(map(math.isfinite, value)))),
+                 "option {!r} needs one or more finite numbers, got {!r}", opt.name, value)
     missing = [dest for dest, opt in spec.items() if opt.required and values[dest] is None]
-    if missing:
-        raise DomainError(f"missing required options for {command!r}: {', '.join(missing)}")
+    _require(not missing, "missing required options for {!r}: {}", command, ", ".join(missing))
     return values
 
 
@@ -280,8 +277,8 @@ def _resolve_constants(v: dict):
 
     direct = (v["delta0"], v["smoothness"], v["noise_scale"])
     if any(x is not None for x in direct):
-        if any(x is None for x in direct):
-            raise DomainError("delta0, smoothness and noise_scale must be given together")
+        _require(not any(x is None for x in direct),
+                 "delta0, smoothness and noise_scale must be given together")
         return BoundConstants(*direct, v["norm_equiv"])
     return BoundConstants.from_proxy_constants(v["c1"], v["c2"], v["c3"])
 
@@ -334,13 +331,11 @@ def records_from_csv(text: str) -> list:
 
     schema, _, header, rows = read_csv(text)
     table = _TABLES.get(schema.removeprefix(f"{SCHEMA_PREFIX}/"))
-    if table is None:
-        raise DomainError(f"not a table document: {schema}")
+    _require(table is not None, "not a table document: {}", schema)
     cls = _record_class(*table)
     names = _field_names(cls)
     columns = [_COLUMN.get(name, name) for name in names]
-    if header != columns:
-        raise DomainError(f"{schema} needs the columns {columns}, got {header}")
+    _require(header == columns, "{} needs the columns {}, got {}", schema, columns, header)
     hints = typing.get_type_hints(cls)
     cells = [_CELL[hints[name]] for name in names]
     try:
@@ -365,8 +360,7 @@ def _cmd_plan(v: dict) -> None:
                 "risk_star": opt.risk_star, "clamped": opt.clamped, "tuning": opt.regime,
                 "objective": opt.objective, "b_crossing_tokens": crossing}
     elif regime == "fixed-batch":
-        if v["b"] is None:
-            raise DomainError("fixed-batch planning needs --b")
+        _require(v["b"] is not None, "fixed-batch planning needs --b")
         opt = closed_form.optimal_fixed_batch(c, v["b"], Budget.tokens(t))
         body = {"b": v["b"], **_fields(opt)}
     else:
@@ -387,8 +381,7 @@ def _cmd_verify(v: dict) -> None:
     points = default.points_per_axis if v["points"] is None else v["points"]
     spec = grid.GridSpec(**ranges, points_per_axis=points, t_points=v["t_points"])
     kind = v["constraint"]
-    if kind != "free" and v["value"] is None:
-        raise DomainError(f"constraint {kind!r} needs --value")
+    _require(not (kind != "free" and v["value"] is None), "constraint {!r} needs --value", kind)
     field = "b_cap" if kind == "capped-b" else kind.replace("-", "_")
     constraint = grid.Constraint(**({} if kind == "free" else {field: v["value"]}))
     _require(v["threads"] >= 1, "threads must be >= 1, got {}", v["threads"])
@@ -405,8 +398,7 @@ def _cmd_transfer(v: dict) -> None:
 
     cfg = transfer.TunedConfig(t0=v["t0"], b0=v["b0"], eta0=v["eta0"], alpha0=v["alpha0"])
     if v["b1"] is not None:
-        if v["setting"] is None:
-            raise DomainError("batch-change transfer needs --setting")
+        _require(v["setting"] is not None, "batch-change transfer needs --setting")
         res = transfer.extrapolate_with_batch_change(
             cfg, v["t1"], v["b1"], transfer.BatchChangeSetting(v["setting"]), v["b_max"]
         )
@@ -414,8 +406,7 @@ def _cmd_transfer(v: dict) -> None:
                "alpha1": res.alpha1, "b1": res.b1, "flags": res.flags,
                "calibrated_invariants": {"c_eta": res.c_eta, "c_alpha": res.c_alpha}}
     else:
-        if v["regime"] is None:
-            raise DomainError("transfer needs --regime (or --b1 with --setting)")
+        _require(v["regime"] is not None, "transfer needs --regime (or --b1 with --setting)")
         res = transfer.extrapolate(cfg, v["t1"], transfer.TransferRegime(v["regime"]), v["b_max"])
         # regime leads: the fields overwrite its value but keep its place
         doc = {"mode": "same-batch", "regime": res.regime, **_fields(res)}
@@ -448,18 +439,16 @@ def _cmd_analyze(v: dict) -> None:
         body = {"exponents": dict(zip(schedules.TERM_NAMES, r.as_tuple())),
                 "overall": r.overall, "diverging": r.diverging}
     elif mode == "ceiling":
-        if v["phi"] is None:
-            raise DomainError("ceiling mode needs --phi")
+        _require(v["phi"] is not None, "ceiling mode needs --phi")
         body = _fields(schedules.aggressive_ceiling(v["phi"]))
     elif mode == "noise":
         q, p = v["q"], v["tail_p"]
-        if q is None and p is None:
-            raise DomainError("noise mode needs --q or --tail-p")
+        _require(not (q is None and p is None), "noise mode needs --q or --tail-p")
         model = schedules.NoiseModel(q, heavy_tail_p=p, init_error=v["init_error"])
         body = _fields(schedules.noise_exponent_sensitivity(model, v["b"], v["t"]))
     else:
-        if v["kappa"] is None or v["lam"] is None or v["p"] is None:
-            raise DomainError("path mode needs --kappa, --lam and --p")
+        _require(not (v["kappa"] is None or v["lam"] is None or v["p"] is None),
+                 "path mode needs --kappa, --lam and --p")
         body = _fields(schedules.effective_eta_exponent(
             schedules.PathExponents(v["kappa"], v["lam"], v["p"])
         ))
@@ -495,9 +484,9 @@ def _cmd_simulate(v: dict) -> None:
     if v["format"] == "json":
         bad = next((p for p in result.points if not math.isfinite(p.metric)), None)
         if bad is not None:
-            raise NumericalError(f"simulate: metric {bad.metric} at t={bad.t}, b={bad.b}, "
-                                 f"alpha={bad.alpha}, eta={bad.eta}; JSON cannot hold it, "
-                                 "--format csv can")
+            raise NumericalError(_message("simulate: metric {} at t={}, b={}, alpha={}, eta={}; "
+                                          "JSON cannot hold it, --format csv can", bad.metric,
+                                          bad.t, bad.b, bad.alpha, bad.eta))
         _emit(_json("sim-sweep/v1", {**meta, "best": result.best, "points": result.points}),
               v["out"])
         return

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericalError, _require
+from .errors import NumericalError, _message, _require
 from .proxy import (SMOOTHNESS_WEIGHT, BoundConstants, Budget, eta_coefficients,
                     smoothness_weight, token_terms)
 from .schedules import PowerLawSchedule, TunedLaw, aggressive_ceiling
@@ -163,8 +163,8 @@ def optimal_fixed_batch(
     exceeds it, including the noiseless c2 = 0 case.
     """
     _require(b >= 1, "b must be >= 1, got {}", b)
-    if coefficients not in ("folded", "exact"):
-        raise DomainError(f"coefficients must be 'folded' or 'exact', got {coefficients!r}")
+    _require(coefficients in ("folded", "exact"),
+             "coefficients must be 'folded' or 'exact', got {!r}", coefficients)
     scale, plain, momentum = eta_coefficients(c, coefficients == "exact")
     s_weight = scale * momentum
     dropped_smooth = scale * plain
@@ -220,15 +220,15 @@ def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
     coefficients = {"a3": big_a * t, "a1": a1, "a0": a0}
     for name, value in coefficients.items():
         if not 0.0 < value < math.inf:
-            raise NumericalError(f"momentum cubic coefficient {name} = {value} leaves the float "
-                                 f"range {_cubic_inputs(c, t)}")
+            raise NumericalError(_message("momentum cubic coefficient {} = {} leaves the float "
+                                          "range {}", name, value, _cubic_inputs(c, t)))
     # the solver works in p = a1 / a3 and q = a0 / a3, which overflow or underflow
     # when a3 is far smaller or larger than a1 and a0
     for name in ("a0", "a1"):
         ratio = coefficients[name] / coefficients["a3"]
         if not 0.0 < ratio < math.inf:
-            raise NumericalError(f"momentum cubic ratio {name}/a3 = {ratio} leaves the float "
-                                 f"range {_cubic_inputs(c, t)}")
+            raise NumericalError(_message("momentum cubic ratio {}/a3 = {} leaves the float "
+                                          "range {}", name, ratio, _cubic_inputs(c, t)))
     return CubicCoefficients(**coefficients)
 
 
@@ -240,7 +240,8 @@ def _cubic_terms(c: BoundConstants) -> tuple[float, float, float]:
 
 def _cubic_inputs(c: BoundConstants, t: float) -> str:
     """The inputs of ``momentum_cubic``, for its float-range errors."""
-    return f"at t={t} (delta0={c.delta0}, L={c.smoothness}, rho*sigma={c.rho_sigma})"
+    return _message("at t={} (delta0={}, L={}, rho*sigma={})", t, c.delta0, c.smoothness,
+                    c.rho_sigma)
 
 
 def solve_momentum_cubic(cubic: CubicCoefficients) -> tuple[float, float]:
@@ -295,7 +296,8 @@ def bound_eta_star(c: BoundConstants, alpha: float, b: float, t: float) -> float
     weight = smoothness_weight(c, alpha, True)
     eta = math.sqrt(b * c.delta0 / (t * weight))
     if not 0.0 < eta < math.inf:
-        raise NumericalError(f"eta* = {eta} leaves the float range at alpha={alpha}, b={b}, t={t}")
+        raise NumericalError(_message("eta* = {} leaves the float range at alpha={}, b={}, t={}",
+                                      eta, alpha, b, t))
     return eta
 
 
@@ -426,8 +428,7 @@ def batch_growth_plan(phi: float) -> BatchPathPlan:
     T^(-1/4) rate.  Faster batch growth follows ``TunedLaw.FIXED_MOMENTUM``
     and caps the rate at T^(-(1-phi)/2) (``aggressive_ceiling``).
     """
-    if not 0.0 <= phi < 1.0:
-        raise DomainError(f"phi must be in [0, 1), got {phi}")
+    _require(0.0 <= phi < 1.0, "phi must be in [0, 1), got {}", phi)
     if phi <= 0.5:
         return BatchPathPlan(phi=phi, schedule=TunedLaw.TUNED_MOMENTUM.schedule(phi),
                              rate_exponent=0.25, regime="near-optimal")

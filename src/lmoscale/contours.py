@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, _require
+from .errors import InfeasibleError, _message, _require
 from .proxy import BoundConstants, smoothness_weight
 
 __all__ = ["ContourConstants", "LevelPoint", "LevelSet", "tuned_bound", "level_set"]
@@ -151,9 +151,8 @@ def level_set(
         fractions = (det / total, burn / total, floor / total)
         points.append(LevelPoint(k, b, REGIMES[fractions.index(max(fractions))], *fractions))
     if not points:
-        raise InfeasibleError(
-            f"target {target} is unreachable on the given step-count grid"
-        )
+        raise InfeasibleError(_message("target {} is unreachable on the given step-count grid",
+                                       target))
     k0 = math.exp(sum(math.log(p.k) for p in points) / len(points))
     rhs0 = cc.c_det * (cc.c_floor + cc.c_burn / k0)
     residual = 0.0

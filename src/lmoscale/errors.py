@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the formatter of every library message.
+
+Checks are ``_require`` calls and other errors take their text from ``_message``;
+both show each plain int as a ``_Count``, so a value of any size formats.
+"""
+
+import math
 
 __all__ = ["DomainError", "InfeasibleError", "BudgetTooSmallError", "NumericalError"]
 
@@ -10,28 +16,52 @@ class DomainError(ValueError):
 def _require(cond: bool, message: str, *args) -> None:
     """Raise ``DomainError`` unless ``cond`` holds.
 
-    ``message`` is a literal template and ``args`` its values: the text is
-    ``message.format(*args)``, built only when the check fails, so a passing
-    check formats nothing.  With no ``args`` the message is raised verbatim,
-    literal braces included.  Never pass a pre-formatted f-string.
+    ``message`` is a literal template and ``args`` its values, formatted by
+    ``_message`` only when the check fails, so a passing check formats
+    nothing.  Never pass a pre-formatted f-string.
     """
     if not cond:
-        raise DomainError(message.format(*args) if args else message)
+        raise DomainError(_message(message, *args))
+
+
+def _message(template: str, *args) -> str:
+    """``template.format(*args)``, each plain int a ``_Count``; with no args, verbatim."""
+    if not args:
+        return template
+    return template.format(*(_Count(a) if type(a) is int else a for a in args))
 
 
 class _Count(int):
-    """An int whose ``{:.<digits>g}`` is a float's, read off the int even past the float range."""
+    """An int whose ``{}``, ``{!r}`` and ``{:.<digits>g}`` format as the int's while they can.
+
+    Past the int-to-str digit limit (``{}``, ``{!r}``, to 17 digits) or the
+    float range (``{:.<digits>g}``) it shows in a float's scientific form.
+    """
+
+    def __repr__(self) -> str:
+        try:
+            return int.__repr__(self)
+        except ValueError:  # more digits than int-to-str conversion allows
+            return self._scientific(17)
 
     def __format__(self, spec: str) -> str:
-        digits, exp = int(spec[1:-1]), len(str(self)) - 1  # spec is ".<digits>g"
-        if exp < digits:
-            return str(self)
+        try:
+            return int.__format__(self, spec)
+        except OverflowError:  # ".<digits>g" past the float range
+            return self._scientific(int(spec[1:-1]))
+
+    def _scientific(self, digits: int) -> str:
+        """The int to ``digits`` figures as a float shows it, read off the int, never str()."""
+        n = abs(int(self))
+        exp = int(math.log10(n))  # from the int's bits; may be one off
+        exp += (10 ** (exp + 1) <= n) - (10**exp > n)
         scale = 10 ** (exp + 1 - digits)
-        q, r = divmod(int(self), scale)
+        q, r = divmod(n, scale)
         q += 2 * r > scale or (2 * r == scale and q % 2)  # round half to even, as floats do
         text = str(q)  # digits + 1 long when the rounding carries
         tail = text[1:digits].rstrip("0")
-        return f"{text[0]}{'.' if tail else ''}{tail}e+{exp + len(text) - digits:02d}"
+        sign = "-" if self < 0 else ""
+        return f"{sign}{text[0]}{'.' if tail else ''}{tail}e+{exp + len(text) - digits:02d}"
 
 
 class InfeasibleError(ValueError):

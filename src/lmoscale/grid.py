@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NumericalError, _Count, _require
+from .errors import DomainError, InfeasibleError, NumericalError, _message, _require
 from .proxy import BoundConstants, token_terms
 
 __all__ = [
@@ -189,7 +189,7 @@ def _swept_axes(spec: GridSpec, constraint: Constraint) -> tuple[np.ndarray, ...
     work = _sweep_work(spec, constraint)
     _require(work <= MAX_SWEEP_WORK,
              "sweep work, cells x (1 + budgets), is {:.3g}, above the limit {:.0e}; "
-             "lower --points or --t-points", _Count(work), MAX_SWEEP_WORK)
+             "lower --points or --t-points", work, MAX_SWEEP_WORK)
     pins = (getattr(constraint, field) for _, field, _ in _AXES)
     b, eta, alpha = (
         _log_axis(*getattr(spec, attr), spec.points_per_axis) if pin is None else np.array([pin])
@@ -198,7 +198,8 @@ def _swept_axes(spec: GridSpec, constraint: Constraint) -> tuple[np.ndarray, ...
     if constraint.b_cap is not None:
         b = b[b <= constraint.b_cap]
         if b.size == 0:
-            raise InfeasibleError(f"no grid batch size satisfies the cap {constraint.b_cap}")
+            raise InfeasibleError(_message("no grid batch size satisfies the cap {}",
+                                           constraint.b_cap))
     return b, eta, alpha
 
 
@@ -395,7 +396,8 @@ def _sweep(c: BoundConstants, spec: GridSpec, constraint: Constraint, objective:
         j = int(values.argmin())
         risk = float(values[j])
         if math.isnan(risk):  # argmin stops at the first NaN
-            raise NumericalError(f"the objective is NaN on some grid cells at budget {t}")
+            raise NumericalError(_message("the objective is NaN on some grid cells at budget {}",
+                                          t))
         i_b, i_ea = divmod(int(kept[j]), plane)
         i_e, i_a = divmod(i_ea, n_alpha)
         # positions in ascending order on each axis; alpha is stored descending
@@ -434,18 +436,14 @@ def fit_power_law(xs, ys, window: tuple[float, float] | None = None) -> FitResul
     """Ordinary least squares through (ln x, ln y), restricted to a window."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape:
-        raise DomainError(f"xs and ys must match, got {xs.shape} vs {ys.shape}")
+    _require(xs.shape == ys.shape, "xs and ys must match, got {} vs {}", xs.shape, ys.shape)
     if window is not None:
         mask = (xs >= window[0]) & (xs <= window[1])
         xs, ys = xs[mask], ys[mask]
     _require_fit_points(xs.size)
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise DomainError("power-law fits need strictly positive data")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise DomainError("power-law fits need finite data")
-    if xs.min() == xs.max():
-        raise DomainError("power-law fits need at least two distinct x values")
+    _require(not (np.any(xs <= 0) or np.any(ys <= 0)), "power-law fits need strictly positive data")
+    _require(np.all(np.isfinite(xs)) and np.all(np.isfinite(ys)), "power-law fits need finite data")
+    _require(not xs.min() == xs.max(), "power-law fits need at least two distinct x values")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

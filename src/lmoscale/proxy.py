@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetTooSmallError, _require
+from .errors import BudgetTooSmallError, _message, _require
 
 __all__ = [
     "SMOOTHNESS_WEIGHT",
@@ -138,10 +138,8 @@ class Budget:
         if self.kind is BudgetKind.ITERATIONS:
             return self.value
         if self.value < batch:
-            raise BudgetTooSmallError(
-                f"token budget {self.value} is below batch size {batch}; "
-                "not even one step fits"
-            )
+            raise BudgetTooSmallError(_message("token budget {} is below batch size {}; not even "
+                                               "one step fits", self.value, batch))
         return self.value / batch
 
 
@@ -195,7 +193,8 @@ def bound_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
 def _token_value(c: BoundConstants, h: HyperParams, tokens: float, exact: bool) -> float:
     """The bound (exact) or the folded proxy at a token budget."""
     if tokens < h.batch:
-        raise BudgetTooSmallError(f"token budget {tokens} is below batch size {h.batch}")
+        raise BudgetTooSmallError(_message("token budget {} is below batch size {}", tokens,
+                                           h.batch))
     descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, exact)
     return (descent + burn) / tokens + floor + smooth
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import _require
 
 __all__ = [
     "PowerLawSchedule",
@@ -47,8 +47,7 @@ class PowerLawSchedule:
     eta_exp: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.b_exp <= 1.0:
-            raise DomainError(f"b_exp must be in [0, 1], got {self.b_exp}")
+        _require(0.0 <= self.b_exp <= 1.0, "b_exp must be in [0, 1], got {}", self.b_exp)
 
 
 class TunedLaw(Enum):
@@ -127,8 +126,7 @@ class AggressiveCeiling:
 
 def aggressive_ceiling(phi: float) -> AggressiveCeiling:
     """Balancing step-size exponent and rate ceiling for phi in (1/2, 1)."""
-    if not 0.5 < phi < 1.0:
-        raise DomainError(f"phi must be in (1/2, 1), got {phi}")
+    _require(0.5 < phi < 1.0, "phi must be in (1/2, 1), got {}", phi)
     delta_star = TunedLaw.FIXED_MOMENTUM.schedule(phi).eta_exp
     return AggressiveCeiling(
         phi=phi, delta_star=delta_star, rate_exponent=delta_star, k_exponent=1.0 - phi
@@ -154,17 +152,15 @@ class NoiseModel:
     def __post_init__(self) -> None:
         p = self.heavy_tail_p
         if p is not None:
-            if not 1.0 < p <= 2.0:
-                raise DomainError(f"heavy_tail_p must be in (1, 2], got {p}")
+            _require(1.0 < p <= 2.0, "heavy_tail_p must be in (1, 2], got {}", p)
             implied = 1.0 - 1.0 / p
             if self.q is None:
                 object.__setattr__(self, "q", implied)
-        if self.q is None:
-            raise DomainError("NoiseModel needs q or heavy_tail_p")
-        if not 0.0 < self.q <= 1.0:
-            raise DomainError(f"q must be in (0, 1], got {self.q}")
-        if p is not None and abs(self.q - implied) > 1e-12:
-            raise DomainError(f"heavy_tail_p={p} requires q = 1 - 1/p = {implied}, got {self.q}")
+        _require(self.q is not None, "NoiseModel needs q or heavy_tail_p")
+        _require(0.0 < self.q <= 1.0, "q must be in (0, 1], got {}", self.q)
+        if p is not None:
+            _require(not abs(self.q - implied) > 1e-12,
+                     "heavy_tail_p={} requires q = 1 - 1/p = {}, got {}", p, implied, self.q)
 
 
 @dataclass(frozen=True)
@@ -195,8 +191,7 @@ def noise_exponent_sensitivity(model: NoiseModel, b: float, t: float) -> NoiseSe
     ``perf_scale`` is the unit-constant value T^-1/4 * b^(1/4 - q/2) at the
     given point, useful for comparing batch choices at one budget.
     """
-    if b < 1 or t < b:
-        raise DomainError(f"need 1 <= b <= t, got b={b}, t={t}")
+    _require(not (b < 1 or t < b), "need 1 <= b <= t, got b={}, t={}", b, t)
     exponent = 0.25 - model.q / 2.0
     if exponent == 0.0:
         interpretation = "flat-in-batch"
@@ -226,10 +221,9 @@ class PathExponents:
     p: float
 
     def __post_init__(self) -> None:
-        if self.kappa < 0 or self.lam < 0:
-            raise DomainError(f"kappa and lam must be >= 0, got {self.kappa}, {self.lam}")
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"p must be in [0, 1], got {self.p}")
+        _require(not (self.kappa < 0 or self.lam < 0), "kappa and lam must be >= 0, got {}, {}",
+                 self.kappa, self.lam)
+        _require(0.0 <= self.p <= 1.0, "p must be in [0, 1], got {}", self.p)
 
 
 @dataclass(frozen=True)

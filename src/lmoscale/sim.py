@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, DomainError, _Count, _require
+from .errors import BudgetTooSmallError, DomainError, _message, _require
 
 __all__ = [
     "NormKind",
@@ -88,8 +88,8 @@ def _require_int(value, name: str, least: int) -> None:
 
 def _var_ndim(v: np.ndarray, norm: NormKind) -> int:
     """Number of trailing variable axes of v; the spectral norm needs a matrix."""
-    if norm is NormKind.SPECTRAL and v.ndim != 2:
-        raise DomainError(f"the spectral norm needs a matrix variable, got ndim={v.ndim}")
+    _require(not (norm is NormKind.SPECTRAL and v.ndim != 2),
+             "the spectral norm needs a matrix variable, got ndim={}", v.ndim)
     return v.ndim
 
 
@@ -108,8 +108,7 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     maps to NaN, as a diverged buffer does under the other norms.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim < 2:
-        raise DomainError(f"polar factor needs a matrix, got ndim={m.ndim}")
+    _require(not m.ndim < 2, "polar factor needs a matrix, got ndim={}", m.ndim)
     finite = np.isfinite(m).all(axis=(-2, -1), keepdims=True)
     live = np.any(m, axis=(-2, -1), keepdims=True)
     u, _, vt = np.linalg.svd(np.where(finite, m, 0.0), full_matrices=False)
@@ -156,15 +155,14 @@ class ObjectiveSpec:
             _require(np.min(self.spectrum) > 0, "spectrum entries must be > 0")
             _require(self.dims is None,
                      "dims applies only to kind matrix-least-squares, not noisy-quadratic")
-        elif self.kind == "matrix-least-squares":
+        else:
+            _require(self.kind == "matrix-least-squares", "unknown objective kind {!r}", self.kind)
             _require(self.spectrum is None,
                      "spectrum applies only to kind noisy-quadratic, not matrix-least-squares")
             _require(self.dims is not None and len(self.dims) == 2,
                      "matrix-least-squares needs dims=(rows, cols)")
             for name, d in zip(("rows", "cols"), self.dims):
                 _require_int(d, name, 1)
-        else:
-            raise DomainError(f"unknown objective kind {self.kind!r}")
 
 
 class _Objective:
@@ -525,9 +523,8 @@ def sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int,
     _check_settings(etas, alphas, update, init)
     batches = sorted(integer_batch(b) for b in b_vals)
     if budgets.min() < batches[0]:
-        raise BudgetTooSmallError(
-            f"token budget {budgets.min()} is below every batch size; not even one step fits"
-        )
+        raise BudgetTooSmallError(_message(
+            "token budget {} is below every batch size; not even one step fits", budgets.min()))
     t_max, b_min = float(budgets.max()), batches[0]
     _require(round(t_max / b_min) <= MAX_STEPS,
              "t={} at b={} means {:.12g} steps per run, above the limit of {}",
@@ -540,15 +537,15 @@ def sweep_plan(size: int, eta_grid, alpha_grid, b_grid, t_grid, replicates: int,
              "sweep work, steps x step sizes x replicates x variable size summed over runs, is "
              "{:.6g}, above the limit {:.0e}; lower --t, --replicates or --dim (--rows, --cols), "
              "or give fewer --eta, --alpha or --b values; a matrix-least-squares element-step "
-             "counts as 1 + rows / 25", _Count(work), MAX_WORK)
+             "counts as 1 + rows / 25", work, MAX_WORK)
     state = len(groups) * etas.size * replicates * size
     _require(state <= MAX_STATE,
              "sweep state, runs x step sizes x replicates x variable size, is {:.6g} elements, "
              "above the limit {:.0e}; lower --replicates or --dim (--rows, --cols), or give "
-             "fewer --t, --b, --alpha or --eta values", _Count(state), MAX_STATE)
+             "fewer --t, --b, --alpha or --eta values", state, MAX_STATE)
     _require(2 * rows**2 <= MAX_STATE,
              "matrix-least-squares data, 2 x rows^2, is {:.6g} elements, above the limit "
-             "{:.0e}; lower --rows", _Count(2 * rows**2), MAX_STATE)
+             "{:.0e}; lower --rows", 2 * rows**2, MAX_STATE)
     return etas, alphas, batches, budgets, groups, steps
 
 

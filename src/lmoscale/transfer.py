@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, NumericalError, _require
+from .errors import NumericalError, _message, _require
 from .schedules import TunedLaw
 
 __all__ = [
@@ -113,8 +113,8 @@ def _rescale(cfg: TunedConfig, t1: float, b1: float, law: TunedLaw,
 def _range_error(cfg: TunedConfig, t1: float, *named: tuple) -> NumericalError:
     """NumericalError naming the first (name, value) pair that is 0, inf or NaN."""
     name, value = next((n, v) for n, v in named if not 0.0 < v < math.inf)
-    return NumericalError(f"transfer {name} = {value} leaves the float range from "
-                          f"t0={cfg.t0}, b0={cfg.b0} to t1={t1}")
+    return NumericalError(_message("transfer {} = {} leaves the float range from t0={}, b0={} "
+                                   "to t1={}", name, value, cfg.t0, cfg.b0, t1))
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,7 @@ def extrapolate(cfg: TunedConfig, t1: float, regime: TransferRegime,
     """
     _require(t1 >= cfg.t0, "t1 must be >= t0, got t1={}, t0={}", t1, cfg.t0)
     law, phi = _REGIME_LAWS.get(regime, (None, None))
-    if law is None:
-        raise DomainError(f"unknown transfer regime {regime!r}")
+    _require(law is not None, "unknown transfer regime {!r}", regime)
     eta1, alpha1, b1, flags = _rescale(cfg, t1, cfg.b0 * (t1 / cfg.t0) ** phi, law, b_max)
     return TransferResult(eta1=eta1, alpha1=alpha1, b1=b1, regime=regime, flags=flags)
 
@@ -180,8 +179,7 @@ def extrapolate_with_batch_change(cfg: TunedConfig, t1: float, b1: float,
     _require(t1 >= cfg.t0, "t1 must be >= t0, got t1={}, t0={}", t1, cfg.t0)
     _require(b1 >= 1, "b1 must be >= 1, got {}", b1)
     law = _SETTING_LAWS.get(setting)
-    if law is None:
-        raise DomainError(f"unknown batch-change setting {setting!r}")
+    _require(law is not None, "unknown batch-change setting {!r}", setting)
     c_eta = cfg.eta0 * cfg.t0**law.eta_t / cfg.b0**law.eta_b
     c_alpha = None
     if law.tunes_momentum:
