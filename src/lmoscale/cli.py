@@ -277,8 +277,7 @@ def _resolve_constants(v: dict):
 
     direct = (v["delta0"], v["smoothness"], v["noise_scale"])
     if any(x is not None for x in direct):
-        _require(not any(x is None for x in direct),
-                 "delta0, smoothness and noise_scale must be given together")
+        _require(None not in direct, "delta0, smoothness and noise_scale must be given together")
         return BoundConstants(*direct, v["norm_equiv"])
     return BoundConstants.from_proxy_constants(v["c1"], v["c2"], v["c3"])
 

@@ -15,6 +15,7 @@ the leading-order momentum asymptote is reported separately for comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -217,31 +218,25 @@ def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
     _require(t >= 1, "t must be >= 1, got {}", t)
     _require(c.rho_sigma > 0, "joint tuning needs a positive noise scale")
     big_a, a1, a0 = _cubic_terms(c)
-    coefficients = {"a3": big_a * t, "a1": a1, "a0": a0}
-    for name, value in coefficients.items():
-        if not 0.0 < value < math.inf:
-            raise NumericalError(_message("momentum cubic coefficient {} = {} leaves the float "
-                                          "range {}", name, value, _cubic_inputs(c, t)))
+    a3 = big_a * t
     # the solver works in p = a1 / a3 and q = a0 / a3, which overflow or underflow
-    # when a3 is far smaller or larger than a1 and a0
-    for name in ("a0", "a1"):
-        ratio = coefficients[name] / coefficients["a3"]
-        if not 0.0 < ratio < math.inf:
-            raise NumericalError(_message("momentum cubic ratio {}/a3 = {} leaves the float "
-                                          "range {}", name, ratio, _cubic_inputs(c, t)))
-    return CubicCoefficients(**coefficients)
+    # when a3 is far smaller or larger than a1 and a0; they are formed lazily,
+    # once every coefficient has passed
+    named = itertools.chain(
+        (("coefficient a3", a3), ("coefficient a1", a1), ("coefficient a0", a0)),
+        ((what, v / a3) for what, v in (("ratio a0/a3", a0), ("ratio a1/a3", a1))))
+    for what, value in named:
+        if not 0.0 < value < math.inf:
+            raise NumericalError(_message(
+                "momentum cubic {} = {} leaves the float range at t={} (delta0={}, L={}, "
+                "rho*sigma={})", what, value, t, c.delta0, c.smoothness, c.rho_sigma))
+    return CubicCoefficients(a3, a1, a0)
 
 
 def _cubic_terms(c: BoundConstants) -> tuple[float, float, float]:
     """(A, a1, a0) = (3.5^2 delta0 L, 3.5 rho^2 sigma^2, 2 rho^2 sigma^2); the cubic's a3 is A t."""
     rs2 = c.rho_sigma**2
     return SMOOTHNESS_WEIGHT**2 * c.delta0 * c.smoothness, SMOOTHNESS_WEIGHT * rs2, 2.0 * rs2
-
-
-def _cubic_inputs(c: BoundConstants, t: float) -> str:
-    """The inputs of ``momentum_cubic``, for its float-range errors."""
-    return _message("at t={} (delta0={}, L={}, rho*sigma={})", t, c.delta0, c.smoothness,
-                    c.rho_sigma)
 
 
 def solve_momentum_cubic(cubic: CubicCoefficients) -> tuple[float, float]:

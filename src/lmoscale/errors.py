@@ -1,8 +1,4 @@
-"""Exception types shared across the package, and the formatter of every library message.
-
-Checks are ``_require`` calls and other errors take their text from ``_message``;
-both show each plain int as a ``_Count``, so a value of any size formats.
-"""
+"""Exception types shared across the package, and the formatter of every library message."""
 
 import math
 
@@ -14,28 +10,26 @@ class DomainError(ValueError):
 
 
 def _require(cond: bool, message: str, *args) -> None:
-    """Raise ``DomainError`` unless ``cond`` holds.
+    """Raise ``DomainError`` unless ``cond`` holds, with the text ``_message(message, *args)``.
 
-    ``message`` is a literal template and ``args`` its values, formatted by
-    ``_message`` only when the check fails, so a passing check formats
-    nothing.  Never pass a pre-formatted f-string.
+    ``message`` is a literal template, never a pre-formatted f-string, so a
+    passing check formats nothing.
     """
     if not cond:
         raise DomainError(_message(message, *args))
 
 
 def _message(template: str, *args) -> str:
-    """``template.format(*args)``, each plain int a ``_Count``; with no args, verbatim."""
-    if not args:
-        return template
-    return template.format(*(_Count(a) if type(a) is int else a for a in args))
+    """``template.format(*args)`` with plain ints as ``_Count``; with no args, the template."""
+    values = [_Count(a) if type(a) is int else a for a in args]
+    return template.format(*values) if values else template
 
 
 class _Count(int):
-    """An int whose ``{}``, ``{!r}`` and ``{:.<digits>g}`` format as the int's while they can.
+    """An int whose ``{}``, ``{!r}`` and ``{:.<digits>g}`` never fail.
 
-    Past the int-to-str digit limit (``{}``, ``{!r}``, to 17 digits) or the
-    float range (``{:.<digits>g}``) it shows in a float's scientific form.
+    Each is the int's while it can be; past the int-to-str digit limit (to 17
+    digits) or the float range it is a float's scientific form, read off the int.
     """
 
     def __repr__(self) -> str:
@@ -51,7 +45,6 @@ class _Count(int):
             return self._scientific(int(spec[1:-1]))
 
     def _scientific(self, digits: int) -> str:
-        """The int to ``digits`` figures as a float shows it, read off the int, never str()."""
         n = abs(int(self))
         exp = int(math.log10(n))  # from the int's bits; may be one off
         exp += (10 ** (exp + 1) <= n) - (10**exp > n)

@@ -86,8 +86,7 @@ class GridSpec:
         _require(self.alpha_range[1] <= 1.0, "alpha_range upper bound must be <= 1")
         _require(self.b_range[0] >= 1.0, "b_range lower bound must be >= 1")
         _require(self.points_per_axis >= 2, "points_per_axis must be >= 2")
-        if self.t_points is not None:
-            _require(self.t_points >= 1, "t_points must be >= 1")
+        _require(self.t_points is None or self.t_points >= 1, "t_points must be >= 1")
 
     def eta_axis(self) -> np.ndarray:
         return _log_axis(*self.eta_range, self.points_per_axis)
@@ -119,16 +118,15 @@ class Constraint:
     b_cap: float | None = None
 
     def __post_init__(self) -> None:
-        if self.fixed_alpha is not None:
-            _require(0 < self.fixed_alpha <= 1, "fixed alpha must be in (0, 1], got {}",
-                     self.fixed_alpha)
-        if self.fixed_eta is not None:
-            _require(self.fixed_eta > 0, "fixed eta must be > 0, got {}", self.fixed_eta)
-        if self.fixed_b is not None:
-            _require(self.fixed_b >= 1, "fixed b must be >= 1, got {}", self.fixed_b)
-        if self.b_cap is not None:
-            _require(self.b_cap >= 1, "b_cap must be >= 1, got {}", self.b_cap)
-            _require(self.fixed_b is None, "fixed_b and b_cap are mutually exclusive")
+        _require(self.fixed_alpha is None or 0 < self.fixed_alpha <= 1,
+                 "fixed alpha must be in (0, 1], got {}", self.fixed_alpha)
+        _require(self.fixed_eta is None or self.fixed_eta > 0, "fixed eta must be > 0, got {}",
+                 self.fixed_eta)
+        _require(self.fixed_b is None or self.fixed_b >= 1, "fixed b must be >= 1, got {}",
+                 self.fixed_b)
+        _require(self.b_cap is None or self.b_cap >= 1, "b_cap must be >= 1, got {}", self.b_cap)
+        _require(self.b_cap is None or self.fixed_b is None,
+                 "fixed_b and b_cap are mutually exclusive")
 
     @property
     def tag(self) -> str:

@@ -151,16 +151,14 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         p = self.heavy_tail_p
-        if p is not None:
-            _require(1.0 < p <= 2.0, "heavy_tail_p must be in (1, 2], got {}", p)
-            implied = 1.0 - 1.0 / p
-            if self.q is None:
-                object.__setattr__(self, "q", implied)
+        _require(p is None or 1.0 < p <= 2.0, "heavy_tail_p must be in (1, 2], got {}", p)
+        implied = None if p is None else 1.0 - 1.0 / p
+        if self.q is None:
+            object.__setattr__(self, "q", implied)
         _require(self.q is not None, "NoiseModel needs q or heavy_tail_p")
         _require(0.0 < self.q <= 1.0, "q must be in (0, 1], got {}", self.q)
-        if p is not None:
-            _require(not abs(self.q - implied) > 1e-12,
-                     "heavy_tail_p={} requires q = 1 - 1/p = {}, got {}", p, implied, self.q)
+        _require(p is None or not abs(self.q - implied) > 1e-12,
+                 "heavy_tail_p={} requires q = 1 - 1/p = {}, got {}", p, implied, self.q)
 
 
 @dataclass(frozen=True)
