@@ -11,6 +11,7 @@ Pure calculators only: nothing here fits exponents from data.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 TERM_NAMES = ("descent", "burn_in", "noise_floor", "smoothness", "momentum_smoothness")
+_MAX_FLOAT = sys.float_info.max  # abs(x) <= _MAX_FLOAT is false for NaN, inf and huge ints
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class PowerLawSchedule:
     """Exponents of the schedules b ~ T^b_exp, alpha ~ T^-alpha_exp, eta ~ T^-eta_exp.
 
     b_exp is the batch-growth exponent (phi); it must lie in [0, 1] since
-    1 <= b <= T.  alpha_exp (gamma) and eta_exp (delta) are unrestricted.
+    1 <= b <= T.  alpha_exp (gamma) and eta_exp (delta) are any finite floats.
     """
 
     b_exp: float
@@ -48,6 +50,9 @@ class PowerLawSchedule:
 
     def __post_init__(self) -> None:
         _require(0.0 <= self.b_exp <= 1.0, "b_exp must be in [0, 1], got {}", self.b_exp)
+        _require(abs(self.alpha_exp) <= _MAX_FLOAT and abs(self.eta_exp) <= _MAX_FLOAT,
+                 "alpha_exp and eta_exp must be finite floats, got {}, {}", self.alpha_exp,
+                 self.eta_exp)
 
 
 class TunedLaw(Enum):
@@ -159,6 +164,8 @@ class NoiseModel:
         _require(0.0 < self.q <= 1.0, "q must be in (0, 1], got {}", self.q)
         _require(p is None or not abs(self.q - implied) > 1e-12,
                  "heavy_tail_p={} requires q = 1 - 1/p = {}, got {}", p, implied, self.q)
+        _require(self.init_error is None or abs(self.init_error) <= _MAX_FLOAT,
+                 "init_error must be a finite float, got {}", self.init_error)
 
 
 @dataclass(frozen=True)
@@ -190,6 +197,8 @@ def noise_exponent_sensitivity(model: NoiseModel, b: float, t: float) -> NoiseSe
     given point, useful for comparing batch choices at one budget.
     """
     _require(not (b < 1 or t < b), "need 1 <= b <= t, got b={}, t={}", b, t)
+    _require(abs(b) <= _MAX_FLOAT and abs(t) <= _MAX_FLOAT, "b and t must be finite floats, "
+             "got b={}, t={}", b, t)
     exponent = 0.25 - model.q / 2.0
     if exponent == 0.0:
         interpretation = "flat-in-batch"
@@ -221,6 +230,8 @@ class PathExponents:
     def __post_init__(self) -> None:
         _require(not (self.kappa < 0 or self.lam < 0), "kappa and lam must be >= 0, got {}, {}",
                  self.kappa, self.lam)
+        _require(abs(self.kappa) <= _MAX_FLOAT and abs(self.lam) <= _MAX_FLOAT,
+                 "kappa and lam must be finite floats, got {}, {}", self.kappa, self.lam)
         _require(0.0 <= self.p <= 1.0, "p must be in [0, 1], got {}", self.p)
 
 

@@ -1,6 +1,7 @@
 """Power-law rate calculus: term exponents, ceilings, sensitivities, paths."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -254,3 +255,43 @@ def test_path_evaluation_recovers_overall_rate(schedule, overall):
         values.append(bound_tokens(ONES, HyperParams(eta, alpha, b), t))
     fit = fit_power_law(ts, values)
     assert fit.exponent == pytest.approx(-overall, abs=0.02)
+
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = {
+    "PowerLawSchedule alpha_exp=nan": (lambda: PowerLawSchedule(0.5, NAN, 0.1),
+                                       "alpha_exp and eta_exp must be finite floats, got nan, 0.1"),
+    "PowerLawSchedule eta_exp=-inf": (lambda: PowerLawSchedule(0.5, 0.1, -INF),
+                                      "alpha_exp and eta_exp must be finite floats, got 0.1, -inf"),
+    "PowerLawSchedule eta_exp=10**400": (lambda: PowerLawSchedule(0.5, 0.1, 10**400),
+                                         "alpha_exp and eta_exp must be finite floats, "
+                                         f"got 0.1, {10**400}"),
+    "PathExponents kappa=nan": (lambda: PathExponents(NAN, 0.5, 0.5),
+                                "kappa and lam must be finite floats, got nan, 0.5"),
+    "PathExponents lam=inf": (lambda: PathExponents(0.5, INF, 0.5),
+                              "kappa and lam must be finite floats, got 0.5, inf"),
+    "sensitivity b=nan": (lambda: noise_exponent_sensitivity(NoiseModel(0.5), NAN, 1e6),
+                          "b and t must be finite floats, got b=nan, t=1000000.0"),
+    "sensitivity t=nan": (lambda: noise_exponent_sensitivity(NoiseModel(0.5), 4.0, NAN),
+                          "b and t must be finite floats, got b=4.0, t=nan"),
+    "sensitivity t=inf": (lambda: noise_exponent_sensitivity(NoiseModel(0.5), 4.0, INF),
+                          "b and t must be finite floats, got b=4.0, t=inf"),
+    "NoiseModel init_error=nan": (lambda: NoiseModel(0.5, init_error=NAN),
+                                  "init_error must be a finite float, got nan"),
+    "NoiseModel init_error=inf": (lambda: NoiseModel(0.5, init_error=INF),
+                                  "init_error must be a finite float, got inf"),
+}
+
+
+@pytest.mark.parametrize("call, text", NON_FINITE.values(), ids=NON_FINITE)
+def test_schedules_reject_nan_and_inf(call, text):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_the_largest_finite_exponents_are_accepted():
+    big = sys.float_info.max
+    assert PowerLawSchedule(0.5, big, -big).eta_exp == -big
+    assert PathExponents(big, big, 0.5).kappa == big
+    assert noise_exponent_sensitivity(NoiseModel(0.5, init_error=-big), 1.0, big).init_error == -big
