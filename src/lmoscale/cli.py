@@ -241,7 +241,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # decode errors are ValueErrors
             raise DomainError(f"cannot read config {args.config}: {exc}") from exc
         _require(isinstance(raw, dict), "config file must hold a JSON object")
         for key, value in raw.items():

@@ -24,10 +24,8 @@ def _unclamped_result():
     return grid.SweepResult((record,), grid.Constraint(), "risk_tokens", grid.GridSpec())
 
 
-def _plan(**kw):
-    args = {"replicates": 1, "seed": 0, **kw}
-    return sim.sweep_plan(1, [0.1], [1.0], [1], [10], args["replicates"], args["seed"], "lmo",
-                          "matched")
+def _plan(replicates=1, seed=0):
+    return sim.sweep_plan(1, [0.1], [1.0], [1], [10], replicates, seed, "lmo", "matched")
 
 
 BIG_INT_CALLS = {

@@ -484,6 +484,19 @@ def test_bad_input_is_one_json_line_and_exit_2(capsys, monkeypatch, tmp_path, ar
     assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["run.json"])
 
 
+@pytest.mark.parametrize("text", ['{"dim": ' + "7" * 5000 + "}", "[" * 2000 + "]" * 2000],
+                         ids=["5000-digit-int", "2000-deep-array"])
+def test_an_unreadable_config_is_one_json_line_and_exit_2(capsys, tmp_path, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["exit_code"] == 2 and doc["error"].startswith(f"cannot read config {cfg}: ")
+
+
 def test_integral_config_numbers_keep_working(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"t": 64, "b": 8, "replicates": 2.0, "dim": 3, "seed": 7.0}))

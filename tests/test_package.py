@@ -228,6 +228,13 @@ def test_dir_and_star_import_list_every_export():
         assert star[name] is getattr(lmoscale, name)
 
 
+def test_dir_holds_every_module_and_every_export():
+    names = set(dir(lmoscale))  # in this interpreter, so the module's __dir__ runs here
+    for module in lmoscale._MODULES:
+        assert module in names
+        assert set(getattr(lmoscale, module).__all__) <= names, module
+
+
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         lmoscale.no_such_name  # noqa: B018
