@@ -9,6 +9,13 @@ iso-performance contours.
 
 Public names come from each module's ``__all__`` and load on first use
 (PEP 562); only ``grid`` and ``sim`` import numpy, searched last.
+
+Inputs are checked once and frozen: each public dataclass with a
+``__post_init__``.  Results are plain slotted records, built with plain
+attribute stores: they compare and hash by field values, but a field can
+be reassigned (which changes the hash), and a record holds the objects it
+was built from, so ``SimSweepResult.best`` shares its ``SimPoint`` objects
+with ``points``.  ``SimRun`` holds arrays and compares by identity.
 """
 
 from importlib import import_module as _import_module

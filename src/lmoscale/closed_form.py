@@ -55,7 +55,7 @@ def effective_constants(c: BoundConstants, alpha: float) -> tuple[float, float]:
     return c.c2 * math.sqrt(alpha), smoothness_weight(c, alpha, False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FixedMomentumOptimum:
     """Tuned step size (and optionally batch) at a fixed momentum complement."""
 
@@ -126,7 +126,7 @@ def optimal_fixed_momentum_tokens(
                                 clamped=clamped)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FixedBatchOptimum:
     """Jointly tuned (momentum, step size) at a fixed batch size.
 
@@ -321,7 +321,7 @@ def batch_star_given_momentum(c: BoundConstants, alpha: float, t: float) -> floa
     return b_coeff / a_coeff
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class JointOptimum:
     """Jointly tuned (eta, alpha, b) at a token budget on the exact bound.
 
@@ -406,7 +406,7 @@ def capped_batch_noise_floor(c: BoundConstants, alpha: float, b_max: float) -> f
     return c2_eff / math.sqrt(b_max)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BatchPathPlan:
     """Schedule and achievable rate for a prescribed batch-growth exponent."""
 

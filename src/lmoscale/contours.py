@@ -86,7 +86,7 @@ def tuned_bound(cc: ContourConstants, b: float, k: float, eta_floor: float | Non
 REGIMES = ("iteration-limited", "intermediate", "batch-limited")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class LevelPoint:
     """One (k, b) sample on the contour, with the term split at that point."""
 
@@ -98,7 +98,7 @@ class LevelPoint:
     floor_fraction: float
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class LevelSet:
     """Sampled contour of the tuned bound at one target level."""
 

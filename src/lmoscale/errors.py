@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the formatter of every library message."""
 
 import math
+from numbers import Integral
 
 __all__ = ["DomainError", "InfeasibleError", "BudgetTooSmallError", "NumericalError"]
 
@@ -17,6 +18,12 @@ def _require(cond: bool, message: str, *args) -> None:
     """
     if not cond:
         raise DomainError(_message(message, *args))
+
+
+def _require_int(value, name: str, least: int) -> None:
+    """Reject anything but an integer >= least: a bool, or a float of integral value, too."""
+    _require(isinstance(value, Integral) and not isinstance(value, bool) and value >= least,
+             "{} must be an integer >= {}, got {!r}", name, least, value)
 
 
 def _message(template: str, *args) -> str:

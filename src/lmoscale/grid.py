@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NumericalError, _message, _require
+from .errors import DomainError, InfeasibleError, NumericalError, _message, _require, _require_int
 from .proxy import BoundConstants, token_terms
 
 __all__ = [
@@ -85,8 +85,9 @@ class GridSpec:
         _require(self.t_range[0] <= self.t_range[1], "t_range must have lo <= hi")
         _require(self.alpha_range[1] <= 1.0, "alpha_range upper bound must be <= 1")
         _require(self.b_range[0] >= 1.0, "b_range lower bound must be >= 1")
-        _require(self.points_per_axis >= 2, "points_per_axis must be >= 2")
-        _require(self.t_points is None or self.t_points >= 1, "t_points must be >= 1")
+        _require_int(self.points_per_axis, "points_per_axis", 2)
+        if self.t_points is not None:
+            _require_int(self.t_points, "t_points", 1)
 
     def eta_axis(self) -> np.ndarray:
         return _log_axis(*self.eta_range, self.points_per_axis)
@@ -140,7 +141,7 @@ class Constraint:
         return "composite"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SweepRecord:
     """Constrained argmin of the objective at one budget."""
 
@@ -152,7 +153,7 @@ class SweepRecord:
     at_edge: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SweepResult:
     records: tuple[SweepRecord, ...]
     constraint: Constraint
@@ -414,7 +415,7 @@ def _sweep(c: BoundConstants, spec: GridSpec, constraint: Constraint, objective:
                        spec=spec)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FitResult:
     """Least-squares power law y = coefficient * x^exponent on log-log pairs."""
 

@@ -78,7 +78,7 @@ class TunedLaw(Enum):
                                 self.eta_t - self.eta_b * phi)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RateExponents:
     """Decay exponents of the five bound terms; the bound decays as T^-overall.
 
@@ -113,7 +113,7 @@ def rate_exponents(s: PowerLawSchedule) -> RateExponents:
     return RateExponents(*rs, overall=min(rs), diverging=diverging)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class AggressiveCeiling:
     """Best achievable decay when the batch grows faster than sqrt(T).
 
@@ -168,7 +168,7 @@ class NoiseModel:
                  "init_error must be a finite float, got {}", self.init_error)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class NoiseSensitivity:
     """How the tuned schedules and the batch landscape react to the noise exponent.
 
@@ -235,7 +235,7 @@ class PathExponents:
         _require(0.0 <= self.p <= 1.0, "p must be in [0, 1], got {}", self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class PathAnalysis:
     """Effective token exponent of the tuned step size measured along the path.
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 
@@ -65,7 +66,11 @@ def _json_fragments(obj, out: list[str]) -> None:
     elif obj is None or obj is True or obj is False:
         out.append(_LITERALS[obj])
     elif isinstance(obj, int):
-        out.append(str(obj))
+        try:
+            out.append(str(obj))
+        except ValueError:  # more digits than int-to-str conversion allows
+            raise DomainError(f"cannot serialize an int of more than "
+                              f"{sys.get_int_max_str_digits()} digits to JSON") from None
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):

@@ -61,7 +61,7 @@ def sgd_risk(inp: SgdInputs) -> float:
     return inp.delta0 / (inp.eta * k) + inp.smoothness * inp.eta * inp.noise_scale**2 / inp.batch
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SgdTunedResult:
     """Step size tuned under the SGD proxy.
 

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BudgetTooSmallError, DomainError, _message, _require
+from .errors import BudgetTooSmallError, DomainError, _message, _require, _require_int
 
 __all__ = [
     "NormKind",
@@ -78,12 +78,6 @@ def integer_batch(b: float) -> int:
 def momentum_update(m: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
     """One momentum step: keep (1 - alpha) of the buffer, blend in alpha of g."""
     return (1.0 - alpha) * m + alpha * g
-
-
-def _require_int(value, name: str, least: int) -> None:
-    """Reject anything but an integer >= least; a float of integral value is rejected too."""
-    _require(isinstance(value, (int, np.integer)) and value >= least,
-             "{} must be an integer >= {}, got {!r}", name, least, value)
 
 
 def _var_ndim(v: np.ndarray, norm: NormKind) -> int:
@@ -461,7 +455,7 @@ def run(spec: ObjectiveSpec, cfg: LmoConfig) -> SimRun:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SimPoint:
     """Replicate-averaged metric at one sweep point.
 
@@ -480,9 +474,14 @@ class SimPoint:
     replicates: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SimSweepResult:
-    """All evaluated points plus the per-budget argmin records."""
+    """All evaluated points plus the per-budget argmin records.
+
+    Each record of ``best`` is the same ``SimPoint`` object as its entry in
+    ``points``; records are plain, so a field reassigned on one shows in
+    the other.
+    """
 
     points: tuple[SimPoint, ...]
     best: tuple[SimPoint, ...]

@@ -117,7 +117,7 @@ def _range_error(cfg: TunedConfig, t1: float, *named: tuple) -> NumericalError:
                                    "to t1={}", name, value, cfg.t0, cfg.b0, t1))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class TransferResult:
     eta1: float
     alpha1: float
@@ -142,7 +142,7 @@ def extrapolate(cfg: TunedConfig, t1: float, regime: TransferRegime,
     return TransferResult(eta1=eta1, alpha1=alpha1, b1=b1, regime=regime, flags=flags)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BatchChangeResult:
     """Extrapolated configuration plus the calibrated path invariants.
 

@@ -274,3 +274,41 @@ def test_a_null_range_end_in_the_config_keeps_the_default(tmp_path, capsys):
     assert _verify(capsys, "--config", str(config)) == _verify(capsys)
     config.write_text(json.dumps({"eta-lo": None, "eta-hi": 1.0}))
     assert _verify(capsys, "--config", str(config)) == _verify(capsys, "--eta-hi", "1.0")
+
+
+PUBLIC_DATACLASSES = sorted((n, obj) for n in lmoscale.__all__
+                            if isinstance(obj := getattr(lmoscale, n), type)
+                            and dataclasses.is_dataclass(obj))
+INPUTS = [(n, cls) for n, cls in PUBLIC_DATACLASSES if "__post_init__" in vars(cls)]
+RECORDS = [(n, cls) for n, cls in PUBLIC_DATACLASSES if "__post_init__" not in vars(cls)]
+# a run summary that holds arrays, which have no value equality
+IDENTITY_RECORDS = {"SimRun"}
+
+
+def test_the_walk_finds_the_inputs_and_the_records():
+    assert len(INPUTS) == 14 and len(RECORDS) == 19
+
+
+@pytest.mark.parametrize("name, cls", INPUTS, ids=[n for n, _ in INPUTS])
+def test_an_input_checked_in_post_init_is_frozen(name, cls):
+    assert cls.__dataclass_params__.frozen, name
+
+
+@pytest.mark.parametrize("name, cls", RECORDS, ids=[n for n, _ in RECORDS])
+def test_a_result_record_is_plain_and_compares_and_hashes_by_its_fields(name, cls):
+    assert not cls.__dataclass_params__.frozen, name
+    fields = [f.name for f in dataclasses.fields(cls)]
+    values = [f"{name}.{field}" for field in fields]
+    record = cls(*values)
+    setattr(record, fields[0], "reassigned")  # a plain store
+    assert getattr(record, fields[0]) == "reassigned"
+    if name in IDENTITY_RECORDS:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        return
+    with pytest.raises(AttributeError):  # slots refuse a misspelt field
+        record.misspelt = 1
+    record, twin = cls(*values), cls(*values)
+    assert record == twin and hash(record) == hash(twin) == hash(tuple(values))
+    for i in range(len(values)):
+        other = cls(*values[:i], "other", *values[i + 1:])
+        assert other != record and hash(other) != hash(record)

@@ -1,9 +1,11 @@
 """JSON writer: byte-for-byte agreement with the writer as first written."""
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,3 +71,11 @@ def test_dumps_json_writes_dataclasses_as_objects_of_their_fields():
     assert dumps_json(doc) == reference_dumps_json(doc) == (
         '{"first": {}, "second": {"first": [-0.0000000000000000e+00, "plain"], '
         '"second": [true, "\\ud83d\\ude00"]}}\n')
+
+
+def test_an_int_past_the_digit_limit_raises_domain_error_naming_the_limit():
+    limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter sets another
+    with pytest.raises(DomainError) as info:
+        dumps_json({"x": 10**limit})
+    assert str(info.value) == f"cannot serialize an int of more than {limit} digits to JSON"
+    assert dumps_json({"x": 10 ** (limit - 1)}) == '{"x": 1' + "0" * (limit - 1) + "}\n"

@@ -12,16 +12,21 @@ from lmoscale import (
     BoundConstants,
     Budget,
     DomainError,
+    HyperParams,
     NumericalError,
+    SgdInputs,
     TransferRegime,
     TunedConfig,
     TunedLaw,
+    bound_tokens,
     extrapolate,
     extrapolate_with_batch_change,
     optimal_fixed_batch,
     optimal_fixed_momentum_tokens,
     optimal_joint,
     rate_exponents,
+    sgd_risk,
+    sgd_tuned,
 )
 from lmoscale.transfer import REGIME_SCHEDULES
 
@@ -361,3 +366,184 @@ def test_joint_transfer_capped_at_ten():
     # eta0 (b1/b0) (t0/t1)^(3/4) at b1 = 10, not at the uncapped 8 * 100^(1/6)
     assert res.eta1 == pytest.approx(0.01 * (10.0 / 8.0) * 0.01**0.75, rel=1e-12)
     assert res.eta1 == pytest.approx(3.9528e-4, rel=1e-4)
+
+
+# Transfer regret on the exact bound.  Each rule starts from its own tuned
+# optimum at T0 and is carried to T1 = x T0.  Its regret is the exact bound
+# (for SGD, the SGD bound) at the carried configuration over that of its own
+# optimum at T1, and over the joint optimum's.  The limits and tolerances
+# below were derived before the first run:
+# - every rule is its own tuner's law (eta ~ sqrt(b / T) at a fixed batch and
+#   momentum, alpha ~ b / sqrt(T) and eta ~ b T^(-3/4) at a fixed batch, b ~
+#   sqrt(T) and eta ~ T^(-1/4) at a fixed momentum, eta ~ b / sqrt(T) for
+#   SGD), so the carried configuration is its own optimum: regret 1 to
+#   rounding;
+# - a rule that keeps the T^(-1/4) rate approaches the joint optimum: B keeps
+#   the leading constant, since the leading bound depends on alpha / b alone,
+#   and D follows the joint optimum's own exponents;
+# - C tunes on the folded proxy, whose eta weight 4 L (1 + 1/alpha) is about
+#   twice the exact L (3.5 + 2/alpha); at its optimum the descent, noise-floor
+#   and folded smoothness terms stand 1 : 2 : 1, so on the exact bound it
+#   tends to (3 + rho) / 4 * (2 (1 + alpha))^(1/4) times the joint optimum,
+#   rho the ratio of the two weights (about 1.04);
+# - a rule that stops the decay (A keeps b and alpha, so its noise floor stays;
+#   a fixed-momentum rule whose batch grows as T keeps K, so its descent term
+#   stays) ends at a constant over the joint optimum's T^(-1/4): its regret
+#   grows as (T1/T0)^(1/4), read as the local exponent from x = 1e4 to 1e6.
+REGRET_C = BoundConstants(2.0, 0.5, 1.0)
+REGRET_T0 = 1e10
+REGRET_RATIOS = (10.0, 1e2, 1e4, 1e6)
+AT_OWN = 1e-12  # a rule that is its tuner's law
+AT_JOINT_D = 1e-5  # D's start sits 1e-4 off the pure power law; the regret is second order
+AT_JOINT_RATE = 1e-3  # a rule that keeps the leading constant; burn-in and 3.5 L eta remain
+C_LIMIT_TOL = 1e-3
+EXPONENT, EXPONENT_TOL = 0.25, 0.01
+
+
+def _exact(eta, alpha, b, t):
+    return bound_tokens(REGRET_C, HyperParams(eta, alpha, b), t)
+
+
+def _sgd(eta, b, t):
+    c = REGRET_C
+    return sgd_risk(SgdInputs(c.delta0, c.smoothness, c.noise_scale, eta, b, Budget.tokens(t)))
+
+
+def _sgd_tuned(b, t):
+    c = REGRET_C
+    return sgd_tuned(c.delta0, c.smoothness, c.noise_scale, b, Budget.tokens(t), False)
+
+
+def _joint_start():
+    joint = optimal_joint(REGRET_C, REGRET_T0)
+    assert not (joint.b_clamped or joint.alpha_clamped)
+    return joint
+
+
+def _fixed_momentum(alpha, t, b=None):
+    """(eta, alpha, b) of the folded fixed-momentum optimum, at b or with b tuned."""
+    opt = optimal_fixed_momentum_tokens(REGRET_C, alpha, t, b)
+    assert not opt.clamped
+    return opt.eta_star, alpha, opt.b_star
+
+
+def _fixed_batch(b, t):
+    """(eta, alpha, b) of the exact-leading-proxy optimum at a fixed batch."""
+    opt = optimal_fixed_batch(REGRET_C, b, Budget.tokens(t), "exact")
+    assert not opt.clamped
+    return opt.eta_star, opt.alpha_star, b
+
+
+def _joint(t):
+    """(eta, alpha, b) of the joint optimum."""
+    opt = optimal_joint(REGRET_C, t)
+    return opt.eta_star, opt.alpha_star, opt.b_star
+
+
+def _regret_curves(start, carry, own):
+    """Regret against the rule's own optimum and the joint one, at each T1/T0.
+
+    ``start`` is the (eta, alpha, b) tuned at T0, ``carry(cfg, t1)`` the
+    rule's (eta, alpha, b) at t1, and ``own(t1)`` its tuner's at t1.
+    """
+    eta0, alpha0, b0 = start
+    cfg = TunedConfig(t0=REGRET_T0, b0=b0, eta0=eta0, alpha0=alpha0)
+    own_regret, joint_regret = [], []
+    for x in REGRET_RATIOS:
+        t1 = x * REGRET_T0
+        value = _exact(*carry(cfg, t1), t1)
+        own_regret.append(value / _exact(*own(t1), t1))
+        joint_regret.append(value / optimal_joint(REGRET_C, t1).risk_star)
+    return own_regret, joint_regret
+
+
+def _same_batch(regime):
+    def carry(cfg, t1):
+        res = extrapolate(cfg, t1, regime)
+        assert res.flags == ()
+        return res.eta1, res.alpha1, res.b1
+    return carry
+
+
+def _batch_change(setting, phi):
+    def carry(cfg, t1):
+        b1 = cfg.b0 * (t1 / cfg.t0) ** phi
+        res = extrapolate_with_batch_change(cfg, t1, b1, setting)
+        assert res.flags == ()
+        return res.eta1, res.alpha1, res.b1
+    return carry
+
+
+def _local_exponent(curve):
+    return math.log(curve[-1] / curve[-2]) / math.log(REGRET_RATIOS[-1] / REGRET_RATIOS[-2])
+
+
+def _c_limit(alpha):
+    rho = (3.5 + 2.0 / alpha) / (4.0 * (1.0 + 1.0 / alpha))
+    return (3.0 + rho) / 4.0 * (2.0 * (1.0 + alpha)) ** 0.25
+
+
+def test_transfer_regret_of_each_regime():
+    joint = _joint_start()
+    alpha_j, b_j = joint.alpha_star, joint.b_star
+    a_start = _fixed_momentum(alpha_j, REGRET_T0, b_j)
+    b_start = _fixed_batch(b_j, REGRET_T0)
+    c_start = _fixed_momentum(alpha_j, REGRET_T0)
+    d_start = (joint.eta_star, alpha_j, b_j)
+    curves = {
+        "A": _regret_curves(a_start, _same_batch(TransferRegime.FIXED_BATCH_FIXED_MOMENTUM),
+                            lambda t1: _fixed_momentum(alpha_j, t1, b_j)),
+        "B": _regret_curves(b_start, _same_batch(TransferRegime.FIXED_BATCH_TUNED_MOMENTUM),
+                            lambda t1: _fixed_batch(b_j, t1)),
+        "C": _regret_curves(c_start, _same_batch(TransferRegime.TUNED_BATCH_FIXED_MOMENTUM),
+                            lambda t1: _fixed_momentum(alpha_j, t1)),
+        "D": _regret_curves(d_start, _same_batch(TransferRegime.JOINT), _joint),
+    }
+    for name, (own, _) in curves.items():
+        assert own == pytest.approx([1.0] * 4, rel=AT_OWN if name != "D" else AT_JOINT_D), name
+    a_joint, b_joint, c_joint, d_joint = (curves[n][1] for n in "ABCD")
+    assert abs(_local_exponent(a_joint) - EXPONENT) <= EXPONENT_TOL, a_joint
+    assert a_joint == sorted(a_joint)
+    assert all(1.0 - AT_OWN <= r <= 1.0 + AT_JOINT_RATE for r in b_joint), b_joint
+    assert b_joint[-1] <= b_joint[0], b_joint
+    assert c_joint[-1] == pytest.approx(_c_limit(alpha_j), rel=C_LIMIT_TOL), c_joint
+    assert all(1.0 - AT_OWN <= r <= 1.0 + AT_JOINT_D for r in d_joint), d_joint
+
+
+def test_transfer_regret_of_each_batch_change_setting():
+    joint = _joint_start()
+    alpha_j, b_j = joint.alpha_star, joint.b_star
+    # fixed momentum with the batch grown as T: K stays, so the descent term stays
+    c_start = _fixed_momentum(alpha_j, REGRET_T0)
+    fixed_own, fixed_joint = _regret_curves(
+        c_start, _batch_change(BatchChangeSetting.LMO_FIXED_MOMENTUM, 1.0),
+        lambda t1: _fixed_momentum(alpha_j, t1, c_start[2] * t1 / REGRET_T0))
+    # tuned momentum with the batch grown as sqrt(T): alpha stays, the rate is kept
+    b_start = _fixed_batch(b_j, REGRET_T0)
+    tuned_own, tuned_joint = _regret_curves(
+        b_start, _batch_change(BatchChangeSetting.LMO_TUNED_MOMENTUM, 0.5),
+        lambda t1: _fixed_batch(b_j * (t1 / REGRET_T0) ** 0.5, t1))
+    assert fixed_own == pytest.approx([1.0] * 4, rel=AT_OWN)
+    assert tuned_own == pytest.approx([1.0] * 4, rel=AT_OWN)
+    assert abs(_local_exponent(fixed_joint) - EXPONENT) <= EXPONENT_TOL, fixed_joint
+    assert fixed_joint == sorted(fixed_joint)
+    assert all(1.0 - AT_OWN <= r <= 1.0 + AT_JOINT_RATE for r in tuned_joint), tuned_joint
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0], ids=["same-batch", "batch-grown-as-T"])
+def test_sgd_transfer_regret_is_one_at_any_batch(phi):
+    # SGD's tuned value does not depend on the batch, so its own optimum at
+    # (T1, b1) and its optimum over every batch (taken at b = 1) agree
+    b0 = _joint_start().b_star
+    start = _sgd_tuned(b0, REGRET_T0)
+    cfg = TunedConfig(t0=REGRET_T0, b0=b0, eta0=start.eta_star, alpha0=1.0)
+    for x in REGRET_RATIOS:
+        t1 = x * REGRET_T0
+        if phi == 0.0:
+            res = extrapolate(cfg, t1, TransferRegime.SGD)
+        else:
+            res = extrapolate_with_batch_change(cfg, t1, b0 * x, BatchChangeSetting.SGD)
+        assert res.flags == () and res.alpha1 == 1.0
+        value = _sgd(res.eta1, res.b1, t1)
+        assert value / _sgd_tuned(res.b1, t1).proxy_value == pytest.approx(1.0, rel=AT_OWN)
+        assert value / _sgd_tuned(1.0, t1).proxy_value == pytest.approx(1.0, rel=AT_OWN)
