@@ -101,8 +101,7 @@ def _matrix_spec(dims, **kw):
 
 UNIT = proxy.BoundConstants(1.0, 1.0, 1.0)
 
-# Texts recorded from the f-string messages before they became templates, and the
-# integer rule's texts for counts given as a bool or a float.
+# Texts recorded from the f-string messages before they became templates.
 MESSAGES = [
     (lambda: proxy.HyperParams(eta=-0.5, alpha=0.1, batch=2.0), DomainError,
      "eta must be > 0, got -0.5"),
@@ -143,23 +142,6 @@ MESSAGES = [
      "data_seed must be an integer >= 0, got -1"),
     (lambda: _matrix_spec((2.5, 2)), DomainError, "rows must be an integer >= 1, got 2.5"),
     (lambda: _matrix_spec((2.0, 2)), DomainError, "rows must be an integer >= 1, got 2.0"),
-    (lambda: _matrix_spec((True, 2)), DomainError, "rows must be an integer >= 1, got True"),
-    (lambda: _config(batch=True), DomainError, "batch must be an integer >= 1, got True"),
-    (lambda: _config(seed=False), DomainError, "seed must be an integer >= 0, got False"),
-    (lambda: sim.sweep_plan(1, [0.1], [1.0], [1], [10], True, 0, "lmo", "matched"), DomainError,
-     "replicates must be an integer >= 1, got True"),
-    (lambda: sim.sweep_plan(1, [0.1], [1.0], [1], [10], 1, False, "lmo", "matched"), DomainError,
-     "seed must be an integer >= 0, got False"),
-    (lambda: grid.verify(UNIT, grid.GridSpec(points_per_axis=4.0)), DomainError,
-     "points_per_axis must be an integer >= 2, got 4.0"),
-    (lambda: grid.GridSpec(points_per_axis=1), DomainError,
-     "points_per_axis must be an integer >= 2, got 1"),
-    (lambda: grid.GridSpec(points_per_axis=True), DomainError,
-     "points_per_axis must be an integer >= 2, got True"),
-    (lambda: grid.GridSpec(t_points=True), DomainError,
-     "t_points must be an integer >= 1, got True"),
-    (lambda: grid.GridSpec(t_points=0), DomainError, "t_points must be an integer >= 1, got 0"),
-    (lambda: grid.GridSpec(t_points=2.0), DomainError, "t_points must be an integer >= 1, got 2.0"),
     (lambda: _sweep([0.1], 30.0, _matrix_spec((2000, 1))), DomainError,
      "matrix-least-squares data, 2 x rows^2, is 8e+06 elements, above the limit 1e+06; "
      "lower --rows"),
@@ -213,6 +195,35 @@ MESSAGES = [
 
 @pytest.mark.parametrize("call, kind, text", MESSAGES, ids=[m[2][:40] for m in MESSAGES])
 def test_failure_messages_are_unchanged(call, kind, text):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == text
+
+
+# The integer rule's texts for counts given as a bool, a float or a value below the bound.
+INTEGER_RULE = [
+    (lambda: _matrix_spec((True, 2)), DomainError, "rows must be an integer >= 1, got True"),
+    (lambda: _config(batch=True), DomainError, "batch must be an integer >= 1, got True"),
+    (lambda: _config(seed=False), DomainError, "seed must be an integer >= 0, got False"),
+    (lambda: sim.sweep_plan(1, [0.1], [1.0], [1], [10], True, 0, "lmo", "matched"), DomainError,
+     "replicates must be an integer >= 1, got True"),
+    (lambda: sim.sweep_plan(1, [0.1], [1.0], [1], [10], 1, False, "lmo", "matched"), DomainError,
+     "seed must be an integer >= 0, got False"),
+    (lambda: grid.verify(UNIT, grid.GridSpec(points_per_axis=4.0)), DomainError,
+     "points_per_axis must be an integer >= 2, got 4.0"),
+    (lambda: grid.GridSpec(points_per_axis=1), DomainError,
+     "points_per_axis must be an integer >= 2, got 1"),
+    (lambda: grid.GridSpec(points_per_axis=True), DomainError,
+     "points_per_axis must be an integer >= 2, got True"),
+    (lambda: grid.GridSpec(t_points=True), DomainError,
+     "t_points must be an integer >= 1, got True"),
+    (lambda: grid.GridSpec(t_points=0), DomainError, "t_points must be an integer >= 1, got 0"),
+    (lambda: grid.GridSpec(t_points=2.0), DomainError, "t_points must be an integer >= 1, got 2.0"),
+]
+
+
+@pytest.mark.parametrize("call, kind, text", INTEGER_RULE, ids=[m[2] for m in INTEGER_RULE])
+def test_counts_take_the_integer_rule_message(call, kind, text):
     with pytest.raises(kind) as info:
         call()
     assert type(info.value) is kind and str(info.value) == text
