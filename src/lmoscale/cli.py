@@ -3,7 +3,8 @@
 Subcommands: plan, verify, transfer, contour, analyze, simulate,
 compare-sgd.  ``_SPECS`` is the one table of options: each ``main`` call
 builds a parser from it that lists every command but holds the options
-of the named command only, and merges an optional declarative JSON config
+and ``-h`` of the named command only, formats help at the terminal width
+read once per call, and merges an optional declarative JSON config
 (``--config``) whose keys match the option names; explicitly passed flags
 win over the config, unknown config keys are rejected, a null value keeps
 the default, and a value the flag would reject (a boolean for a number, a
@@ -33,8 +34,10 @@ JSON line to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -200,19 +203,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every command's subparser, but only ``command``'s with its options.
+    """Every command's subparser, but only ``command``'s with its options and ``-h``.
 
-    The empty subparsers keep the top-level help and the invalid-choice
-    message whole; each ``add_argument`` builds a help formatter, which
-    asks for the terminal size, so the other commands' options are skipped.
+    The other subparsers exist only so that the top-level help and the
+    invalid-choice message list every command; no argv selects one, since
+    ``main`` names the command by the first token that is one, as argparse
+    does.  ``add_argument`` checks each option and builds a help formatter for
+    it, so the other commands' options are skipped, and every formatter takes
+    the width a ``HelpFormatter`` would read from the terminal, read once here.
     """
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="lmoscale",
         description="Scaling-law engine for norm-constrained optimizer hyperparameters.",
+        formatter_class=formatter,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _SPECS:
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, add_help=name == command, formatter_class=formatter)
         if name != command:
             continue
         sub.add_argument("--config", help="JSON config file; explicit flags win")

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalError, _message, _require
+from .errors import NumericalError, _message, _past_float_range, _require
 from .proxy import (SMOOTHNESS_WEIGHT, BoundConstants, Budget, eta_coefficients,
                     smoothness_weight, token_terms)
 from .schedules import PowerLawSchedule, TunedLaw, aggressive_ceiling
@@ -110,7 +110,10 @@ def optimal_fixed_momentum_tokens(
     c2e, c3e = effective_constants(c, alpha)
     regime, clamped = "tokens-fixed-batch", False
     if b is None:
-        b_star = c2e / (2.0 * math.sqrt(c.c1 * c3e)) * math.sqrt(t)
+        try:
+            b_star = c2e / (2.0 * math.sqrt(c.c1 * c3e)) * math.sqrt(t)
+        except OverflowError as exc:
+            raise _past_float_range(exc, ("t", t)) from None
         if b_star < 1.0:
             b, regime, clamped = 1.0, "tokens-joint-batch", True
         else:
@@ -218,7 +221,10 @@ def momentum_cubic(c: BoundConstants, t: float) -> CubicCoefficients:
     _require(t >= 1, "t must be >= 1, got {}", t)
     _require(c.rho_sigma > 0, "joint tuning needs a positive noise scale")
     big_a, a1, a0 = _cubic_terms(c)
-    a3 = big_a * t
+    try:
+        a3 = big_a * t
+    except OverflowError as exc:
+        raise _past_float_range(exc, ("t", t)) from None
     # the solver works in p = a1 / a3 and q = a0 / a3, which overflow or underflow
     # when a3 is far smaller or larger than a1 and a0; they are formed lazily,
     # once every coefficient has passed

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleError, _message, _require
+from .errors import DomainError, InfeasibleError, _message, _past_float_range, _require
 from .proxy import BoundConstants, smoothness_weight
 
 __all__ = ["ContourConstants", "LevelPoint", "LevelSet", "tuned_bound", "level_set"]
@@ -79,7 +79,11 @@ def tuned_bound(cc: ContourConstants, b: float, k: float, eta_floor: float | Non
     """
     _require(b >= 1, "b must be >= 1, got {}", b)
     _require(k >= 1, "k must be >= 1, got {}", k)
-    return _det_part(cc, k, eta_floor) + cc.c_burn / (k * math.sqrt(b)) + cc.c_floor / math.sqrt(b)
+    try:
+        return (_det_part(cc, k, eta_floor) + cc.c_burn / (k * math.sqrt(b))
+                + cc.c_floor / math.sqrt(b))
+    except OverflowError as exc:
+        raise _past_float_range(exc, ("k", k), ("b", b)) from None
 
 
 # the term that dominates a contour point: descent, burn-in, noise floor
@@ -133,8 +137,12 @@ def level_set(
     over the sampled points.
     """
     _require(target > 0, "target must be > 0, got {}", target)
+    try:
+        ks = [float(k) for k in k_grid]
+    except OverflowError:  # an int past the float range
+        raise DomainError("k_grid holds a value past the float range") from None
     points: list[LevelPoint] = []
-    for k in map(float, k_grid):
+    for k in ks:
         if k < 1:
             continue
         det = _det_part(cc, k, eta_floor)

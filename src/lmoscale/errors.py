@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the formatter of every library message."""
 
 import math
+import sys
 from numbers import Integral
 
 __all__ = ["DomainError", "InfeasibleError", "BudgetTooSmallError", "NumericalError"]
@@ -24,6 +25,20 @@ def _require_int(value, name: str, least: int) -> None:
     """Reject anything but an integer >= least: a bool, or a float of integral value, too."""
     _require(isinstance(value, Integral) and not isinstance(value, bool) and value >= least,
              "{} must be an integer >= {}, got {!r}", name, least, value)
+
+
+def _past_float_range(exc: OverflowError, *named: tuple) -> Exception:
+    """What an ``except OverflowError`` raises: a DomainError naming the first (name, value)
+    pair past the float range, or ``exc`` when none is.
+
+    Float arithmetic overflows to inf, so an OverflowError there comes from an
+    int operand too large to convert, or from a float ``**`` or ``math`` call,
+    which keeps its own error.
+    """
+    for name, value in named:
+        if not abs(value) <= sys.float_info.max:
+            return DomainError(_message("{} = {} is past the float range", name, value))
+    return exc
 
 
 def _message(template: str, *args) -> str:

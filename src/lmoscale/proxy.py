@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BudgetTooSmallError, _message, _require
+from .errors import BudgetTooSmallError, _message, _past_float_range, _require
 
 __all__ = [
     "SMOOTHNESS_WEIGHT",
@@ -140,7 +140,10 @@ class Budget:
         if self.value < batch:
             raise BudgetTooSmallError(_message("token budget {} is below batch size {}; not even "
                                                "one step fits", self.value, batch))
-        return self.value / batch
+        try:
+            return self.value / batch
+        except OverflowError as exc:
+            raise _past_float_range(exc, ("token budget", self.value)) from None
 
 
 def eta_coefficients(c: BoundConstants, exact: bool) -> tuple[float, float, float]:
@@ -186,8 +189,16 @@ def bound_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     Sum of the deterministic descent term, the momentum burn-in term, the
     noise floor, and the two smoothness error terms.
     """
+    return bound_tokens(c, h, _step_tokens(h, steps))
+
+
+def _step_tokens(h: HyperParams, steps: float) -> float:
+    """The token budget T = b * K of a step budget K >= 1."""
     _require(steps >= 1, "steps must be >= 1, got {}", steps)
-    return bound_tokens(c, h, h.batch * steps)
+    try:
+        return h.batch * steps
+    except OverflowError as exc:
+        raise _past_float_range(exc, ("steps", steps), ("batch", h.batch)) from None
 
 
 def _token_value(c: BoundConstants, h: HyperParams, tokens: float, exact: bool) -> float:
@@ -196,7 +207,10 @@ def _token_value(c: BoundConstants, h: HyperParams, tokens: float, exact: bool) 
         raise BudgetTooSmallError(_message("token budget {} is below batch size {}", tokens,
                                            h.batch))
     descent, burn, floor, smooth = token_terms(c, h.eta, h.alpha, h.batch, exact)
-    return (descent + burn) / tokens + floor + smooth
+    try:
+        return (descent + burn) / tokens + floor + smooth
+    except OverflowError as exc:
+        raise _past_float_range(exc, ("token budget", tokens)) from None
 
 
 def bound_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
@@ -206,8 +220,7 @@ def bound_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
 
 def risk_steps(c: BoundConstants, h: HyperParams, steps: float) -> float:
     """Compact proxy at a step budget, written in (c1, c2, c3)."""
-    _require(steps >= 1, "steps must be >= 1, got {}", steps)
-    return risk_tokens(c, h, h.batch * steps)
+    return risk_tokens(c, h, _step_tokens(h, steps))
 
 
 def risk_tokens(c: BoundConstants, h: HyperParams, tokens: float) -> float:
@@ -235,5 +248,5 @@ def large_horizon_gap(c: BoundConstants, h: HyperParams, steps: float) -> float:
 
     risk_steps - risk_large_horizon == c2 / (alpha * sqrt(b) * K), always.
     """
-    _require(steps >= 1, "steps must be >= 1, got {}", steps)
-    return token_terms(c, h.eta, h.alpha, h.batch, False)[1] / (h.batch * steps)
+    tokens = _step_tokens(h, steps)
+    return token_terms(c, h.eta, h.alpha, h.batch, False)[1] / tokens

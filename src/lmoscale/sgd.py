@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import _require
+from .errors import _past_float_range, _require
 from .proxy import BoundConstants, Budget, BudgetKind, HyperParams
 
 __all__ = ["SgdInputs", "SgdTunedResult", "sgd_risk", "sgd_tuned"]
@@ -22,7 +22,10 @@ def _steps(budget: Budget, batch: float) -> float:
     # algebraic identity that does not care, so no feasibility gate here.
     if budget.kind is BudgetKind.ITERATIONS:
         return budget.value
-    return budget.value / batch
+    try:
+        return budget.value / batch
+    except OverflowError as exc:
+        raise _past_float_range(exc, ("token budget", budget.value), ("batch", batch)) from None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NumericalError, _message, _require
+from .errors import NumericalError, _message, _past_float_range, _require
 from .schedules import TunedLaw
 
 __all__ = [
@@ -138,7 +138,11 @@ def extrapolate(cfg: TunedConfig, t1: float, regime: TransferRegime,
     _require(t1 >= cfg.t0, "t1 must be >= t0, got t1={}, t0={}", t1, cfg.t0)
     law, phi = _REGIME_LAWS.get(regime, (None, None))
     _require(law is not None, "unknown transfer regime {!r}", regime)
-    eta1, alpha1, b1, flags = _rescale(cfg, t1, cfg.b0 * (t1 / cfg.t0) ** phi, law, b_max)
+    try:
+        growth = t1 / cfg.t0
+    except OverflowError as exc:
+        raise _past_float_range(exc, ("t1", t1)) from None
+    eta1, alpha1, b1, flags = _rescale(cfg, t1, cfg.b0 * growth**phi, law, b_max)
     return TransferResult(eta1=eta1, alpha1=alpha1, b1=b1, regime=regime, flags=flags)
 
 

@@ -80,6 +80,43 @@ def test_the_big_int_table_holds_each_call_once():
     assert len(BIG_INT_CALLS) == 27
 
 
+HUGE = 10**400  # past the float range, within the int-to-str digit limit
+H = proxy.HyperParams(1.0, 1.0)
+
+# each call -> the quantity its DomainError names
+PAST_FLOAT_RANGE_CALLS = {
+    "Budget.tokens(huge).steps_for(1.0)": (
+        "token budget", lambda: proxy.Budget.tokens(HUGE).steps_for(1.0)),
+    "bound_tokens(c, h, huge)": ("token budget", lambda: proxy.bound_tokens(UNIT, H, HUGE)),
+    "risk_tokens(c, h, huge)": ("token budget", lambda: proxy.risk_tokens(UNIT, H, HUGE)),
+    "bound_steps(c, h, huge)": ("steps", lambda: proxy.bound_steps(UNIT, H, HUGE)),
+    "risk_steps(c, h, huge)": ("steps", lambda: proxy.risk_steps(UNIT, H, HUGE)),
+    "large_horizon_gap(c, h, huge)": ("steps", lambda: proxy.large_horizon_gap(UNIT, H, HUGE)),
+    "risk_large_horizon(T=huge)": ("token budget", lambda: proxy.risk_large_horizon(
+        UNIT, 1.0, 1.0, proxy.Budget.tokens(HUGE), 1.0)),
+    "optimal_joint(c, huge)": ("t", lambda: closed_form.optimal_joint(UNIT, HUGE)),
+    "optimal_fixed_batch(c, 1.0, T=huge)": ("token budget", lambda: closed_form.optimal_fixed_batch(
+        UNIT, 1.0, proxy.Budget.tokens(HUGE))),
+    "optimal_fixed_momentum_tokens(c, 0.5, huge)": (
+        "t", lambda: closed_form.optimal_fixed_momentum_tokens(UNIT, 0.5, HUGE)),
+    "extrapolate(cfg, huge, A)": ("t1", lambda: transfer.extrapolate(
+        transfer.TunedConfig(1, 1, 1, 1), HUGE,
+        transfer.TransferRegime.FIXED_BATCH_FIXED_MOMENTUM)),
+    "sgd_tuned(1, 1, 1, 1, T=huge)": ("token budget", lambda: sgd.sgd_tuned(
+        1, 1, 1, 1, proxy.Budget.tokens(HUGE))),
+    "tuned_bound(cc, 4, huge)": ("k", lambda: contours.tuned_bound(CC, 4, HUGE)),
+    "level_set(cc, 2, [10.0, huge])": ("k_grid", lambda: contours.level_set(CC, 2, [10.0, HUGE])),
+}
+
+
+@pytest.mark.parametrize("quantity, call", PAST_FLOAT_RANGE_CALLS.values(),
+                         ids=PAST_FLOAT_RANGE_CALLS)
+def test_a_budget_or_step_count_past_the_float_range_is_a_domain_error(quantity, call):
+    with pytest.raises(DomainError, match=rf"^{quantity}( = 10{{400}} is| holds a value) past "
+                                          r"the float range$"):
+        call()
+
+
 def test_a_big_int_shows_in_scientific_form():
     with pytest.raises(DomainError, match=r"^alpha must be in \(0, 1\], got 1e\+5000$"):
         proxy.HyperParams(1.0, BIG)

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import io
 import json
+import shutil
 from unittest import mock
 
 import pytest
@@ -75,10 +76,44 @@ EDGE_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", EDGE_ARGV, ids=" ".join)
-def test_edge_argv_parses_and_helps_as_with_every_command_built(monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
+# the help width is read once per call: COLUMNS unset and at three widths, 80 with the bare id
+WIDTHS = (None, "40", "80", "200")
+
+
+@pytest.mark.parametrize("argv, columns", [
+    pytest.param(argv, columns, id=" ".join(argv) + {None: " COLUMNS unset", "80": ""}.get(columns, f" COLUMNS={columns}"))
+    for argv in EDGE_ARGV for columns in WIDTHS])
+def test_edge_argv_parses_and_helps_as_with_every_command_built(monkeypatch, argv, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
     assert _main_parse(argv) == _reference_parse(argv)
+
+
+def test_a_call_reads_the_terminal_once_and_helps_only_the_named_command(monkeypatch, capsys):
+    queries, built = [], []
+    get_terminal_size, build_parser = shutil.get_terminal_size, cli._build_parser
+
+    def counting(*args, **kwargs):
+        queries.append(args)
+        return get_terminal_size(*args, **kwargs)
+
+    def keeping(command):
+        built.append(build_parser(command))
+        return built[-1]
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    monkeypatch.setattr(cli, "_build_parser", keeping)
+    assert cli.main(["plan", *JOINT]) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "joint"
+    assert len(queries) <= 1
+    (parser,) = built
+    (subs,) = (action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    helped = {name for name, sub in subs.choices.items()
+              if any(isinstance(action, argparse._HelpAction) for action in sub._actions)}
+    assert helped == {"plan"}
 
 
 def test_a_call_adds_only_the_named_command_options(monkeypatch, capsys):
